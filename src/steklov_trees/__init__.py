@@ -104,7 +104,6 @@ from .partitions import (
 from .spectra import (
     SteklovSpectrum,
     eigendecompose_symmetric,
-    eigenvalue_oracle,
     rayleigh_quotient,
     steklov_eigenvalue_bisect,
     steklov_lambda,

@@ -27,6 +27,7 @@ from .spectra import (
     DENSE_BOUNDARY_LIMIT,
     SteklovSpectrum,
     steklov_eigenvalue_bisect,
+    steklov_lambda,
     steklov_spectrum,
 )
 
@@ -82,14 +83,6 @@ def _interior_degrees_ok(t: BoundaryTree) -> bool:
     return all(t.degrees[v] >= 3 for v in t.interior)
 
 
-def _lam(t: BoundaryTree, k: int, spectrum: SteklovSpectrum | None) -> float:
-    if spectrum is not None:
-        return spectrum.eigenvalue(k)
-    if t.n_boundary <= DENSE_BOUNDARY_LIMIT:
-        return steklov_spectrum(t).eigenvalue(k)
-    return steklov_eigenvalue_bisect(t, k)
-
-
 def _upper_report(
     bound_id: str,
     bound: Fraction,
@@ -126,7 +119,7 @@ def bound_lam2_boundary(
     witness = None
     if with_witness:
         witness = two_level_test_function(t, partition_two(t), tol)
-    return _upper_report(LAM2_BOUNDARY, bound, _lam(t, 2, spectrum),
+    return _upper_report(LAM2_BOUNDARY, bound, steklov_lambda(t, 2, spectrum=spectrum),
                          witness=witness, tol=tol)
 
 
@@ -139,7 +132,7 @@ def bound_lam2_volume(
     """lambda_2 <= 8(D-1)/(|V|+2), valid when interior degrees are >= 3."""
     pre = _interior_degrees_ok(t)
     bound = Fraction(8 * (t.max_degree - 1), t.n + 2)
-    return _upper_report(LAM2_VOLUME, bound, _lam(t, 2, spectrum),
+    return _upper_report(LAM2_VOLUME, bound, steklov_lambda(t, 2, spectrum=spectrum),
                          preconditions_met=pre,
                          note="" if pre else "an interior vertex has degree < 3",
                          tol=tol)
@@ -156,7 +149,7 @@ def bound_lam2_diameter(
     dia = diameter(t)
     bound = Fraction(2, dia.length)
     witness = diameter_test_function(t) if with_witness else None
-    return _upper_report(LAM2_DIAMETER, bound, _lam(t, 2, spectrum),
+    return _upper_report(LAM2_DIAMETER, bound, steklov_lambda(t, 2, spectrum=spectrum),
                          witness=witness, tol=tol)
 
 
@@ -185,7 +178,7 @@ def _lamk_report(
         except PartTooSmallError:
             note = (note + "; " if note else "") + \
                 "no multiway witness: a peeled part holds one boundary vertex"
-    return _upper_report(bound_id, bound, _lam(t, k, spectrum),
+    return _upper_report(bound_id, bound, steklov_lambda(t, k, spectrum=spectrum),
                          preconditions_met=extra_pre, witness=witness,
                          note=note, tol=tol)
 

@@ -23,6 +23,8 @@ class Tolerances:
     oracle_agreement: float = 1e-8 # primary eigensolver vs bisection oracle
     bound_slack: float = 1e-8      # measured eigenvalue vs certified bound
     boundary_sum: float = 1e-9     # witness boundary-sum-zero check
+    # no longer read: the primary eigensolve is LAPACK; kept so the
+    # tolerance record stays a stable contract
     jacobi_off: float = 1e-12      # off-diagonal Frobenius target, relative
     bisect_abs: float = 1e-10      # bisection oracle absolute tolerance
 

@@ -43,7 +43,11 @@ class NotSymmetricError(SteklovTreeError):
 
 
 class NoConvergenceError(SteklovTreeError):
-    """Jacobi sweeps did not reach the off-diagonal target."""
+    """An iterative solver missed its target.
+
+    Kept for API stability; every solver in the package is direct, so
+    none raises it.
+    """
 
 
 class BadIndexError(SteklovTreeError):

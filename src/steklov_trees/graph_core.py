@@ -13,10 +13,12 @@ verification harness freezes byte-identical reports for fixed seeds.
 """
 from __future__ import annotations
 
+import functools
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +73,26 @@ class BoundaryTree:
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
             raise BadVertexError(f"vertex {v!r} outside 0..{self.n - 1}")
+
+
+def per_tree_cache(fn: Callable[[BoundaryTree], _T]) -> Callable[[BoundaryTree], _T]:
+    """Memoize ``fn(tree)`` for as long as the tree itself is alive.
+
+    Entries are keyed weakly on the tree (trees hash by identity), so a
+    cached result is dropped together with its tree instead of being
+    pinned by the cache.
+    """
+    memo: weakref.WeakKeyDictionary[BoundaryTree, _T] = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def cached(t: BoundaryTree) -> _T:
+        try:
+            return memo[t]
+        except KeyError:
+            out = memo[t] = fn(t)
+            return out
+
+    return cached
 
 
 def build_tree(edges: Iterable[Edge]) -> BoundaryTree:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import HarmonicResidualError, InvariantViolationError
-from .graph_core import BoundaryTree
+from .graph_core import BoundaryTree, per_tree_cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +103,7 @@ class _InteriorSolver:
     boundary_owner: np.ndarray
 
 
-@lru_cache(maxsize=256)
+@per_tree_cache
 def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
     n = t.n
     interior = t.degrees > 1
@@ -154,31 +153,24 @@ def _extend_columns(t: BoundaryTree, g: np.ndarray) -> np.ndarray:
     """Harmonic extension of boundary data, vectorized over columns.
 
     ``g`` has shape ``(m, k)`` with one column per right-hand side;
-    returns ``(n, k)``.
+    returns ``(n, k)``.  Interior rows of the one output array hold the
+    right-hand side, then the forward-eliminated values, then the
+    solution.
     """
     sol = _interior_solver(t)
-    n = t.n
-    k = g.shape[1]
-    out = np.zeros((n, k))
-    out[np.array(t.boundary, dtype=np.int64), :] = g
-
-    acc = np.zeros((n, k))
-    np.add.at(acc, sol.boundary_owner, g)
-
-    alpha = np.zeros((n, k))
+    out = np.zeros((t.n, g.shape[1]))
+    np.add.at(out, sol.boundary_owner, g)
     order = sol.order
     for v in order:
-        av = acc[v] * sol.inv_piv[v]
+        out[v] *= sol.inv_piv[v]
         p = sol.parent[v]
         if p >= 0:
-            alpha[v] = av
-            acc[p] += av
-        else:
-            out[v] = av
+            out[p] += out[v]
     for v in order[::-1]:
         p = sol.parent[v]
         if p >= 0:
-            out[v] = alpha[v] + sol.inv_piv[v] * out[p]
+            out[v] += sol.inv_piv[v] * out[p]
+    out[np.array(t.boundary, dtype=np.int64), :] = g
     return out
 
 

@@ -1,26 +1,24 @@
-"""Steklov spectra: primary eigensolver, independent oracle, Rayleigh tools.
+"""Steklov spectra: LAPACK primary route, tree-pencil certifier, Rayleigh tools.
 
-Three routes compute eigenvalues here, kept deliberately independent so
-they can certify each other:
+Two routes compute eigenvalues here, sharing no code so that each can
+certify the other:
 
-* :func:`eigendecompose_symmetric` -- cyclic Jacobi rotations on the dense
+* :func:`eigendecompose_symmetric` -- LAPACK ``eigh`` on the dense
   boundary response matrix (the primary route; also yields eigenvectors);
-* :func:`eigenvalue_oracle` -- bisection on the inertia of ``M - t I``,
-  counted from the pivots of a symmetric triangular factorization of the
-  dense matrix (no rotations, no eigenvectors);
-* :func:`steklov_eigenvalue_bisect` -- bisection on the inertia of the
-  sparse pencil ``L - t B`` over the whole tree, where ``B`` is the
-  boundary indicator.  Since the interior block of ``L`` is positive
-  definite, Haynsworth's inertia additivity makes the negative pivot
-  count of ``L - t B`` equal the number of Steklov eigenvalues below
-  ``t``; a tree admits a perfect elimination order, so each count is
-  O(n) with no fill-in.  This route scales to trees whose boundary is
-  far too large for a dense matrix.
+* :func:`steklov_eigenvalue_bisect` -- the certifier: bisection on the
+  inertia of the sparse pencil ``L - t B`` over the whole tree, where
+  ``B`` is the boundary indicator.  Since the interior block of ``L`` is
+  positive definite, Haynsworth's inertia additivity makes the negative
+  pivot count of ``L - t B`` equal the number of Steklov eigenvalues
+  below ``t``; a tree admits a perfect elimination order (Jacobs and
+  Trevisan's diagonalization of a tree), so each count is O(n) with no
+  fill-in and touches neither the dense matrix nor its assembly.  This
+  route also scales to trees whose boundary is far too large for a
+  dense matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,14 +27,12 @@ from .errors import (
     BadIndexError,
     DimensionMismatchError,
     InvariantViolationError,
-    NoConvergenceError,
     NotOrthogonalError,
     NotSymmetricError,
     ZeroFunctionError,
 )
-from .graph_core import BoundaryTree
+from .graph_core import BoundaryTree, per_tree_cache
 from .harmonic import (
-    DtnMatrix,
     VertexFunction,
     _extend_columns,
     dtn_matrix,
@@ -61,156 +57,38 @@ def _require_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
 def eigendecompose_symmetric(
     m: np.ndarray,
     *,
-    off_target: float = DEFAULT_TOL.jacobi_off,
-    max_sweeps: int = 100,
     sym_tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Sweeps row-cyclically until the off-diagonal Frobenius mass drops
-    below ``off_target * ||M||_F`` (at most ``max_sweeps`` sweeps, else
-    :class:`NoConvergenceError`).  Returns ``(w, Q)`` with eigenvalues
-    ascending and ``Q``'s columns the matching eigenvectors, each signed
-    so its largest-magnitude entry is positive.
+    Returns ``(w, Q)`` with eigenvalues ascending and ``Q``'s columns the
+    matching orthonormal eigenvectors, each signed so its largest-magnitude
+    entry is positive.  :class:`NotSymmetricError` if ``m`` is not square
+    or not symmetric within ``sym_tol`` relative to its largest entry.
     """
-    a = _require_symmetric(m, sym_tol)
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-
-    norm = float(np.linalg.norm(a))
-    target = off_target * norm
-    # entries this small cannot lift the off-diagonal mass back above target
-    skip = target / n
-
-    def off_mass() -> float:
-        # summed directly: ||A||_F^2 - ||diag||^2 would cancel catastrophically
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        return float(np.linalg.norm(hollow))
-
-    for _ in range(max_sweeps):
-        off = off_mass()
-        if off <= target or norm == 0.0:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= skip:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if theta >= 0.0:
-                    tan = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    tan = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(tan * tan + 1.0)
-                s = tan * c
-                # A <- J^T A J with the rotation in the (p, r) plane
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q_r = q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
-    else:
-        raise NoConvergenceError(
-            f"off-diagonal mass {off:.3e} above target {target:.3e} "
-            f"after {max_sweeps} sweeps")
-
-    w = a.diagonal().copy()
-    idx = np.argsort(w, kind="stable")
-    w = w[idx]
-    q = q[:, idx]
-    for j in range(n):
-        lead = np.abs(q[:, j]).argmax()
-        if q[lead, j] < 0:
-            q[:, j] = -q[:, j]
+    w, q = np.linalg.eigh(_require_symmetric(m, sym_tol))
+    lead = np.abs(q).argmax(axis=0)
+    q[:, q[lead, np.arange(q.shape[1])] < 0.0] *= -1.0
     return w, q
 
 
-# -- dense inertia-bisection oracle ---------------------------------------------
+def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
+    """The k-th smallest eigenvalue (1-based) of a symmetric matrix, by LAPACK.
 
-def _negative_pivots_dense(m: np.ndarray, shift: float, *, strict: bool) -> int | None:
-    """Negative pivot count of a symmetric triangular factorization of M - shift*I.
-
-    Plain LDL^T without pivoting, which is only trustworthy while pivots
-    stay away from zero: a shift on an eigenvalue of a leading principal
-    block breaks the factorization down.  With ``strict`` the breakdown
-    is reported as None (caller re-probes nearby); otherwise the pivot is
-    clamped and the count is best-effort.
+    No longer an independent route and not called by the package: the
+    dense spectrum is certified by :func:`steklov_eigenvalue_bisect`.
+    The name stays because the benchmark's per-layer metrics
+    (``spectra.eigenvalue_oracle.*`` in ``BENCHMARK.json``) refer to it.
     """
-    a = m - shift * np.eye(m.shape[0])
-    n = a.shape[0]
-    floor = 1e-12 * max(float(np.abs(a).max(initial=0.0)), 1e-300)
-    neg = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            d = a[j, j]
-            if not np.isfinite(d) or abs(d) < floor:
-                if strict:
-                    return None
-                d = -floor if d <= 0 else floor
-            if d < 0.0:
-                neg += 1
-            if j + 1 < n:
-                col = a[j + 1:, j] / d
-                a[j + 1:, j + 1:] -= np.outer(col, a[j + 1:, j])
-    return neg
-
-
-def eigenvalue_oracle(
-    m: np.ndarray,
-    k: int,
-    *,
-    abs_tol: float = DEFAULT_TOL.bisect_abs,
-    sym_tol: float = 1e-8,
-) -> float:
-    """The k-th smallest eigenvalue (1-based) by inertia-counting bisection.
-
-    Bracketed by Gershgorin bounds, bisected to absolute width
-    ``abs_tol``.  A probe that breaks the factorization down is retried
-    a hair to the right (breakdown shifts are isolated, so a deterministic
-    nudge of a millionth of the bracket escapes them).  Shares no code
-    path with the Jacobi route.
-    """
-    a = _require_symmetric(m, sym_tol)
-    n = a.shape[0]
-    if not 1 <= k <= n:
-        raise BadIndexError(f"index {k} outside 1..{n}")
-    radii = np.abs(a).sum(axis=1) - np.abs(a.diagonal())
-    lo = float((a.diagonal() - radii).min()) - abs_tol
-    hi = float((a.diagonal() + radii).max()) + abs_tol
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        probe = mid
-        cnt = None
-        for attempt in range(8):
-            probe = mid + attempt * 1e-6 * (hi - lo)
-            cnt = _negative_pivots_dense(a, probe, strict=True)
-            if cnt is not None:
-                break
-        if cnt is None:
-            probe = mid
-            cnt = _negative_pivots_dense(a, probe, strict=False)
-        if cnt >= k:
-            hi = probe
-        else:
-            lo = probe
-    return 0.5 * (lo + hi)
+    w = np.linalg.eigvalsh(_require_symmetric(m, 1e-8))
+    if not 1 <= k <= len(w):
+        raise BadIndexError(f"index {k} outside 1..{len(w)}")
+    return float(w[k - 1])
 
 
 # -- sparse pencil bisection ------------------------------------------------------
 
-@lru_cache(maxsize=256)
+@per_tree_cache
 def _full_peel_order(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray]:
     """Leaf-first elimination order of the whole tree with parents."""
     n = t.n
@@ -257,7 +135,7 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     neg = 0
     # scalar recurrence: clamping a vanished pivot perturbs one diagonal
     # entry by ~1e-280 and cannot overflow (no outer-product growth here,
-    # unlike the dense factorization)
+    # unlike a dense triangular factorization)
     tiny = 1e-280
     dlist = diag  # local alias; loop below is the hot path
     for v in order:
@@ -349,14 +227,18 @@ def _check_spectrum(
     # eigen-equation residual: normal derivative == lambda * boundary values
     lap = laplacian_apply_matrix(t, ext)
     interior_res = float(np.abs(lap[np.array(t.interior)]).max(initial=0.0))
-    bidx = np.array(t.boundary, dtype=np.int64)
-    flux = lap[bidx, :]
-    eig_res = float(np.abs(flux - q * w[None, :]).max(initial=0.0))
+    # residuals formed in place: two (m, m) buffers bound the extra memory
+    res = lap[np.array(t.boundary, dtype=np.int64), :]
+    buf = np.multiply(q, w)
+    res -= buf
+    eig_res = float(np.abs(res, out=res).max(initial=0.0))
     if interior_res > tol.eigen_residual or eig_res > tol.eigen_residual:
         raise InvariantViolationError(
             f"eigenpair residuals {interior_res:.3e}/{eig_res:.3e} too large")
     # orthonormality of the boundary basis
-    gram_dev = float(np.abs(q.T @ q - np.eye(m)).max(initial=0.0))
+    gram = np.matmul(q.T, q, out=buf)
+    gram.flat[::m + 1] -= 1.0
+    gram_dev = float(np.abs(gram, out=gram).max(initial=0.0))
     if gram_dev > tol.orthogonality:
         raise InvariantViolationError(f"eigenbasis orthonormality off by {gram_dev:.3e}")
 
@@ -371,7 +253,7 @@ def steklov_spectrum(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> SteklovS
     boundary basis.
     """
     mat = dtn_matrix(t, tol)
-    w, q = eigendecompose_symmetric(mat.entries, off_target=tol.jacobi_off)
+    w, q = eigendecompose_symmetric(mat.entries)
     ext = _extend_columns(t, q)
     _check_spectrum(t, w, q, ext, tol)
     return SteklovSpectrum(tree=t, eigenvalues=w, boundary_basis=q, extensions=ext)

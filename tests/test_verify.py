@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,10 @@ from steklov_trees import (
     VerifyConfig,
     run_verification,
 )
+from steklov_trees.cli import main
+
+# sha256 of fixed-seed `verify` reports, recorded for the benchmark
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def small_config(**overrides) -> VerifyConfig:
@@ -24,7 +30,7 @@ def test_small_run_passes():
     assert rep.failures == []
     c = rep.counter("tree_structure")
     assert c.passed == 33 and c.failed == 0
-    # stride 6 over 33 trees: trials 0, 6, 12, ... get the dense oracle
+    # stride 6 over 33 trees: trials 0, 6, 12, ... get the pencil cross-check
     assert rep.counter("oracle_agreement").passed == 6
     assert rep.counter("oracle_agreement").skipped == 27
 
@@ -73,3 +79,13 @@ def test_oracle_stride_one_checks_everything():
 def test_config_validation(kwargs):
     with pytest.raises(BadParamsError):
         run_verification(small_config(**kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 99])
+def test_fixed_seed_report_bytes_match_recorded_digests(seed, capsys):
+    recorded = json.loads(EXPECTED_DIGESTS.read_text(encoding="utf-8"))["verify"]
+    assert recorded["argv"] == ["verify", "--trials", "50", "--max-n", "60",
+                                "--max-degree", "6"]
+    assert main([*recorded["argv"], "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"][str(seed)]
