@@ -216,6 +216,7 @@ class DiameterPath(NamedTuple):
     path: tuple[int, ...]
 
 
+@per_tree_cache
 def diameter(t: BoundaryTree) -> DiameterPath:
     """Diameter length L and one realizing path ``x_0 .. x_L``.
 
@@ -223,7 +224,7 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     smallest vertex id at both endpoint selections, and the returned path
     runs from its smaller endpoint to its larger one, so the result is a
     deterministic function of the tree.  Both endpoints are boundary
-    vertices.
+    vertices.  Computed once per tree (the result is immutable).
     """
     d0 = _bfs_distances(t, 0)
     a = int(np.flatnonzero(d0 == d0.max())[0])

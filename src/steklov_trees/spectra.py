@@ -11,13 +11,20 @@ certify the other:
   positive definite, Haynsworth's inertia additivity makes the negative
   pivot count of ``L - t B`` equal the number of Steklov eigenvalues
   below ``t``; a tree admits a perfect elimination order (Jacobs and
-  Trevisan's diagonalization of a tree), so each count is O(n) with no
-  fill-in and touches neither the dense matrix nor its assembly.  This
-  route also scales to trees whose boundary is far too large for a
-  dense matrix.
+  Trevisan's diagonalization of a tree), so each count has no fill-in
+  and touches neither the dense matrix nor its assembly.  This route
+  also scales to trees whose boundary is far too large for a dense
+  matrix.
+
+Each count is one leaf-to-root sweep over the levels of the tree's
+leaf-first peel: O(n) work in O(height) numpy steps.  Bushy trees have a
+few dozen levels even at n = 8000; path-like trees, with about n/2
+levels, are the slow case.  The sweep does the scalar elimination's
+arithmetic in the scalar order, so counts are bit-identical to it.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +96,30 @@ def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
 # -- sparse pencil bisection ------------------------------------------------------
 
 @per_tree_cache
-def _full_peel_order(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf-first elimination order of the whole tree with parents."""
+def _peel_levels(t: BoundaryTree) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Leaf-first elimination schedule of the whole tree, level by level.
+
+    Peels leaves off a queue; each vertex's parent is its one neighbour
+    still present when it is peeled, and its height is one more than the
+    largest height among its children (leaves have height 0).  Returns
+    ``(vertices, parents)`` per height, ascending, each level in peel
+    order.  The last vertex peeled (the root, alone on the top level) has
+    no parent; its slot in ``parents`` is the sink index ``n``.
+
+    The peel order is already sorted by height (checked below): by
+    induction, a vertex enters the queue when its last child is peeled,
+    which is also its tallest, so it sits one level above the vertex just
+    peeled; the root is peeled last, above its last-peeled child.  So the
+    levels are runs of the peel order, every vertex is eliminated after
+    all its children, and each parent receives its children's updates in
+    peel order.
+    """
     n = t.n
     rem = t.degrees.copy()
-    parent = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, n, dtype=np.int64)
+    height = np.zeros(n, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     order: list[int] = []
-    from collections import deque
-
     dq = deque(v for v in range(n) if rem[v] <= 1)
     while dq:
         v = dq.popleft()
@@ -105,18 +127,22 @@ def _full_peel_order(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray]:
             continue
         done[v] = True
         order.append(v)
-        p = -1
         for w in t.neighbors[v]:
             if not done[w]:
-                p = w
+                parent[v] = w
+                height[w] = max(height[w], height[v] + 1)
+                rem[w] -= 1
+                if rem[w] <= 1:
+                    dq.append(w)
                 break
-        if p >= 0:
-            parent[v] = p
-            rem[p] -= 1
-            if rem[p] <= 1:
-                dq.append(p)
-    assert len(order) == n
-    return np.array(order, dtype=np.int64), parent
+    if len(order) != n:
+        raise InvariantViolationError(f"peel reached {len(order)} of {n} vertices")
+    peel = np.array(order, dtype=np.int64)
+    hp = height[peel]
+    if np.any(hp[1:] < hp[:-1]):
+        raise InvariantViolationError("peel order is not sorted by height")
+    cuts = np.flatnonzero(hp[1:] != hp[:-1]) + 1
+    return tuple(zip(np.split(peel, cuts), np.split(parent[peel], cuts)))
 
 
 def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
@@ -125,29 +151,32 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     Counts negative pivots of the tree-ordered factorization of
     ``L - shift * B``; the positive-definite interior block contributes
     none, so the count equals the inertia of the boundary response
-    matrix shifted by ``shift``.
+    matrix shifted by ``shift``.  One leaf-to-root sweep over the peel
+    levels: O(n) work in O(height) numpy steps.
     """
-    order, parent = _full_peel_order(t)
-    deg = t.degrees
-    is_b = t.boundary_pos >= 0
-    diag = deg.astype(np.float64).copy()
-    diag[is_b] -= shift
-    neg = 0
-    # scalar recurrence: clamping a vanished pivot perturbs one diagonal
-    # entry by ~1e-280 and cannot overflow (no outer-product growth here,
-    # unlike a dense triangular factorization)
+    levels = _peel_levels(t)
+    n = t.n
+    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
+    diag[:n] = t.degrees
+    diag[:n][t.boundary_pos >= 0] -= shift
+    # clamping a vanished pivot perturbs one diagonal entry by ~1e-280 and
+    # cannot overflow (no outer-product growth here, unlike a dense
+    # triangular factorization)
     tiny = 1e-280
-    dlist = diag  # local alias; loop below is the hot path
-    for v in order:
-        d = dlist[v]
-        if abs(d) < tiny:
-            d = -tiny
-        if d < 0.0:
-            neg += 1
-        p = parent[v]
-        if p >= 0:
-            dlist[p] -= 1.0 / d
-    return neg
+    for vs, ps in levels:
+        d = diag[vs]
+        d[np.abs(d) < tiny] = -tiny
+        diag[vs] = d  # only children update a vertex, so this is its pivot
+        # ufunc.at applies repeated parents in order: each parent sees its
+        # children's updates in peel order, exactly as a scalar sweep would
+        np.subtract.at(diag, ps, 1.0 / d)
+    return int(np.count_nonzero(diag[:n] < 0.0))
+
+
+@per_tree_cache
+def _bisect_memo(t: BoundaryTree) -> dict[tuple[int, float], float]:
+    """Bisection results for one tree, keyed on ``(k, abs_tol)``."""
+    return {}
 
 
 def steklov_eigenvalue_bisect(
@@ -161,20 +190,27 @@ def steklov_eigenvalue_bisect(
     Inertia bisection on the pencil ``L - t B``; each inertia count is a
     single O(n) pass, so this handles trees whose boundary is far beyond
     dense reach.  The spectrum lies in [0, 1], which brackets the search.
+    Results are memoized per tree on ``(k, abs_tol)``.
     """
     m = t.n_boundary
     if not 1 <= k <= m:
         raise BadIndexError(f"index {k} outside 1..{m}")
+    memo = _bisect_memo(t)
+    key = (k, abs_tol)
+    if key in memo:
+        return memo[key]
     lo = -1e-9
     hi = 1.0 + 1e-9
-    assert _steklov_count_below(t, lo) == 0
+    if _steklov_count_below(t, lo) != 0:
+        raise InvariantViolationError("pencil count below 0 is not zero")
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if _steklov_count_below(t, mid) >= k:
             hi = mid
         else:
             lo = mid
-    return max(0.0, 0.5 * (lo + hi))
+    out = memo[key] = max(0.0, 0.5 * (lo + hi))
+    return out
 
 
 # -- spectra ---------------------------------------------------------------------

@@ -5,6 +5,8 @@ numpy's LAPACK-backed solvers, deliberately sharing no code with the
 package: dense Schur complements and ``eigvalsh`` cross-check the
 hand-rolled harmonic solver, Jacobi sweep, and bisection routes, and a
 breadth-first component counter cross-checks the partition machinery.
+A scalar one-vertex-at-a-time pencil count is the reference for the
+package's level-by-level inertia count.
 """
 
 from __future__ import annotations
@@ -140,3 +142,42 @@ def diameter_brute(n: int, edges) -> int:
     a, _ = far(0)
     _, d = far(a)
     return d
+
+
+def count_below_brute(n: int, edges, shift: float) -> int:
+    """Negative pivots of ``L - shift * B`` by a scalar leaf-first sweep.
+
+    The reference for the package's level-by-level count: the same
+    elimination (peel leaves off a queue in ascending id order; each
+    vertex's parent is its smallest-id neighbour still present; a pivot
+    below 1e-280 in magnitude counts as -1e-280), one vertex at a time.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = [sorted(a) for a in adj]
+    diag = [float(len(a)) - (shift if len(a) == 1 else 0.0) for a in adj]
+    rem = [len(a) for a in adj]
+    done = [False] * n
+    queue = deque(v for v in range(n) if rem[v] <= 1)
+    neg = 0
+    while queue:
+        v = queue.popleft()
+        if done[v]:
+            continue
+        done[v] = True
+        d = diag[v]
+        if abs(d) < 1e-280:
+            d = -1e-280
+        if d < 0.0:
+            neg += 1
+        for w in adj[v]:
+            if not done[w]:
+                diag[w] -= 1.0 / d
+                rem[w] -= 1
+                if rem[w] <= 1:
+                    queue.append(w)
+                break
+    assert all(done)
+    return neg

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,20 @@ import pytest
 from steklov_trees.cli import main
 
 BALL32 = '{"family":"BALL","D":3,"r":2}'
+
+# sha256 of reports past the dense limit, recorded with the scalar
+# one-vertex-at-a-time pencil count; the level-by-level count must keep
+# every byte
+PENCIL_REPORT_DIGESTS = [
+    (["bounds", "--family", '{"family":"BALL","D":3,"r":8}', "--k", "3,5"],
+     "6256cab8adb12e2651bee5f42e99d0f30d2395e05659e8f36373bcc7aee59761"),
+    (["bounds", "--family",
+      '{"family":"RANDOM_INTERIOR3","n_target":600,"max_degree":5,"seed":3}',
+      "--k", "3,5"],
+     "eace55bf1dbbac7e55ae8590d3e8388e867b232137a274cbb6ec39056096b46a"),
+    (["sweep", "--family", '{"family":"BALL","D":3,"r":[1,8]}', "--format", "json"],
+     "de0e8687d4d5b25482f4f29696f699fe334201fda2613856291f071a1bbcfe64"),
+]
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -239,3 +254,13 @@ def test_unknown_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# -- report bytes on the pencil route -----------------------------------------------
+
+@pytest.mark.parametrize("argv,digest", PENCIL_REPORT_DIGESTS,
+                         ids=["bounds-ball38", "bounds-interior3-m402", "sweep-ball3"])
+def test_pencil_route_report_bytes_match_recorded_digests(argv, digest, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -107,6 +107,12 @@ def test_diameter_is_deterministic(ball32):
     assert diameter(ball32).path[0] < diameter(ball32).path[-1]
 
 
+def test_diameter_is_computed_once_per_tree(ball32):
+    first = diameter(ball32)
+    assert diameter(ball32) is first
+    assert diameter(build_tree(BALL32_EDGES)) == first
+
+
 @given(n=st.integers(4, 48), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
 def test_diameter_matches_bfs_oracle(n, cap, seed):
     t = gen_random_tree(n, cap, seed)

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from steklov_trees import (
     BadIndexError,
     DimensionMismatchError,
+    InvariantViolationError,
     NotOrthogonalError,
     NotSymmetricError,
     VertexFunction,
@@ -28,8 +32,9 @@ from steklov_trees import (
     steklov_spectrum,
     variational_upper_check,
 )
+from steklov_trees import spectra
 
-from _oracle import steklov_eigs_brute
+from _oracle import count_below_brute, laplacian_brute, steklov_eigs_brute
 
 # trees on which an unpivoted dense LDL^T inertia count broke down
 # mid-bisection (a probe landing on an eigenvalue of a leading minor)
@@ -231,6 +236,98 @@ def test_bisect_large_ball_fast():
     t = gen_ball(4, 5)  # 972 boundary vertices, far past the dense limit
     lam = steklov_eigenvalue_bisect(t, 2)
     assert lam == pytest.approx(1.0 / sum(3**k for k in range(5)), abs=1e-10)
+
+
+# -- level-synchronous inertia count and the bisection memo --------------------------
+
+@given(n=st.integers(3, 60), cap=st.integers(2, 6), seed=st.integers(0, 2**32),
+       shift=st.floats(-0.5, 1.5))
+def test_count_matches_scalar_reference(n, cap, seed, shift):
+    t = gen_random_tree(n, cap, seed)
+    assert spectra._steklov_count_below(t, shift) == count_below_brute(t.n, t.edges, shift)
+
+
+@pytest.mark.parametrize("name,shift", [
+    ("path4", 0.5), ("star5", 1.0), ("ball32", 1 / 3), ("ball32", 1.0)])
+def test_count_matches_scalar_reference_where_pivots_vanish(name, shift, request):
+    # shifts on eigenvalues: path4 at 1/2, star5 at 1 and ball32 at 1 zero
+    # pivots exactly (they take the clamp); the float nearest 1/3 on ball32
+    # comes within rounding of it
+    t = request.getfixturevalue(name)
+    assert spectra._steklov_count_below(t, shift) == count_below_brute(t.n, t.edges, shift)
+
+
+# trees on which some count at a LAPACK eigenvalue (or a float next to it)
+# changes when a parent's updates are applied out of the scalar order
+ORDER_SENSITIVE_TREES = (
+    (38, 5, 3934166345),
+    (7, 6, 3877110562),
+    (18, 6, 1869226390),
+    (23, 3, 4009128249),
+    (23, 4, 1542614728),
+)
+
+
+@pytest.mark.parametrize("n,cap,seed", ORDER_SENSITIVE_TREES)
+def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
+    # pivots within rounding of zero: only the scalar order of operations
+    # reproduces the reference count bit for bit
+    t = gen_random_tree(n, cap, seed)
+    for lam in steklov_eigs_brute(t.n, t.edges):
+        for shift in (np.nextafter(lam, -1.0), lam, np.nextafter(lam, 2.0)):
+            want = count_below_brute(t.n, t.edges, shift)
+            assert spectra._steklov_count_below(t, shift) == want
+
+
+@given(n=st.integers(3, 40), cap=st.integers(2, 6), seed=st.integers(0, 2**32),
+       shift=st.floats(-0.5, 1.5))
+def test_count_matches_dense_inertia(n, cap, seed, shift):
+    t = gen_random_tree(n, cap, seed)
+    assume(np.abs(steklov_eigs_brute(t.n, t.edges) - shift).min() >= 1e-6)
+    pencil = laplacian_brute(t.n, t.edges)
+    pencil[t.boundary, t.boundary] -= shift
+    want = int(np.count_nonzero(np.linalg.eigvalsh(pencil) < 0.0))
+    assert spectra._steklov_count_below(t, shift) == want
+
+
+def test_bisect_memo_returns_identical_float(monkeypatch):
+    t = gen_ball(3, 4)
+    passes = []
+    count = spectra._steklov_count_below
+    monkeypatch.setattr(spectra, "_steklov_count_below",
+                        lambda t, shift: passes.append(shift) or count(t, shift))
+    first = steklov_eigenvalue_bisect(t, 2)
+    n_first = len(passes)
+    assert n_first > 0
+    assert steklov_eigenvalue_bisect(t, 2) is first
+    assert len(passes) == n_first
+    steklov_eigenvalue_bisect(t, 2, abs_tol=1e-10)
+    assert len(passes) > n_first
+
+
+def test_bisect_memo_dies_with_its_tree():
+    t = gen_ball(3, 4)
+    steklov_eigenvalue_bisect(t, 2)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_bisect_start_check_raises_without_assert(ball32, monkeypatch):
+    # a real check, not an ``assert``: it also runs under ``python -O``
+    monkeypatch.setattr(spectra, "_steklov_count_below", lambda t, shift: 1)
+    with pytest.raises(InvariantViolationError):
+        steklov_eigenvalue_bisect(ball32, 2)
+
+
+def test_peel_check_raises_on_a_cycle(ball32):
+    # bypasses build_tree's validation: a triangle has no leaf to peel
+    cyc = dataclasses.replace(
+        ball32, n=3, degrees=np.array([2, 2, 2]), neighbors=((1, 2), (0, 2), (0, 1)),
+        boundary_pos=np.full(3, -1))
+    with pytest.raises(InvariantViolationError):
+        spectra._steklov_count_below(cyc, 0.5)
 
 
 # -- assembled spectra -----------------------------------------------------------------
