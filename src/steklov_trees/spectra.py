@@ -95,24 +95,35 @@ def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
 
 # -- sparse pencil bisection ------------------------------------------------------
 
+# a pivot this small counts as vanished and is clamped to -_TINY: that
+# perturbs one diagonal entry by ~1e-280 and cannot overflow (no
+# outer-product growth here, unlike a dense triangular factorization)
+_TINY = 1e-280
+
+# one level of the sweep: the slots [start, stop) of its vertices, the
+# slots of their parents, and whether those parents are all distinct
+_Level = tuple[int, int, np.ndarray, bool]
+
+
 @per_tree_cache
-def _peel_levels(t: BoundaryTree) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
     """Leaf-first elimination schedule of the whole tree, level by level.
 
     Peels leaves off a queue; each vertex's parent is its one neighbour
     still present when it is peeled, and its height is one more than the
-    largest height among its children (leaves have height 0).  Returns
-    ``(vertices, parents)`` per height, ascending, each level in peel
-    order.  The last vertex peeled (the root, alone on the top level) has
-    no parent; its slot in ``parents`` is the sink index ``n``.
+    largest height among its children (leaves have height 0).  Vertices
+    are renumbered into slots by peel order, so each height is a
+    contiguous run of slots.  Returns the degrees and the boundary mask
+    by slot, and ``(start, stop, parents, distinct)`` per height,
+    ascending.  The last vertex peeled (the root, alone on the top
+    level) has no parent; its parent slot is the sink ``n``.
 
     The peel order is already sorted by height (checked below): by
     induction, a vertex enters the queue when its last child is peeled,
     which is also its tallest, so it sits one level above the vertex just
-    peeled; the root is peeled last, above its last-peeled child.  So the
-    levels are runs of the peel order, every vertex is eliminated after
-    all its children, and each parent receives its children's updates in
-    peel order.
+    peeled; the root is peeled last, above its last-peeled child.  So
+    every vertex is eliminated after all its children, and each parent
+    receives its children's updates in peel order.
     """
     n = t.n
     rem = t.degrees.copy()
@@ -141,8 +152,40 @@ def _peel_levels(t: BoundaryTree) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     hp = height[peel]
     if np.any(hp[1:] < hp[:-1]):
         raise InvariantViolationError("peel order is not sorted by height")
-    cuts = np.flatnonzero(hp[1:] != hp[:-1]) + 1
-    return tuple(zip(np.split(peel, cuts), np.split(parent[peel], cuts)))
+    slot = np.empty(n + 1, dtype=np.int64)
+    slot[peel] = np.arange(n)
+    slot[n] = n
+    parent_slot = slot[parent[peel]]
+    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), n]
+    levels = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ps = parent_slot[start:stop]
+        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
+    return (t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0,
+            tuple(levels))
+
+
+def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
+    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
+    degrees, boundary, levels = _peel_levels(t)
+    n = t.n
+    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
+    diag[:n] = degrees
+    diag[:n][boundary] -= shift
+    for start, stop, ps, distinct in levels:
+        # only children update a vertex, so its slot holds its pivot by now
+        d = diag[start:stop]
+        if clamp:
+            d[np.abs(d) < _TINY] = -_TINY
+        if distinct:
+            # one update per parent: fancy indexing does the same
+            # arithmetic as ufunc.at, at a fraction of its cost
+            diag[ps] -= 1.0 / d
+        else:
+            # ufunc.at applies repeated parents in order: each parent sees
+            # its children's updates in peel order, as a scalar sweep would
+            np.subtract.at(diag, ps, 1.0 / d)
+    return diag[:n]
 
 
 def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
@@ -153,24 +196,20 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     none, so the count equals the inertia of the boundary response
     matrix shifted by ``shift``.  One leaf-to-root sweep over the peel
     levels: O(n) work in O(height) numpy steps.
+
+    A pivot vanishes only at special shifts (within rounding of an
+    eigenvalue of the pencil on the subtree below it, e.g. path(4) at
+    1/2), so the sweep first runs without the clamp.  If some pivot came
+    out below ``_TINY`` (every later value may then be inf or nan), it
+    runs again with the clamp; otherwise the clamp would not have changed
+    a bit.
     """
-    levels = _peel_levels(t)
-    n = t.n
-    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
-    diag[:n] = t.degrees
-    diag[:n][t.boundary_pos >= 0] -= shift
-    # clamping a vanished pivot perturbs one diagonal entry by ~1e-280 and
-    # cannot overflow (no outer-product growth here, unlike a dense
-    # triangular factorization)
-    tiny = 1e-280
-    for vs, ps in levels:
-        d = diag[vs]
-        d[np.abs(d) < tiny] = -tiny
-        diag[vs] = d  # only children update a vertex, so this is its pivot
-        # ufunc.at applies repeated parents in order: each parent sees its
-        # children's updates in peel order, exactly as a scalar sweep would
-        np.subtract.at(diag, ps, 1.0 / d)
-    return int(np.count_nonzero(diag[:n] < 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pivots = _pencil_pivots(t, shift, clamp=False)
+        vanished = bool(np.any(np.abs(pivots) < _TINY))
+    if vanished:
+        pivots = _pencil_pivots(t, shift, clamp=True)
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 @per_tree_cache

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+import warnings
 import weakref
 
 import numpy as np
@@ -288,6 +289,23 @@ def test_count_matches_dense_inertia(n, cap, seed, shift):
     pencil[t.boundary, t.boundary] -= shift
     want = int(np.count_nonzero(np.linalg.eigvalsh(pencil) < 0.0))
     assert spectra._steklov_count_below(t, shift) == want
+
+
+def test_count_reruns_with_the_clamp_only_where_a_pivot_vanishes(path4, monkeypatch):
+    # path4 at 1/2 zeroes a pivot: the unclamped sweep is discarded, without
+    # a divide-by-zero warning escaping, and the clamped sweep counts
+    clamps = []
+    pivots = spectra._pencil_pivots
+    monkeypatch.setattr(spectra, "_pencil_pivots",
+                        lambda t, shift, clamp: clamps.append(clamp) or pivots(t, shift, clamp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectra._steklov_count_below(path4, 0.5) == count_below_brute(
+            path4.n, path4.edges, 0.5)
+    assert clamps == [False, True]
+    clamps.clear()
+    spectra._steklov_count_below(path4, 0.3)
+    assert clamps == [False]
 
 
 def test_bisect_memo_returns_identical_float(monkeypatch):
