@@ -81,7 +81,11 @@ class PartTooSmallError(SteklovTreeError):
 
 
 class DegenerateSystemError(SteklovTreeError):
-    """Homogeneous system for the diameter witness had no usable null vector."""
+    """Homogeneous system for the diameter witness had no usable null vector.
+
+    Kept for API stability; the witness takes the system's kernel in
+    closed form, so nothing raises it.
+    """
 
 
 # -- generators ---------------------------------------------------------------

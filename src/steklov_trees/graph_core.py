@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadVertexError,
+    InvariantViolationError,
     MalformedError,
     NotAPathError,
     NotATreeError,
@@ -160,10 +161,11 @@ def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
     degrees = np.array([len(a) for a in adj], dtype=np.int64)
     boundary = tuple(int(v) for v in range(n) if degrees[v] == 1)
     interior = tuple(int(v) for v in range(n) if degrees[v] > 1)
-    # structural consequences of n >= 3 on a tree; cheap to assert, never traded away
-    assert interior, "a tree on >= 3 vertices has an interior vertex"
-    assert all(degrees[u] > 1 or degrees[v] > 1 for u, v in norm), \
-        "boundary-boundary edge impossible on a connected tree with n >= 3"
+    # structural consequence of n >= 3 on a tree (and with n - 1 >= 2 edges it
+    # implies an interior vertex); cheap to check, never traded away
+    if not all(degrees[u] > 1 or degrees[v] > 1 for u, v in norm):
+        raise InvariantViolationError(
+            "boundary-boundary edge impossible on a connected tree with n >= 3")
 
     edges_sorted = tuple(sorted(norm))
     edge_u = np.array([e[0] for e in edges_sorted], dtype=np.int64)
@@ -246,8 +248,8 @@ def diameter(t: BoundaryTree) -> DiameterPath:
         path.append(int(parent[path[-1]]))
     if path[0] > path[-1]:
         path.reverse()
-    assert len(path) == L + 1
-    assert t.is_boundary(path[0]) and t.is_boundary(path[-1])
+    if len(path) != L + 1 or not (t.is_boundary(path[0]) and t.is_boundary(path[-1])):
+        raise InvariantViolationError("diameter path must join two boundary vertices")
     return DiameterPath(L, tuple(path))
 
 
@@ -291,7 +293,7 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
                 dq.append(y)
     if seen != vs:
         raise NotATreeError("vertex set does not induce a connected subtree")
-    rb = tuple(v for v in t.boundary if v in vs)
+    rb = tuple(sorted(v for v in vs if t.boundary_pos[v] >= 0))
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
 
 
@@ -369,8 +371,11 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     covered = set(p[0:1]) | set(p[-1:])
     for ref in out:
         covered |= ref.vertices
-    assert len(covered) == t.n, "branch components must partition V"
-    assert sum(len(r.relative_boundary) for r in out) == t.n_boundary - 2
+    if len(covered) != t.n:
+        raise InvariantViolationError("branch components must partition V")
+    if sum(len(r.relative_boundary) for r in out) != t.n_boundary - 2:
+        raise InvariantViolationError(
+            "branch components must hold all boundary vertices but the endpoints")
     return out
 
 

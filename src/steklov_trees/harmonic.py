@@ -124,7 +124,8 @@ def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
             continue
         eliminated[v] = True
         order.append(v)
-        assert piv[v] > 0.0, "interior pivot must stay positive"
+        if not piv[v] > 0.0:
+            raise InvariantViolationError(f"interior pivot {piv[v]} is not positive")
         inv_piv[v] = 1.0 / piv[v]
         p = -1
         for w in t.neighbors[v]:
@@ -137,7 +138,9 @@ def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
             rem[p] -= 1
             if rem[p] <= 1:
                 dq.append(p)
-    assert len(order) == len(t.interior), "interior elimination must be complete"
+    if len(order) != len(t.interior):
+        raise InvariantViolationError(
+            f"interior elimination reached {len(order)} of {len(t.interior)} vertices")
 
     boundary_owner = np.array(
         [t.neighbors[b][0] for b in t.boundary], dtype=np.int64)

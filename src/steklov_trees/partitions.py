@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    DegenerateSystemError,
     InfeasibleKError,
     InvariantViolationError,
     PartTooSmallError,
@@ -24,6 +23,7 @@ from .graph_core import (
     BoundaryTree,
     SubtreeRef,
     branch_components,
+    component_avoiding,
     diameter,
     make_subtree,
 )
@@ -85,9 +85,9 @@ class PartitionCertificate:
 
 # -- descent machinery --------------------------------------------------------------
 
-def _boundary_fraction(t: BoundaryTree, vertices: frozenset[int]) -> Fraction:
+def _boundary_fraction(t: BoundaryTree, vertices: frozenset[int], total: int) -> Fraction:
     cnt = sum(1 for v in vertices if t.boundary_pos[v] >= 0)
-    return Fraction(cnt, t.n_boundary)
+    return Fraction(cnt, total)
 
 
 def _component_within(
@@ -132,6 +132,7 @@ def _descend(
     *,
     enter_at_equal: bool,
     ports: frozenset[int] = frozenset(),
+    total: int | None = None,
 ) -> tuple[frozenset[int], Fraction, Edge]:
     """One balanced-part extraction inside the subtree induced on ``allowed``.
 
@@ -139,16 +140,21 @@ def _descend(
     while a side exceeds ``tau`` (``enter_at_equal`` controls whether a
     side exactly at ``tau`` is still descended into), and returns the
     maximal child strictly below the threshold when the walk stops.
-    Descending strictly shrinks the active side, so at most ``n`` steps
-    occur.  Returns ``(part vertices, fraction, cut edge)``.
+    Fractions count boundary vertices of ``t`` over ``total`` (default:
+    all of them).  Descending strictly shrinks the active side, so at
+    most ``n`` steps occur.  Returns ``(part vertices, fraction, cut
+    edge)``.
     """
+    if total is None:
+        total = t.n_boundary
     inner = [e for e in t.edges if e[0] in allowed and e[1] in allowed]
-    assert inner, "descent needs at least one edge"
+    if not inner:
+        raise InvariantViolationError("descent needs at least one edge")
     u0, v0 = inner[0]
     side_u = _component_within(t, allowed, u0, v0)
     side_v = allowed - side_u
-    cands = [(side_u, _boundary_fraction(t, side_u), (u0, v0)),
-             (side_v, _boundary_fraction(t, side_v), (u0, v0))]
+    cands = [(side_u, _boundary_fraction(t, side_u, total), (u0, v0)),
+             (side_v, _boundary_fraction(t, side_v, total), (u0, v0))]
     big, frac, edge = _pick(cands, ports)
     over = (frac >= tau) if enter_at_equal else (frac > tau)
     if not over:
@@ -161,14 +167,16 @@ def _descend(
     steps = 0
     while True:
         steps += 1
-        assert steps <= t.n, "descent failed to terminate"
+        if steps > t.n:
+            raise InvariantViolationError("descent failed to terminate")
         children = []
         for w in t.neighbors[v]:
             if w == u or w not in allowed:
                 continue
             comp = _component_within(t, allowed, w, v)
-            children.append((comp, _boundary_fraction(t, comp), (v, w)))
-        assert children, "heavy side cannot be a single vertex"
+            children.append((comp, _boundary_fraction(t, comp, total), (v, w)))
+        if not children:
+            raise InvariantViolationError("heavy side cannot be a single vertex")
         comp, frac, edge = _pick(children, ports)
         over = (frac >= tau) if enter_at_equal else (frac > tau)
         if not over:
@@ -203,29 +211,41 @@ def partition_two(t: BoundaryTree) -> PartitionCertificate:
 def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
     """Exhaustive counterpart of :func:`partition_two`.
 
-    Scans all ``n - 1`` edges and keeps the split maximizing the smaller
-    boundary share; by optimality the result is never worse than the
-    descent's certified part, which makes this the oracle for it.
+    Scans all ``n - 1`` edges and keeps the first one (in edge order)
+    maximizing the smaller boundary share; by optimality the result is
+    never worse than the descent's certified part, which makes this the
+    oracle for it.  The part is the side holding at most half of the
+    boundary, and at exactly half the side holding vertex 0 (the smaller
+    minimum id).  One BFS from vertex 0 gives every subtree's boundary
+    count, so each edge costs O(1) and the scan O(n).
     """
-    best: tuple[Fraction, Edge, frozenset[int]] | None = None
-    full = frozenset(range(t.n))
+    parent = [-1] * t.n
+    parent[0] = 0
+    order = [0]
+    for x in order:
+        for y in t.neighbors[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    below = (t.boundary_pos >= 0).astype(np.int64).tolist()
+    for x in reversed(order[1:]):
+        below[parent[x]] += below[x]
+    m = t.n_boundary
+    best = -1
     for u, v in t.edges:
-        side_u = _component_within(t, full, u, v)
-        side_v = full - side_u
-        fu = _boundary_fraction(t, side_u)
-        small, frac = (side_u, fu) if fu <= Fraction(1, 2) else (side_v, 1 - fu)
-        if fu == Fraction(1, 2):
-            small = min(side_u, side_v, key=min)
-        if best is None or frac > best[0]:
-            best = (frac, (u, v), small)
-    assert best is not None
-    frac, edge, part = best
+        child = v if parent[v] == u else u
+        small = min(below[child], m - below[child])
+        if small > best:
+            best, edge, cut = small, (u, v), child
+    # the side below the cut, or the side holding vertex 0 (ties at 1/2 too)
+    side = component_avoiding(t, cut, parent[cut])
+    part = side if 2 * below[cut] < m else frozenset(range(t.n)) - side
     d = t.max_degree
     cert = PartitionCertificate(
         tree=t,
         removed_edges=(edge,),
         parts=(make_subtree(t, part),),
-        fractions=(frac,),
+        fractions=(Fraction(best, m),),
         interval=(Fraction(1, 2 * (d - 1)), Fraction(1, 2)),
     )
     cert.validate()
@@ -330,33 +350,9 @@ def multiway_test_functions(
         if len(rb) < 2:
             raise PartTooSmallError(
                 f"part with boundary {rb} cannot carry a sum-zero test function")
-        rb_set = frozenset(rb)
-        total = len(rb)
-
-        def frac_in_part(vs: frozenset[int]) -> Fraction:
-            return Fraction(sum(1 for v in vs if v in rb_set), total)
-
         # two-way descent local to the part, against its own boundary
-        inner = [e for e in t.edges if e[0] in ref.vertices and e[1] in ref.vertices]
-        assert inner, "a part with 2+ boundary vertices has an edge"
-        u0, v0 = inner[0]
-        side_u = _component_within(t, ref.vertices, u0, v0)
-        cands = [(side_u, frac_in_part(side_u), (u0, v0)),
-                 (ref.vertices - side_u, frac_in_part(ref.vertices - side_u), (u0, v0))]
-        piece, pfrac, edge = _pick(cands, frozenset())
-        while pfrac > Fraction(1, 2):
-            u, v = edge
-            if v not in piece:
-                u, v = v, u
-            children = []
-            for w in t.neighbors[v]:
-                if w == u or w not in ref.vertices:
-                    continue
-                comp = _component_within(t, ref.vertices, w, v)
-                children.append((comp, frac_in_part(comp), (v, w)))
-            assert children, "heavy piece cannot be a single vertex"
-            piece, pfrac, edge = _pick(children, frozenset())
-
+        piece, pfrac, _ = _descend(t, ref.vertices, Fraction(1, 2),
+                                   enter_at_equal=False, total=len(rb))
         b1 = pfrac
         b2 = 1 - pfrac
         vals = np.zeros(t.n)
@@ -395,52 +391,28 @@ def gradient_supports_disjoint(fns: list[VertexFunction]) -> bool:
 
 # -- diameter test function ----------------------------------------------------------
 
-def _nullspace_vector(a: np.ndarray) -> np.ndarray:
-    """A nonzero null vector of a wide matrix with more columns than rows.
+def _spine(t: BoundaryTree) -> tuple[list[int], list[SubtreeRef], list[int]]:
+    """The diameter path, its branch components and their boundary counts."""
+    path = list(diameter(t).path)
+    comps = branch_components(t, path)
+    return path, comps, [len(ref.relative_boundary) for ref in comps]
 
-    Gaussian elimination with partial pivoting; the first non-pivot
-    column's variable is set to 1 and the pivots back-substituted.  The
-    result is scaled by its largest-magnitude entry.
+
+def _diameter_kernel(counts: list[int]) -> list[Fraction]:
+    """The kernel of :func:`diameter_system`, exactly, for counts ``n_1 .. n_{L-1}``.
+
+    With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
+    ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
+    ``Σ n_k a_k = S``; ``a_0 >= L > 0``, so it is nonzero.  Returned as
+    ``[a_0, .., a_{L-1}]`` divided by its first largest-magnitude entry.
     """
-    rows, cols = a.shape
-    if cols <= rows:
-        raise DegenerateSystemError(f"system {a.shape} has no guaranteed null space")
-    work = a.astype(np.float64).copy()
-    scale = np.abs(work).max(initial=0.0)
-    if scale == 0.0:
-        out = np.zeros(cols)
-        out[0] = 1.0
-        return out
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        lead = r + int(np.abs(work[r:, c]).argmax())
-        if abs(work[lead, c]) <= 1e-13 * scale:
-            continue
-        work[[r, lead]] = work[[lead, r]]
-        others = [i for i in range(rows) if i != r]
-        factors = work[others, c] / work[r, c]
-        work[others] -= np.outer(factors, work[r])
-        work[others, c] = 0.0
-        pivot_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivot_cols]
-    assert free, "wide system always has a free column"
-    x = np.zeros(cols)
-    x[free[0]] = 1.0
-    for i in reversed(range(len(pivot_cols))):
-        c = pivot_cols[i]
-        x[c] = -(work[i] @ x - work[i, c] * x[c]) / work[i, c]
-    lead = int(np.abs(x).argmax())
-    if x[lead] == 0.0:
-        raise DegenerateSystemError("extracted null vector vanishes")
-    x = x / x[lead]
-    resid = float(np.abs(a @ x).max(initial=0.0))
-    if resid > 1e-8 * scale * float(np.abs(x).max()):
-        raise DegenerateSystemError(f"null-space residual {resid:.3e} too large")
-    return x
+    L = len(counts) + 1
+    a0 = L + sum(k * nk for k, nk in enumerate(counts, start=1))
+    s = sum(nk * (L - 2 * k) for k, nk in enumerate(counts, start=1))
+    # L times the kernel, in integers
+    sol = [L * a0] + [(L - 2 * k) * a0 - k * s for k in range(1, L)]
+    lead = max(sol, key=abs)
+    return [Fraction(x, lead) for x in sol]
 
 
 def diameter_system(t: BoundaryTree) -> tuple[np.ndarray, list[int], list[int]]:
@@ -455,45 +427,44 @@ def diameter_system(t: BoundaryTree) -> tuple[np.ndarray, list[int], list[int]]:
 
     in the unknowns ``a_0 .. a_{L-1}`` (``a_k`` doubling as the plateau
     on branch ``k``; ``a_0 = f(x_0)``).  ``L - 1`` equations in ``L``
-    unknowns, so a nonzero solution always exists.  Returns the matrix,
-    the path, and the counts ``n_k``.
+    unknowns, so a nonzero solution always exists; its kernel is
+    one-dimensional, spanned by the closed form of
+    :func:`diameter_test_function`.  Returns the matrix, the path, and
+    the counts ``n_k``.
     """
-    dia = diameter(t)
-    L = dia.length
-    comps = branch_components(t, list(dia.path))
-    counts = [len(ref.relative_boundary) for ref in comps]
+    path, _, counts = _spine(t)
+    L = len(path) - 1
     a = np.zeros((L - 1, L))
     for k in range(1, L):
         a[k - 1, 0] += L - 2 * k
         for i in range(1, L):
             a[k - 1, i] -= k * counts[i - 1]
         a[k - 1, k] -= L
-    return a, list(dia.path), counts
+    return a, path, counts
 
 
 def diameter_test_function(t: BoundaryTree) -> VertexFunction:
     """A sum-zero function with Rayleigh quotient at most ``2/L``.
 
-    Solves :func:`diameter_system` for the plateau values, then sets
-    ``f = a_0 - k g`` on branch ``k`` (``g`` the common spine increment
-    ``(2 a_0 + Σ n_i a_i)/L``), ``f(x_0) = a_0`` and
-    ``f(x_L) = -a_0 - Σ n_k a_k``.  All gradient lives on the spine,
-    every increment equals ``g``, and the endpoint values alone make the
+    Takes the kernel of :func:`diameter_system` in closed form, exactly
+    in rationals: ``a_0 = L + Σ k n_k``, ``S = Σ n_k (L - 2k)`` and
+    ``a_k = ((L - 2k) a_0 - k S)/L``, scaled by its largest-magnitude
+    entry.  Then ``f = a_k = a_0 - k g`` on branch ``k`` (``g = (2 a_0 +
+    S)/L`` the common spine increment), ``f(x_0) = a_0`` and
+    ``f(x_L) = -a_0 - S``.  All gradient lives on the spine, every
+    increment equals ``g``, and the endpoint values alone make the
     quotient at most ``2/L``.
     """
-    a, path, counts = diameter_system(t)
+    path, comps, counts = _spine(t)
     L = len(path) - 1
-    sol = _nullspace_vector(a)
-    a0 = sol[0]
-    weighted = float(np.dot(counts, sol[1:]))
-    g = (2.0 * a0 + weighted) / L
+    sol = _diameter_kernel(counts)
+    weighted = sum(nk * ak for nk, ak in zip(counts, sol[1:]))
 
     vals = np.empty(t.n)
-    comps = branch_components(t, path)
-    for k in range(1, L):
-        vals[sorted(comps[k - 1].vertices)] = a0 - k * g
-    vals[path[0]] = a0
-    vals[path[-1]] = -a0 - weighted
+    for ref, ak in zip(comps, sol[1:]):
+        vals[sorted(ref.vertices)] = float(ak)
+    vals[path[0]] = float(sol[0])
+    vals[path[-1]] = float(-sol[0] - weighted)
     f = VertexFunction(t, vals)
 
     scale = 1.0 + float(np.abs(vals).max())

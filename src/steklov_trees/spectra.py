@@ -21,6 +21,11 @@ leaf-first peel: O(n) work in O(height) numpy steps.  Bushy trees have a
 few dozen levels even at n = 8000; path-like trees, with about n/2
 levels, are the slow case.  The sweep does the scalar elimination's
 arithmetic in the scalar order, so counts are bit-identical to it.
+
+The Rayleigh tools check a trial family against ``lambda_k`` by the
+min-max principle: :func:`variational_upper_check` takes the exact
+maximum of the Rayleigh quotient over the family's span, the top
+eigenvalue of a ``(k-1) x (k-1)`` pencil, rather than a sample of it.
 """
 from __future__ import annotations
 
@@ -355,7 +360,7 @@ def steklov_lambda(
     raise ValueError(f"unknown method {method!r}")
 
 
-# -- Rayleigh quotients and variational sampling ----------------------------------
+# -- Rayleigh quotients and the variational check --------------------------------
 
 def rayleigh_quotient(f: VertexFunction) -> float:
     """Edge energy over boundary mass.
@@ -377,38 +382,24 @@ def rayleigh_quotient(f: VertexFunction) -> float:
     return num / den
 
 
-def _halton(index: int, base: int) -> float:
-    out = 0.0
-    frac = 1.0 / base
-    i = index
-    while i > 0:
-        out += (i % base) * frac
-        i //= base
-        frac /= base
-    return out
+def _span_rayleigh_max(t: BoundaryTree, basis: np.ndarray) -> float:
+    """Maximum of the Rayleigh quotient over the row span of ``basis``.
 
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131)
-
-
-def _coefficient_samples(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions in [-1, 1]^dim.
-
-    Halton points (prime bases) mapped to the cube, with the coordinate
-    directions prepended so single-function quotients are always probed.
+    ``R(c . basis) = c^T E c / c^T B c`` with ``E`` the Gram matrix of edge
+    differences and ``B`` that of boundary values, so the maximum is the
+    top eigenvalue of the pencil ``(E, B)``: whiten ``B`` by its
+    eigendecomposition and take the top eigenvalue of the whitened ``E``.
+    For linearly independent, boundary-sum-zero rows, no nonzero
+    combination is constant, so ``E`` is positive definite on the span and
+    a direction in which ``B`` (numerically) vanishes has ``R = +inf``.
     """
-    if dim > len(_PRIMES):
-        raise DimensionMismatchError(f"sampling supports up to {len(_PRIMES)} dims")
-    rows = [np.eye(dim)[j] for j in range(dim)]
-    i = 1
-    while len(rows) < count:
-        pt = np.array([_halton(i, _PRIMES[d]) for d in range(dim)])
-        c = 2.0 * pt - 1.0
-        if float(np.abs(c).max()) > 1e-6:
-            rows.append(c)
-        i += 1
-    return np.array(rows[:count])
+    diffs = basis[:, t.edge_u] - basis[:, t.edge_v]
+    bvals = basis[:, np.array(t.boundary, dtype=np.int64)]
+    w, v = np.linalg.eigh(bvals @ bvals.T)
+    if float(w[0]) <= 1e-12 * float(w[-1]):
+        return float("inf")
+    white = (v / np.sqrt(w)).T @ diffs
+    return float(np.linalg.eigvalsh(white @ white.T)[-1])
 
 
 def variational_upper_check(
@@ -416,17 +407,18 @@ def variational_upper_check(
     trial_family: list[VertexFunction],
     k: int,
     *,
-    samples: int = 256,
     tol: Tolerances = DEFAULT_TOL,
     spectrum: SteklovSpectrum | None = None,
 ) -> bool:
-    """Check ``lambda_k <= max R(f)`` over a sampled span of the trial family.
+    """Check ``lambda_k <= max R(f)`` over the span of the trial family.
 
-    The family must contain ``k - 1`` functions, each boundary-sum-zero
-    within ``tol.boundary_sum`` (:class:`NotOrthogonalError` otherwise),
-    and must span ``k - 1`` dimensions (:class:`DimensionMismatchError`).
-    Coefficients come from a fixed low-discrepancy grid, so the check is
-    deterministic.
+    The family must contain ``k - 1`` functions on ``t``, each
+    boundary-sum-zero within ``tol.boundary_sum``
+    (:class:`NotOrthogonalError` otherwise), and must span ``k - 1``
+    dimensions (:class:`DimensionMismatchError`).  The maximum over the
+    span is the top eigenvalue of a ``(k-1) x (k-1)`` pencil (``+inf``
+    when some combination vanishes on the boundary), solved for directly
+    rather than sampled, so it is exact up to rounding.
     """
     if len(trial_family) != k - 1:
         raise DimensionMismatchError(
@@ -447,8 +439,4 @@ def variational_upper_check(
         raise DimensionMismatchError("trial family is numerically dependent")
 
     lam_k = steklov_lambda(t, k, spectrum=spectrum)
-    worst = 0.0
-    for c in _coefficient_samples(k - 1, samples):
-        g = VertexFunction(t, c @ basis)
-        worst = max(worst, rayleigh_quotient(g))
-    return lam_k <= worst + tol.bound_slack
+    return lam_k <= _span_rayleigh_max(t, basis) + tol.bound_slack

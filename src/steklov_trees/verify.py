@@ -228,7 +228,7 @@ def _check_tree(
                        "lambda_k above max R(f_j) despite disjoint gradients")
                 expect(variational_upper_check(t, fns, k, tol=tol,
                                                spectrum=spectrum),
-                       "sampled span misses lambda_k")
+                       "lambda_k above the exact maximum of R over the span")
             rep.counter("multiway_chain").passed += 1
 
         try:

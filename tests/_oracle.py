@@ -4,7 +4,8 @@ Everything here works on a plain ``(n, edges)`` description and leans on
 numpy's LAPACK-backed solvers, deliberately sharing no code with the
 package: dense Schur complements and ``eigvalsh`` cross-check the
 hand-rolled harmonic solver, Jacobi sweep, and bisection routes, and a
-breadth-first component counter cross-checks the partition machinery.
+breadth-first component counter cross-checks the partition machinery
+and, edge by edge, the O(n) optimal split.
 A scalar one-vertex-at-a-time pencil count is the reference for the
 package's level-by-level inertia count.
 """
@@ -118,6 +119,27 @@ def best_split_brute(n: int, edges) -> Fraction:
         fa = boundary_fraction_brute(n, edges, a)
         best = max(best, min(fa, 1 - fa))
     return best
+
+
+def best_split_edge_brute(n: int, edges) -> tuple[tuple[int, int], frozenset[int]]:
+    """The optimal one-edge split by an O(n^2) scan, with its tie rules.
+
+    The first edge (in the given order) maximizing the smaller boundary
+    share, and the side holding at most half of the boundary; at exactly
+    half, the side holding the smaller minimum id.
+    """
+    best = None
+    for e in edges:
+        a, b = components_brute(n, edges, removed=(e,))
+        fa = boundary_fraction_brute(n, edges, a)
+        if fa == Fraction(1, 2):
+            small = min(a, b, key=min)
+        else:
+            small = a if fa < Fraction(1, 2) else b
+        frac = min(fa, 1 - fa)
+        if best is None or frac > best[0]:
+            best = (frac, tuple(e), small)
+    return best[1], best[2]
 
 
 def diameter_brute(n: int, edges) -> int:

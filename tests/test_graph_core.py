@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from steklov_trees import (
     BadVertexError,
+    InvariantViolationError,
     MalformedError,
     NotAPathError,
     NotATreeError,
@@ -24,6 +28,7 @@ from steklov_trees import (
     tree_to_json_dict,
     tree_to_text,
 )
+from steklov_trees import graph_core
 from steklov_trees.graph_core import tree_from_json_dict
 
 from _oracle import boundary_brute, diameter_brute
@@ -62,6 +67,15 @@ def test_build_tree_normalizes_edge_order():
 def test_build_tree_rejects(edges, err):
     with pytest.raises(err):
         build_tree(edges)
+
+
+def test_build_tree_structure_check_raises_without_assert(monkeypatch):
+    # a real check, not an ``assert``: it also runs under ``python -O``.
+    # A triangle plus a separate edge fails only the connectivity search;
+    # seeding that search with vertex 3 as well lets it through.
+    monkeypatch.setattr(graph_core, "deque", lambda items: collections.deque([*items, 3]))
+    with pytest.raises(InvariantViolationError, match="boundary-boundary"):
+        build_tree([(0, 1), (1, 2), (0, 2), (3, 4)])
 
 
 def test_boundary_is_degree_one(caterpillar):
@@ -122,6 +136,13 @@ def test_diameter_matches_bfs_oracle(n, cap, seed):
         assert (min(a, b), max(a, b)) in t.edges
 
 
+def test_diameter_endpoint_check_raises_without_assert(ball32):
+    # a real check, not an ``assert``: a tree whose degrees claim no leaves
+    broken = dataclasses.replace(ball32, degrees=np.full(ball32.n, 2))
+    with pytest.raises(InvariantViolationError, match="boundary vertices"):
+        diameter(broken)
+
+
 # -- subtrees and splits ---------------------------------------------------------
 
 def test_make_subtree_relative_boundary(ball32):
@@ -131,6 +152,17 @@ def test_make_subtree_relative_boundary(ball32):
     assert ref.min_vertex() == 2
     # vertex 2 is a leaf of the branch but interior to the parent
     assert 2 not in ref.relative_boundary
+
+
+@given(n=st.integers(4, 40), cap=st.integers(2, 6), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_make_subtree_relative_boundary_in_tree_order(n, cap, seed, data):
+    t = gen_random_tree(n, cap, seed)
+    root = data.draw(st.integers(0, t.n - 1))
+    blocked = data.draw(st.sampled_from(t.neighbors[root]))
+    vs = component_avoiding(t, root, blocked)
+    assert make_subtree(t, vs).relative_boundary == tuple(
+        v for v in t.boundary if v in vs)
 
 
 def test_make_subtree_rejects_disconnected(ball32):
@@ -173,6 +205,17 @@ def test_branch_components_rejects_non_diameter_path(ball32):
         branch_components(ball32, (4, 5, 6))  # not a path
     with pytest.raises(NotAPathError):
         branch_components(ball32, (4, 4, 4))  # repeats
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 11},                               # an isolated extra vertex
+    {"boundary": (0, 4, 5, 6, 7, 8, 9)},     # a boundary list with a stray entry
+])
+def test_branch_components_checks_raise_without_assert(ball32, change):
+    # real checks, not ``assert``s: trees that bypass build_tree's validation
+    broken = dataclasses.replace(ball32, **change)
+    with pytest.raises(InvariantViolationError, match="branch components"):
+        branch_components(broken, diameter(broken).path)
 
 
 @given(n=st.integers(4, 40), cap=st.integers(2, 6), seed=st.integers(0, 2**32))

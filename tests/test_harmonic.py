@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from steklov_trees import (
     InvariantViolationError,
     VertexFunction,
     dtn_matrix,
+    gen_ball,
     gen_random_tree,
     harmonic_extension,
     laplacian_apply,
@@ -165,3 +168,21 @@ def test_dtn_flux_is_matrix_times_data(n, cap, seed):
     g = rng.standard_normal(t.n_boundary)
     flux = normal_derivative(harmonic_extension(t, g)).values
     np.testing.assert_allclose(flux, mat.apply(g), rtol=1e-9, atol=1e-10)
+
+
+def test_interior_pivot_check_raises_without_assert():
+    # a real check, not an ``assert``: a tree whose degrees understate the
+    # root's five interior children drives the root's pivot to 2 - 5/2
+    t = gen_ball(5, 2)
+    broken = dataclasses.replace(t, degrees=np.minimum(t.degrees, 2))
+    with pytest.raises(InvariantViolationError, match="pivot"):
+        dtn_matrix(broken)
+
+
+def test_interior_elimination_check_raises_on_a_cycle(ball32):
+    # bypasses build_tree's validation: an interior triangle has no leaf
+    cyc = dataclasses.replace(
+        ball32, n=3, degrees=np.array([2, 2, 2]), neighbors=((1, 2), (0, 2), (0, 1)),
+        boundary=(), interior=(0, 1, 2), boundary_pos=np.full(3, -1))
+    with pytest.raises(InvariantViolationError, match="elimination"):
+        dtn_matrix(cyc)

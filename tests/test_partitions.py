@@ -27,9 +27,10 @@ from steklov_trees import (
     two_level_rayleigh_exact,
     two_level_test_function,
 )
-from steklov_trees.partitions import _nullspace_vector
+from steklov_trees import partitions
+from steklov_trees.partitions import _diameter_kernel
 
-from _oracle import best_split_brute, boundary_fraction_brute
+from _oracle import best_split_brute, best_split_edge_brute, boundary_fraction_brute
 
 STAR4_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4))
 
@@ -113,7 +114,53 @@ def test_partition_two_optimal_frozen(ball32, star5):
     assert partition_two_optimal(star5).fractions == (Fraction(1, 5),)
 
 
+@given(n=st.integers(4, 50), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
+def test_partition_two_optimal_matches_brute_edge_and_part(n, cap, seed):
+    t = gen_random_tree(n, cap, seed)
+    opt = partition_two_optimal(t)
+    edge, part = best_split_edge_brute(t.n, t.edges)
+    assert opt.removed_edges == (edge,)
+    assert opt.parts[0].vertices == part
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (1, 2), (2, 3), (3, 4)),                  # every edge splits 1/2
+    ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),          # vertex 0 on a leaf side
+    ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)),          # vertex 0 at a centre
+])
+def test_partition_two_optimal_tie_at_half_keeps_vertex_zero(edges):
+    t = build_tree(edges)
+    opt = partition_two_optimal(t)
+    assert opt.fractions == (Fraction(1, 2),)
+    assert 0 in opt.parts[0].vertices
+    assert (opt.removed_edges[0], opt.parts[0].vertices) == \
+        best_split_edge_brute(t.n, t.edges)
+
+
 # -- k-way peeling ------------------------------------------------------------------
+
+def test_descent_checks_raise_without_assert(ball32, monkeypatch):
+    # real checks, not ``assert``s: they also run under ``python -O``
+    half = Fraction(1, 2)
+    with pytest.raises(InvariantViolationError, match="at least one edge"):
+        partitions._descend(ball32, frozenset({0}), half, enter_at_equal=False)
+
+    def walk_out(cands, ports):  # always heavy: walks out to a leaf
+        comp, _, edge = cands[0]
+        return comp, Fraction(1), edge
+
+    monkeypatch.setattr(partitions, "_pick", walk_out)
+    with pytest.raises(InvariantViolationError, match="single vertex"):
+        partition_two(ball32)
+
+    def turn_back(cands, ports):  # always heavy: bounces around one vertex
+        comp, _, (v, w) = cands[0]
+        return comp, Fraction(1), (w, v)
+
+    monkeypatch.setattr(partitions, "_pick", turn_back)
+    with pytest.raises(InvariantViolationError, match="terminate"):
+        partition_two(ball32)
+
 
 def test_partition_k_ball32(ball32):
     cert = partition_k(ball32, 3)
@@ -271,10 +318,25 @@ def test_diameter_chain(n, cap, seed):
     assert steklov_spectrum(t).lambda2 <= got + 1e-8
 
 
-@given(rows=st.integers(1, 6), seed=st.integers(0, 2**32))
-def test_nullspace_vector_property(rows, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((rows, rows + 1))
-    v = _nullspace_vector(a)
-    assert np.abs(v).max() == pytest.approx(1.0)
-    np.testing.assert_allclose(a @ v, 0.0, atol=1e-8 * max(1.0, np.abs(a).max()))
+@given(n=st.integers(4, 60), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
+def test_diameter_kernel_solves_system_exactly(n, cap, seed):
+    t = gen_random_tree(n, cap, seed)
+    a, _, counts = diameter_system(t)
+    sol = _diameter_kernel(counts)
+    assert max(abs(x) for x in sol) == 1
+    for row in a:
+        # the system's entries are integers, exact in float64
+        assert sum(Fraction(int(c)) * x for c, x in zip(row, sol)) == 0
+
+
+def test_diameter_witness_builds_branches_once(caterpillar, monkeypatch):
+    calls = []
+    real = partitions.branch_components
+
+    def counted(t, path):
+        calls.append(path)
+        return real(t, path)
+
+    monkeypatch.setattr(partitions, "branch_components", counted)
+    diameter_test_function(caterpillar)
+    assert len(calls) == 1

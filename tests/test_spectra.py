@@ -17,6 +17,7 @@ from steklov_trees import (
     InvariantViolationError,
     NotOrthogonalError,
     NotSymmetricError,
+    PartTooSmallError,
     VertexFunction,
     ZeroFunctionError,
     build_tree,
@@ -25,6 +26,7 @@ from steklov_trees import (
     gen_ball,
     gen_path,
     gen_random_tree,
+    gradient_supports_disjoint,
     multiway_test_functions,
     partition_k,
     rayleigh_quotient,
@@ -444,7 +446,7 @@ def test_rayleigh_bounds_lambda2(n, cap, seed):
     assert lam2 <= rayleigh_quotient(VertexFunction(t, vals)) + 1e-8
 
 
-# -- sampled variational check -----------------------------------------------------------
+# -- exact variational check ------------------------------------------------------------
 
 def test_variational_check_ball32_k3(ball32):
     cert = partition_k(ball32, 3)
@@ -472,3 +474,69 @@ def test_variational_check_path_diameter_function(path4):
     f = diameter_test_function(path4)
     assert rayleigh_quotient(f) == pytest.approx(0.5, abs=1e-12)
     assert variational_upper_check(path4, [f], 2) is True
+
+
+def _span_max(fns: list[VertexFunction]) -> float:
+    return spectra._span_rayleigh_max(fns[0].tree, np.array([f.values for f in fns]))
+
+
+def test_span_max_of_disjoint_family_is_best_member(ball32):
+    # about one random multiway family in seven has disjoint gradients
+    rng = random.Random(4)
+    trees = [ball32] + [gen_random_tree(rng.randint(6, 50), rng.randint(3, 6),
+                                        rng.randrange(2**32)) for _ in range(150)]
+    checked = 0
+    for i, t in enumerate(trees):
+        k = 3 + i % 3
+        if t.n_boundary < k:
+            continue
+        try:
+            fns = multiway_test_functions(t, partition_k(t, k))
+        except PartTooSmallError:
+            continue
+        if gradient_supports_disjoint(fns):
+            best = max(rayleigh_quotient(f) for f in fns)
+            assert _span_max(fns) == pytest.approx(best, rel=1e-12)
+            checked += 1
+    assert checked >= 10
+
+
+def test_span_max_bounds_random_directions():
+    t = gen_random_tree(40, 4, 2024)
+    rng = np.random.default_rng(7)
+    basis = rng.standard_normal((4, t.n))
+    bidx = np.array(t.boundary)
+    basis[:, bidx] -= basis[:, bidx].mean(axis=1, keepdims=True)
+    fns = [VertexFunction(t, row) for row in basis]
+    top = _span_max(fns)
+    coeffs = rng.standard_normal((10_000, 4))
+    vals = coeffs @ basis
+    diffs = vals[:, t.edge_u] - vals[:, t.edge_v]
+    quotients = (diffs * diffs).sum(axis=1) / (vals[:, bidx] ** 2).sum(axis=1)
+    assert quotients.max() <= top * (1 + 1e-12)
+    for f in fns:
+        assert rayleigh_quotient(f) <= top * (1 + 1e-12)
+
+
+def test_span_max_is_infinite_when_a_combination_vanishes_on_the_boundary(ball32):
+    g = np.zeros(10)
+    g[[4, 5]], g[[6, 7]] = 1.0, -1.0
+    bump = g.copy()
+    bump[0] = 1.0  # same boundary values, different interior
+    fns = [VertexFunction(ball32, g), VertexFunction(ball32, bump)]
+    assert _span_max(fns) == float("inf")
+    assert variational_upper_check(ball32, fns, 3) is True
+
+
+def test_variational_check_takes_more_than_32_functions():
+    leaves = 40
+    t = build_tree([(0, j) for j in range(1, leaves + 1)])
+    k = 35
+    fns = []
+    for j in range(2, k + 1):
+        vals = np.zeros(t.n)
+        vals[j], vals[1] = 1.0, -1.0
+        fns.append(VertexFunction(t, vals))
+    # a star's spectrum is 0 and then 1; every combination has R = 1
+    assert _span_max(fns) == pytest.approx(1.0, rel=1e-12)
+    assert variational_upper_check(t, fns, k) is True
