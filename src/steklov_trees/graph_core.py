@@ -18,7 +18,7 @@ import json
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -144,26 +144,15 @@ def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
         adj[u].append(v)
         adj[v].append(u)
     # connectivity; n-1 edges + connected == tree
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    dq = deque([0])
-    count = 1
-    while dq:
-        x = dq.popleft()
-        for y in adj[x]:
-            if not reached[y]:
-                reached[y] = True
-                count += 1
-                dq.append(y)
-    if count != n:
+    if len(_bfs(adj, 0)[0]) != n:
         raise NotATreeError("graph is disconnected")
 
-    degrees = np.array([len(a) for a in adj], dtype=np.int64)
-    boundary = tuple(int(v) for v in range(n) if degrees[v] == 1)
-    interior = tuple(int(v) for v in range(n) if degrees[v] > 1)
+    deg = [len(a) for a in adj]
+    boundary = tuple(v for v in range(n) if deg[v] == 1)
+    interior = tuple(v for v in range(n) if deg[v] > 1)
     # structural consequence of n >= 3 on a tree (and with n - 1 >= 2 edges it
     # implies an interior vertex); cheap to check, never traded away
-    if not all(degrees[u] > 1 or degrees[v] > 1 for u, v in norm):
+    if not all(deg[u] > 1 or deg[v] > 1 for u, v in norm):
         raise InvariantViolationError(
             "boundary-boundary edge impossible on a connected tree with n >= 3")
 
@@ -171,37 +160,50 @@ def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
     edge_u = np.array([e[0] for e in edges_sorted], dtype=np.int64)
     edge_v = np.array([e[1] for e in edges_sorted], dtype=np.int64)
     neighbors = tuple(tuple(sorted(a)) for a in adj)
-    boundary_pos = np.full(n, -1, dtype=np.int64)
+    pos = [-1] * n
     for i, b in enumerate(boundary):
-        boundary_pos[b] = i
+        pos[b] = i
 
     return BoundaryTree(
         n=n,
         edges=edges_sorted,
         boundary=boundary,
         interior=interior,
-        max_degree=int(degrees.max()),
-        degrees=degrees,
+        max_degree=max(deg),
+        degrees=np.array(deg, dtype=np.int64),
         edge_u=edge_u,
         edge_v=edge_v,
         neighbors=neighbors,
-        boundary_pos=boundary_pos,
+        boundary_pos=np.array(pos, dtype=np.int64),
     )
 
 
 # -- metric queries ------------------------------------------------------------
 
-def _bfs_distances(t: BoundaryTree, source: int) -> np.ndarray:
-    dist = np.full(t.n, -1, dtype=np.int64)
-    dist[source] = 0
-    dq = deque([source])
-    while dq:
-        x = dq.popleft()
-        for y in t.neighbors[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                dq.append(y)
-    return dist
+def _bfs(neighbors: Sequence[Sequence[int]], source: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``source`` and each vertex's BFS parent.
+
+    Neighbours are visited in list order; ``source`` is its own parent
+    and a vertex never reached keeps parent ``-1``.
+    """
+    parent = [-1] * len(neighbors)
+    parent[source] = source
+    order = [source]
+    for x in order:
+        for y in neighbors[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def _bfs_distances(t: BoundaryTree, source: int) -> tuple[list[int], list[int]]:
+    """Distances from ``source`` and the BFS parents they were found along."""
+    order, parent = _bfs(t.neighbors, source)
+    dist = [0] * t.n
+    for x in order[1:]:
+        dist[x] = dist[parent[x]] + 1
+    return dist, parent
 
 
 def distance(t: BoundaryTree, u: int, v: int) -> int:
@@ -210,7 +212,7 @@ def distance(t: BoundaryTree, u: int, v: int) -> int:
     t.check_vertex(v)
     if u == v:
         return 0
-    return int(_bfs_distances(t, u)[v])
+    return _bfs_distances(t, u)[0][v]
 
 
 class DiameterPath(NamedTuple):
@@ -228,24 +230,14 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     deterministic function of the tree.  Both endpoints are boundary
     vertices.  Computed once per tree (the result is immutable).
     """
-    d0 = _bfs_distances(t, 0)
-    a = int(np.flatnonzero(d0 == d0.max())[0])
-    da = _bfs_distances(t, a)
-    L = int(da.max())
-    b = int(np.flatnonzero(da == L)[0])
-
-    parent = np.full(t.n, -1, dtype=np.int64)
-    parent[a] = a
-    dq = deque([a])
-    while dq:
-        x = dq.popleft()
-        for y in t.neighbors[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                dq.append(y)
+    d0, _ = _bfs_distances(t, 0)
+    a = d0.index(max(d0))
+    da, parent = _bfs_distances(t, a)
+    L = max(da)
+    b = da.index(L)
     path = [b]
     while path[-1] != a:
-        path.append(int(parent[path[-1]]))
+        path.append(parent[path[-1]])
     if path[0] > path[-1]:
         path.reverse()
     if len(path) != L + 1 or not (t.is_boundary(path[0]) and t.is_boundary(path[-1])):
@@ -276,24 +268,23 @@ class SubtreeRef:
 
 
 def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
-    """Build a :class:`SubtreeRef`, checking induced connectivity."""
-    vs = frozenset(int(v) for v in vertices)
+    """Build a :class:`SubtreeRef`, checking induced connectivity.
+
+    An induced subgraph of a tree is a forest, so it is connected exactly
+    when it has ``|vertices| - 1`` edges; one mask counts them.
+    """
+    vs = frozenset(map(int, vertices))
     if not vs:
         raise BadVertexError("empty subtree")
-    for v in vs:
-        t.check_vertex(v)
-    start = min(vs)
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        x = dq.popleft()
-        for y in t.neighbors[x]:
-            if y in vs and y not in seen:
-                seen.add(y)
-                dq.append(y)
-    if seen != vs:
+    lo, hi = min(vs), max(vs)
+    if lo < 0 or hi >= t.n:
+        raise BadVertexError(f"vertex {lo if lo < 0 else hi!r} outside 0..{t.n - 1}")
+    mask = np.zeros(t.n, dtype=bool)
+    mask[np.fromiter(vs, np.int64, len(vs))] = True
+    if np.count_nonzero(mask[t.edge_u] & mask[t.edge_v]) != len(vs) - 1:
         raise NotATreeError("vertex set does not induce a connected subtree")
-    rb = tuple(sorted(v for v in vs if t.boundary_pos[v] >= 0))
+    ids = np.flatnonzero(mask)
+    rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
 
 

@@ -5,11 +5,22 @@ Everything combinatorial here is carried in exact rational arithmetic
 construction is evaluated as a vertex function.  The guaranteed interval
 for every produced boundary fraction is part of the certificate and is
 checked exactly, never through floating point.
+
+The balanced-part descents behind :func:`partition_two`,
+:func:`partition_k` and the sub-split of :func:`multiway_test_functions`
+run on a per-tree DFS preorder of the tree: inside a connected vertex
+set, the side of any edge is one preorder slice or its complement, so a
+side's boundary count is a difference of prefix sums.  Each extraction
+takes O(n) numpy work and O(1) Python work per candidate side.
+:func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
+share no code with that index; they are the independent oracle and
+re-derivation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +37,7 @@ from .graph_core import (
     component_avoiding,
     diameter,
     make_subtree,
+    per_tree_cache,
 )
 from .harmonic import VertexFunction
 
@@ -85,44 +97,105 @@ class PartitionCertificate:
 
 # -- descent machinery --------------------------------------------------------------
 
-def _boundary_fraction(t: BoundaryTree, vertices: frozenset[int], total: int) -> Fraction:
-    cnt = sum(1 for v in vertices if t.boundary_pos[v] >= 0)
-    return Fraction(cnt, total)
+class _Preorder(NamedTuple):
+    pre: np.ndarray        # vertices in preorder
+    tin: list[int]         # the subtree of x is the preorder slice [tin[x], tout[x])
+    tout: list[int]
+    parent: list[int]      # -1 at the root, vertex 0
+    boundary: np.ndarray   # boundary flags, in preorder
 
 
-def _component_within(
-    t: BoundaryTree, allowed: frozenset[int], start: int, blocked: int,
-) -> frozenset[int]:
-    """Component of ``start`` inside ``allowed`` after deleting ``blocked``."""
-    seen = {start}
-    stack = [start]
+@per_tree_cache
+def _preorder(t: BoundaryTree) -> _Preorder:
+    """Depth-first preorder of ``t`` from vertex 0, neighbours ascending.
+
+    Built once per tree and shared by every descent on it.  The
+    exhaustive split and :meth:`PartitionCertificate.validate` do not use
+    it: they stay independent of the descent.
+    """
+    parent = [-1] * t.n
+    order: list[int] = []
+    stack = [0]
     while stack:
         x = stack.pop()
-        for y in t.neighbors[x]:
-            if y != blocked and y in allowed and y not in seen:
-                seen.add(y)
+        order.append(x)
+        for y in reversed(t.neighbors[x]):
+            if y != parent[x]:
+                parent[y] = x
                 stack.append(y)
-    return frozenset(seen)
+    tin = [0] * t.n
+    for i, x in enumerate(order):
+        tin[x] = i
+    size = [1] * t.n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    pre = np.array(order, dtype=np.int64)
+    return _Preorder(pre, tin, [a + b for a, b in zip(tin, size)], parent,
+                     t.boundary_pos[pre] >= 0)
 
 
-def _pick(
-    candidates: list[tuple[frozenset[int], Fraction, Edge]],
-    ports: frozenset[int],
-) -> tuple[frozenset[int], Fraction, Edge]:
-    """The candidate with maximal fraction.
+class _Sides:
+    """The sides of every edge inside a connected vertex set, O(1) each.
 
-    Ties prefer components that avoid ``ports`` (vertices incident to
-    previously removed edges: keeping a later part away from them keeps
-    the multiway gradients on disjoint edge sets), then the component
-    holding the smallest vertex id.
+    A side is named by a directed edge ``(v, w)``: the component of ``w``
+    in ``allowed`` after deleting ``v``.  Because ``allowed`` is
+    connected, that is ``allowed ∩ subtree(w)`` when ``w`` is a child of
+    ``v`` (rooted at vertex 0), and ``allowed`` minus ``subtree(v)``
+    otherwise; either way one preorder slice, inside or outside, so its
+    boundary count is a difference of prefix sums.
     """
-    best = max(f for _, f, _ in candidates)
-    pool = [c for c in candidates if c[1] == best]
+
+    def __init__(self, t: BoundaryTree, allowed: frozenset[int], ports: frozenset[int]):
+        idx = self.idx = _preorder(t)
+        member = np.zeros(t.n, dtype=bool)
+        member[np.fromiter(allowed, np.int64, len(allowed))] = True
+        self.mask = member[idx.pre]  # allowed, in preorder
+        self.below = [0, *np.cumsum(self.mask & idx.boundary).tolist()]
+        self.port_pos = [idx.tin[p] for p in ports & allowed]
+
+    def _span(self, e: Edge) -> tuple[int, int, bool]:
+        """``(lo, hi, inside)``: the side is the slice ``[lo, hi)`` or its complement."""
+        v, w = e
+        idx = self.idx
+        if idx.parent[w] == v:
+            return idx.tin[w], idx.tout[w], True
+        return idx.tin[v], idx.tout[v], False
+
+    def count(self, e: Edge) -> int:
+        lo, hi, inside = self._span(e)
+        c = self.below[hi] - self.below[lo]
+        return c if inside else self.below[-1] - c
+
+    def touches_port(self, e: Edge) -> bool:
+        lo, hi, inside = self._span(e)
+        return any((lo <= p < hi) == inside for p in self.port_pos)
+
+    def members(self, e: Edge) -> np.ndarray:
+        lo, hi, inside = self._span(e)
+        pre, mask = self.idx.pre, self.mask
+        if inside:
+            return pre[lo:hi][mask[lo:hi]]
+        return np.concatenate((pre[:lo][mask[:lo]], pre[hi:][mask[hi:]]))
+
+
+def _pick(sides: _Sides, candidates: list[Edge]) -> tuple[int, Edge]:
+    """The side with the most boundary vertices, as ``(count, edge)``.
+
+    Ties prefer sides that avoid the ports (vertices incident to
+    previously removed edges: keeping a later part away from them keeps
+    the multiway gradients on disjoint edge sets), then the side holding
+    the smallest vertex id.
+    """
+    counts = [sides.count(e) for e in candidates]
+    best = max(counts)
+    pool = [e for e, c in zip(candidates, counts) if c == best]
     if len(pool) > 1:
-        clean = [c for c in pool if not (c[0] & ports)]
+        clean = [e for e in pool if not sides.touches_port(e)]
         if clean:
             pool = clean
-    return min(pool, key=lambda c: min(c[0]))
+    if len(pool) > 1:
+        return best, min(pool, key=lambda e: int(sides.members(e).min()))
+    return best, pool[0]
 
 
 def _descend(
@@ -136,51 +209,42 @@ def _descend(
 ) -> tuple[frozenset[int], Fraction, Edge]:
     """One balanced-part extraction inside the subtree induced on ``allowed``.
 
-    Starts from the smallest edge, walks toward larger boundary mass
-    while a side exceeds ``tau`` (``enter_at_equal`` controls whether a
-    side exactly at ``tau`` is still descended into), and returns the
-    maximal child strictly below the threshold when the walk stops.
-    Fractions count boundary vertices of ``t`` over ``total`` (default:
-    all of them).  Descending strictly shrinks the active side, so at
-    most ``n`` steps occur.  Returns ``(part vertices, fraction, cut
-    edge)``.
+    ``allowed`` must be connected (all of ``V``, a :func:`partition_k`
+    remainder, or a certified part).  Starts from the smallest edge
+    inside it, walks toward larger boundary mass while a side exceeds
+    ``tau`` (``enter_at_equal`` controls whether a side exactly at
+    ``tau`` is still descended into), and returns the maximal child
+    strictly below the threshold when the walk stops.  Fractions count
+    boundary vertices of ``t`` over ``total`` (default: all of them).
+    Descending strictly shrinks the active side, so at most ``n`` steps
+    occur.  An extraction costs a few O(n) numpy passes (the membership
+    mask and one prefix sum over the cached preorder, the winning side's
+    slice) and O(1) Python work per candidate side; only the winning
+    side becomes a set.  Returns ``(part vertices, fraction, cut edge)``.
     """
     if total is None:
         total = t.n_boundary
-    inner = [e for e in t.edges if e[0] in allowed and e[1] in allowed]
-    if not inner:
+    u0 = min(allowed)
+    v0 = next((w for w in t.neighbors[u0] if w in allowed), None)
+    if v0 is None:
         raise InvariantViolationError("descent needs at least one edge")
-    u0, v0 = inner[0]
-    side_u = _component_within(t, allowed, u0, v0)
-    side_v = allowed - side_u
-    cands = [(side_u, _boundary_fraction(t, side_u, total), (u0, v0)),
-             (side_v, _boundary_fraction(t, side_v, total), (u0, v0))]
-    big, frac, edge = _pick(cands, ports)
-    over = (frac >= tau) if enter_at_equal else (frac > tau)
-    if not over:
-        return big, frac, edge
-
+    sides = _Sides(t, allowed, ports)
     # walk into the heavy side;  v is its entry vertex, u the vertex left behind
-    u, v = edge
-    if v not in big:
-        u, v = v, u
+    cnt, (u, v) = _pick(sides, [(v0, u0), (u0, v0)])
+    edge = (u0, v0)
     steps = 0
     while True:
+        frac = Fraction(cnt, total)
+        over = (frac >= tau) if enter_at_equal else (frac > tau)
+        if not over:
+            return frozenset(sides.members((u, v)).tolist()), frac, edge
         steps += 1
         if steps > t.n:
             raise InvariantViolationError("descent failed to terminate")
-        children = []
-        for w in t.neighbors[v]:
-            if w == u or w not in allowed:
-                continue
-            comp = _component_within(t, allowed, w, v)
-            children.append((comp, _boundary_fraction(t, comp, total), (v, w)))
+        children = [(v, w) for w in t.neighbors[v] if w != u and w in allowed]
         if not children:
             raise InvariantViolationError("heavy side cannot be a single vertex")
-        comp, frac, edge = _pick(children, ports)
-        over = (frac >= tau) if enter_at_equal else (frac > tau)
-        if not over:
-            return comp, frac, edge
+        cnt, edge = _pick(sides, children)
         u, v = edge
 
 

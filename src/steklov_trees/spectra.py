@@ -131,10 +131,10 @@ def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level,
     receives its children's updates in peel order.
     """
     n = t.n
-    rem = t.degrees.copy()
-    parent = np.full(n, n, dtype=np.int64)
-    height = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    rem = t.degrees.tolist()
+    parent = [n] * n
+    height = [0] * n
+    done = [False] * n
     order: list[int] = []
     dq = deque(v for v in range(n) if rem[v] <= 1)
     while dq:
@@ -154,13 +154,13 @@ def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level,
     if len(order) != n:
         raise InvariantViolationError(f"peel reached {len(order)} of {n} vertices")
     peel = np.array(order, dtype=np.int64)
-    hp = height[peel]
+    hp = np.array(height, dtype=np.int64)[peel]
     if np.any(hp[1:] < hp[:-1]):
         raise InvariantViolationError("peel order is not sorted by height")
     slot = np.empty(n + 1, dtype=np.int64)
     slot[peel] = np.arange(n)
     slot[n] = n
-    parent_slot = slot[parent[peel]]
+    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
     bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), n]
     levels = []
     for start, stop in zip(bounds, bounds[1:]):
@@ -433,8 +433,7 @@ def variational_upper_check(
             raise NotOrthogonalError(f"boundary sum {bsum:.3e} not ~0")
         vecs.append(f.values)
     basis = np.array(vecs)  # (k-1, n)
-    gram = basis @ basis.T
-    gw, _ = eigendecompose_symmetric(gram)
+    gw = np.linalg.eigvalsh(basis @ basis.T)
     if float(gw[0]) <= 1e-12 * max(1.0, float(gw[-1])):
         raise DimensionMismatchError("trial family is numerically dependent")
 

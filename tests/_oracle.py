@@ -6,6 +6,9 @@ package: dense Schur complements and ``eigvalsh`` cross-check the
 hand-rolled harmonic solver, Jacobi sweep, and bisection routes, and a
 breadth-first component counter cross-checks the partition machinery
 and, edge by edge, the O(n) optimal split.
+The partition descent as it stood before the preorder index (one
+component search per candidate side) is the reference for the
+package's prefix-sum descent.
 A scalar one-vertex-at-a-time pencil count is the reference for the
 package's level-by-level inertia count.
 """
@@ -203,3 +206,73 @@ def count_below_brute(n: int, edges, shift: float) -> int:
                 break
     assert all(done)
     return neg
+
+
+def _component_within_brute(t, allowed, start: int, blocked: int) -> frozenset[int]:
+    """Component of ``start`` inside ``allowed`` after deleting ``blocked``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in t.neighbors[x]:
+            if y != blocked and y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+def _boundary_fraction_brute(t, vertices, total: int) -> Fraction:
+    return Fraction(sum(1 for v in vertices if t.boundary_pos[v] >= 0), total)
+
+
+def _pick_brute(candidates, ports):
+    """Maximal fraction; ties avoid ``ports``, then hold the smallest id."""
+    best = max(f for _, f, _ in candidates)
+    pool = [c for c in candidates if c[1] == best]
+    if len(pool) > 1:
+        clean = [c for c in pool if not (c[0] & ports)]
+        if clean:
+            pool = clean
+    return min(pool, key=lambda c: min(c[0]))
+
+
+def descend_brute(t, allowed, tau, *, enter_at_equal, ports=frozenset(), total=None):
+    """The balanced-part descent, one component search per candidate side.
+
+    Starts from the lexicographically smallest edge inside ``allowed``
+    and walks into the heavier side while it holds more than ``tau``
+    (or exactly ``tau`` with ``enter_at_equal``).  Returns ``(part
+    vertices, fraction, cut edge)``.
+    """
+    if total is None:
+        total = t.n_boundary
+    inner = [e for e in t.edges if e[0] in allowed and e[1] in allowed]
+    if not inner:
+        raise RuntimeError("descent needs at least one edge")
+    u0, v0 = inner[0]
+    side_u = _component_within_brute(t, allowed, u0, v0)
+    side_v = allowed - side_u
+    cands = [(side_u, _boundary_fraction_brute(t, side_u, total), (u0, v0)),
+             (side_v, _boundary_fraction_brute(t, side_v, total), (u0, v0))]
+    big, frac, edge = _pick_brute(cands, ports)
+    over = (frac >= tau) if enter_at_equal else (frac > tau)
+    if not over:
+        return big, frac, edge
+    u, v = edge
+    if v not in big:
+        u, v = v, u
+    for _ in range(t.n):
+        children = []
+        for w in t.neighbors[v]:
+            if w == u or w not in allowed:
+                continue
+            comp = _component_within_brute(t, allowed, w, v)
+            children.append((comp, _boundary_fraction_brute(t, comp, total), (v, w)))
+        if not children:
+            raise RuntimeError("heavy side cannot be a single vertex")
+        comp, frac, edge = _pick_brute(children, ports)
+        over = (frac >= tau) if enter_at_equal else (frac > tau)
+        if not over:
+            return comp, frac, edge
+        u, v = edge
+    raise RuntimeError("descent failed to terminate")

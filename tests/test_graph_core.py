@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import collections
 import dataclasses
 
 import numpy as np
@@ -72,8 +71,9 @@ def test_build_tree_rejects(edges, err):
 def test_build_tree_structure_check_raises_without_assert(monkeypatch):
     # a real check, not an ``assert``: it also runs under ``python -O``.
     # A triangle plus a separate edge fails only the connectivity search;
-    # seeding that search with vertex 3 as well lets it through.
-    monkeypatch.setattr(graph_core, "deque", lambda items: collections.deque([*items, 3]))
+    # a search that claims to reach every vertex lets it through.
+    monkeypatch.setattr(graph_core, "_bfs",
+                        lambda nbrs, source: (list(range(len(nbrs))), [0] * len(nbrs)))
     with pytest.raises(InvariantViolationError, match="boundary-boundary"):
         build_tree([(0, 1), (1, 2), (0, 2), (3, 4)])
 
@@ -172,6 +172,16 @@ def test_make_subtree_rejects_disconnected(ball32):
         make_subtree(ball32, set())
     with pytest.raises(BadVertexError):
         make_subtree(ball32, {0, 99})
+    with pytest.raises(BadVertexError):
+        make_subtree(ball32, {-1, 0})
+
+
+def test_make_subtree_rejects_two_disjoint_edges(ball32):
+    # every vertex has a neighbour in the set, so only the edge count
+    # (2 edges on 4 vertices) tells it from a subtree
+    assert all(any(w in {2, 6, 1, 4} for w in ball32.neighbors[v]) for v in (2, 6, 1, 4))
+    with pytest.raises(NotATreeError):
+        make_subtree(ball32, {2, 6, 1, 4})
 
 
 def test_edge_split(ball32):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from steklov_trees import (
     diameter,
     diameter_system,
     diameter_test_function,
+    gen_ball,
     gen_random_tree,
     gradient_supports_disjoint,
     multiway_test_functions,
@@ -30,7 +34,12 @@ from steklov_trees import (
 from steklov_trees import partitions
 from steklov_trees.partitions import _diameter_kernel
 
-from _oracle import best_split_brute, best_split_edge_brute, boundary_fraction_brute
+from _oracle import (
+    best_split_brute,
+    best_split_edge_brute,
+    boundary_fraction_brute,
+    descend_brute,
+)
 
 STAR4_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4))
 
@@ -145,21 +154,86 @@ def test_descent_checks_raise_without_assert(ball32, monkeypatch):
     with pytest.raises(InvariantViolationError, match="at least one edge"):
         partitions._descend(ball32, frozenset({0}), half, enter_at_equal=False)
 
-    def walk_out(cands, ports):  # always heavy: walks out to a leaf
-        comp, _, edge = cands[0]
-        return comp, Fraction(1), edge
+    def walk_out(sides, cands):  # always heavy: walks out to a leaf
+        return ball32.n_boundary, cands[0]
 
     monkeypatch.setattr(partitions, "_pick", walk_out)
     with pytest.raises(InvariantViolationError, match="single vertex"):
         partition_two(ball32)
 
-    def turn_back(cands, ports):  # always heavy: bounces around one vertex
-        comp, _, (v, w) = cands[0]
-        return comp, Fraction(1), (w, v)
+    def turn_back(sides, cands):  # always heavy: bounces around one vertex
+        v, w = cands[0]
+        return ball32.n_boundary, (w, v)
 
     monkeypatch.setattr(partitions, "_pick", turn_back)
     with pytest.raises(InvariantViolationError, match="terminate"):
         partition_two(ball32)
+
+
+def _relabelled(edges, seed):
+    n = max(max(e) for e in edges) + 1
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return build_tree([(perm[u], perm[v]) for u, v in edges])
+
+
+def _caterpillar(legs):
+    spine = len(legs)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for i, c in enumerate(legs):
+        for _ in range(c + (i in (0, spine - 1))):  # spine ends get a leg too
+            edges.append((i, nxt))
+            nxt += 1
+    return edges
+
+
+# balls, stars and caterpillars tie a lot, so they exercise every tie rule
+_TIE_HEAVY_TREES = st.one_of(
+    st.builds(lambda d, r: [tuple(e) for e in gen_ball(d, r).edges],
+              st.integers(3, 5), st.integers(1, 3)),
+    st.builds(lambda s: [(0, i) for i in range(1, s + 1)], st.integers(3, 12)),
+    st.builds(_caterpillar, st.lists(st.integers(0, 3), min_size=2, max_size=8)),
+)
+_DESCENT_TREES = st.one_of(
+    st.builds(gen_random_tree, st.integers(4, 40), st.integers(2, 6),
+              st.integers(0, 2**32)),
+    st.builds(_relabelled, _TIE_HEAVY_TREES, st.integers(0, 2**32)),
+)
+
+
+@given(t=_DESCENT_TREES)
+def test_descent_matches_brute_force(t):
+    half = Fraction(1, 2)
+    everything = frozenset(range(t.n))
+    assert partitions._descend(t, everything, half, enter_at_equal=False) == \
+        descend_brute(t, everything, half, enter_at_equal=False)
+    for k in range(3, min(6, t.n_boundary) + 1):
+        tau = Fraction(1, k - 1)
+        remaining, ports = everything, frozenset()
+        for _ in range(k - 1):
+            got = partitions._descend(t, remaining, tau, enter_at_equal=True, ports=ports)
+            assert got == descend_brute(t, remaining, tau, enter_at_equal=True, ports=ports)
+            part, _, edge = got
+            # the sub-split of a certified part against its own boundary, as
+            # multiway_test_functions runs it (only on parts with two or more)
+            total = sum(1 for v in t.boundary if v in part)
+            if total >= 2:
+                assert partitions._descend(t, part, half, enter_at_equal=False, total=total) \
+                    == descend_brute(t, part, half, enter_at_equal=False, total=total)
+            remaining -= part
+            ports |= {edge[0], edge[1]} & remaining
+
+
+def test_preorder_index_dies_with_its_tree():
+    t = gen_ball(3, 4)
+    idx = partitions._preorder(t)
+    assert partitions._preorder(t) is idx
+    assert sorted(idx.pre.tolist()) == list(range(t.n))
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 def test_partition_k_ball32(ball32):
