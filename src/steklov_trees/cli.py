@@ -187,9 +187,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg.validate()
     rep = run_verification(cfg)
     if args.format == "csv":
-        lines = ["check,passed,failed,skipped"]
+        # a crashed column only when some check crashed, as in the JSON report
+        crashed = any(c.crashed for c in rep.counters.values())
+        lines = ["check,passed,failed,skipped" + (",crashed" if crashed else "")]
         for name, c in sorted(rep.counters.items()):
-            lines.append(f"{name},{c.passed},{c.failed},{c.skipped}")
+            lines.append(f"{name},{c.passed},{c.failed},{c.skipped}"
+                         + (f",{c.crashed}" if crashed else ""))
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_json_text(rep.to_json_dict()), args.out)
@@ -206,8 +209,16 @@ def _expand_family_range(spec: dict) -> list[dict]:
     if (len(lo_hi) != 2 or not all(isinstance(x, int) for x in lo_hi)
             or lo_hi[0] > lo_hi[1]):
         raise BadParamsError(f"range for {key} must be [lo, hi] with lo <= hi")
+    values = range(lo_hi[0], lo_hi[1] + 1)
+    if spec.get("family") == "EXTREMAL_MIDDLE" and key == "L":
+        # the spine length must be even: take every second value
+        values = values[values[0] % 2:][::2]
+        if not values:
+            raise BadParamsError(
+                f"{spec['family']} needs an even {key} (the attachment sits at the"
+                f" spine's midpoint); range {lo_hi} holds no even value")
     out = []
-    for v in range(lo_hi[0], lo_hi[1] + 1):
+    for v in values:
         d = dict(spec)
         d[key] = v
         out.append(d)

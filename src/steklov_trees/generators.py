@@ -120,7 +120,6 @@ def _attach_shape(edges: list[Edge], root: int, shape: tuple, next_id: int) -> i
 _EXTREMAL_SIZES = {"A": 3, "B": 7}
 
 
-@lru_cache(maxsize=None)
 def gen_extremal_middle(length: int, variant: str, lhat: int | None = None) -> BoundaryTree:
     """Spine of even length ``L`` with one attachment at the midpoint.
 
@@ -131,8 +130,15 @@ def gen_extremal_middle(length: int, variant: str, lhat: int | None = None) -> B
     declared size in canonical order and return the first one whose tree
     attains the extremal value ``lambda_2 = 2/L`` (the target shapes are
     only characterized by that property); C builds its single shape and
-    validates it the same way.
+    validates it the same way.  The search runs once per parameter set;
+    every call builds a fresh tree from its remembered edge list.
     """
+    return build_tree(_extremal_edges(length, variant, lhat))
+
+
+@lru_cache(maxsize=None)
+def _extremal_edges(length: int, variant: str, lhat: int | None) -> tuple[Edge, ...]:
+    """Edge list of :func:`gen_extremal_middle`'s tree (the shape search)."""
     if length % 2 != 0 or length < 2:
         raise BadParamsError(f"spine length must be even and >= 2, got {length}")
     mid = length // 2
@@ -161,10 +167,9 @@ def gen_extremal_middle(length: int, variant: str, lhat: int | None = None) -> B
     for shape in candidates:
         edges = list(spine)
         _attach_shape(edges, mid, shape, length + 1)
-        t = build_tree(edges)
-        lam2 = steklov_eigenvalue_bisect(t, 2)
+        lam2 = steklov_eigenvalue_bisect(build_tree(edges), 2)
         if abs(lam2 - 2.0 / length) <= 1e-9:
-            return t
+            return tuple(edges)
     raise NoExtremalShapeFoundError(
         f"no variant-{variant} attachment at L={length} reaches 2/L")
 

@@ -10,6 +10,18 @@ Everything in this module is deterministic: neighbor lists are stored
 sorted, searches visit vertices in ascending id order, and tie-breaking
 rules are written out explicitly.  This determinism is load-bearing; the
 verification harness freezes byte-identical reports for fixed seeds.
+
+Input goes through one int64 edge array.  :func:`build_tree` unpacks the
+pairs and checks their types in one light pass; :func:`tree_from_text`
+converts the whole text into the array at once.  Validation, degrees,
+sorted edges and neighbor lists are then vectorized; only the
+connectivity search walks the tree in Python.  When a check fails, a
+slower edge-by-edge (or line-by-line) pass names the same first fault,
+with the same message, as validating one edge at a time would.  The
+search's BFS order and parents from vertex 0 stay as a weakly held
+per-tree index: :func:`make_subtree` checks a part's connectivity in
+O(|part|) from the parents, and :func:`diameter` reads its distances
+from vertex 0 off the order.
 """
 from __future__ import annotations
 
@@ -18,7 +30,7 @@ import json
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,6 +45,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 _T = TypeVar("_T")
+# the largest id the int64 edge arrays can hold
+_MAX_ID = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +95,8 @@ def per_tree_cache(fn: Callable[[BoundaryTree], _T]) -> Callable[[BoundaryTree],
 
     Entries are keyed weakly on the tree (trees hash by identity), so a
     cached result is dropped together with its tree instead of being
-    pinned by the cache.
+    pinned by the cache.  The memo is exposed as ``.memo`` so that code
+    which already holds the value for a new tree can store it.
     """
     memo: weakref.WeakKeyDictionary[BoundaryTree, _T] = weakref.WeakKeyDictionary()
 
@@ -93,89 +108,183 @@ def per_tree_cache(fn: Callable[[BoundaryTree], _T]) -> Callable[[BoundaryTree],
             out = memo[t] = fn(t)
             return out
 
+    cached.memo = memo  # type: ignore[attr-defined]
     return cached
+
+
+@dataclass(frozen=True, eq=False)
+class _RootedIndex:
+    """The tree rooted at vertex 0: BFS order and parents, boundary flags.
+
+    ``order`` and ``parent`` are the breadth-first search that
+    :func:`build_tree` runs to check connectivity (vertex 0 is its own
+    parent); ``boundary`` flags each vertex that lies on the boundary.
+    """
+
+    order: list[int]
+    parent: list[int]
+    boundary: list[bool]
+
+
+@per_tree_cache
+def _rooted_index(t: BoundaryTree) -> _RootedIndex:
+    """The rooted index of ``t``; :func:`build_tree` stores it as it builds."""
+    order, parent = _bfs(t.neighbors, 0)
+    return _RootedIndex(order, parent, (t.boundary_pos >= 0).tolist())
+
+
+def _is_id_type(tp: type) -> bool:
+    return tp is not bool and issubclass(tp, (int, np.integer))
+
+
+def _id_fault(u: int, v: int) -> MalformedError | None:
+    """Why the edge ``(u, v)`` of integer ids is invalid on its own, if it is."""
+    if u == v:
+        return MalformedError(f"self-loop at vertex {u}")
+    if u < 0 or v < 0:
+        return MalformedError(f"negative vertex id in edge {(u, v)}")
+    if max(u, v) > _MAX_ID:
+        return MalformedError(f"vertex id out of range in edge {(u, v)}")
+    return None
+
+
+def _raise_edge_fault(pairs: Sequence) -> NoReturn:
+    """Raise for the first edge, in input order, that is not a valid pair of ids.
+
+    Only reached once the bulk conversion in :func:`build_tree` has
+    failed, so some edge is at fault.
+    """
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError) as exc:
+            raise MalformedError(f"edge {e!r} is not a pair") from exc
+        if not (_is_id_type(type(u)) and _is_id_type(type(v))):
+            raise MalformedError(f"edge {e!r} has non-integer endpoint")
+        err = _id_fault(int(u), int(v))
+        if err is not None:
+            raise err
+    raise InvariantViolationError("edge conversion failed on a valid edge list")
+
+
+def _raise_shape_fault(lo: np.ndarray, hi: np.ndarray) -> NoReturn:
+    """Raise for an edge list (as ``(min, max)`` pairs) that does not form a tree.
+
+    Checked in order: repeated edges, no edges, gaps in the id range,
+    fewer than three vertices, an edge count other than ``n - 1``, and
+    last, since nothing else is left, a disconnected graph.
+    """
+    perm = np.lexsort((hi, lo))
+    lo, hi = lo[perm], hi[perm]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if dup.any():
+        at = dup.nonzero()[0]
+        raise MalformedError(
+            f"duplicate edge(s) {sorted(set(zip(lo[at].tolist(), hi[at].tolist())))}")
+    if not len(lo):
+        raise TooSmallError("empty edge list")
+    n = int(hi.max()) + 1
+    deg = np.bincount(np.concatenate((lo, hi)), minlength=n)
+    if not deg.all():
+        raise MalformedError(
+            f"vertex ids not contiguous; missing {(deg == 0).nonzero()[0].tolist()}")
+    if n < 3:
+        raise TooSmallError(f"need at least 3 vertices, got {n}")
+    if len(lo) != n - 1:
+        raise NotATreeError(f"{len(lo)} edges on {n} vertices cannot be a tree")
+    raise NotATreeError("graph is disconnected")
 
 
 def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
     """Validate an edge list and build a :class:`BoundaryTree`.
 
+    Python and numpy integers are ids; ``bool`` and every other type are
+    not.  One pass unpacks the pairs; everything after the conversion to
+    an int64 array is vectorized.
+
     Raises:
         MalformedError: self-loop, duplicate edge, non-integer or negative
-            id, or a gap in the id range.
+            id, an id beyond int64, or a gap in the id range.
         TooSmallError: fewer than three vertices.
         NotATreeError: edge count is not ``n-1`` or the graph is
             disconnected.
     """
-    norm: list[Edge] = []
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError) as exc:
-            raise MalformedError(f"edge {e!r} is not a pair") from exc
-        if isinstance(u, bool) or isinstance(v, bool):
-            raise MalformedError(f"edge {e!r} has non-integer endpoint")
-        if not isinstance(u, (int, np.integer)) or not isinstance(v, (int, np.integer)):
-            raise MalformedError(f"edge {e!r} has non-integer endpoint")
-        u, v = int(u), int(v)
-        if u == v:
-            raise MalformedError(f"self-loop at vertex {u}")
-        if u < 0 or v < 0:
-            raise MalformedError(f"negative vertex id in edge {(u, v)}")
-        norm.append((min(u, v), max(u, v)))
+    pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+    try:
+        flat = [x for u, v in pairs for x in (u, v)]
+        if not all(map(_is_id_type, set(map(type, flat)))):
+            _raise_edge_fault(pairs)
+        a = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        _raise_edge_fault(pairs)
+    return _tree_from_array(a)
 
-    if len(set(norm)) != len(norm):
-        dupes = sorted({e for e in norm if norm.count(e) > 1})
-        raise MalformedError(f"duplicate edge(s) {dupes}")
 
-    seen = sorted({x for e in norm for x in e})
-    if not seen:
-        raise TooSmallError("empty edge list")
-    n = seen[-1] + 1
-    if seen != list(range(n)):
-        missing = sorted(set(range(n)) - set(seen))
-        raise MalformedError(f"vertex ids not contiguous; missing {missing}")
-    if n < 3:
-        raise TooSmallError(f"need at least 3 vertices, got {n}")
-    if len(norm) != n - 1:
-        raise NotATreeError(f"{len(norm)} edges on {n} vertices cannot be a tree")
+def _tree_from_array(a: np.ndarray) -> BoundaryTree:
+    """Build a tree from an ``(m, 2)`` int64 array of edges in input order.
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
+    The checks here certify a tree: no self-loop or negative id, ids
+    ``0..m`` all present, and every vertex reached from vertex 0 (a
+    connected graph on ``m + 1`` vertices with ``m`` edges has no
+    repeated edge).  When one fails, :func:`_raise_shape_fault` names the
+    fault an edge-by-edge validation would.
+    """
+    u, v = a[:, 0], a[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = lo < 0
+    bad |= u == v
+    if np.count_nonzero(bad):
+        j = int(bad.argmax())  # the first faulty edge in input order
+        raise _id_fault(int(u[j]), int(v[j]))  # type: ignore[misc]
+
+    m = len(a)
+    n = m + 1
+    if n < 3 or hi.max() >= n:
+        _raise_shape_fault(lo, hi)
+    ends = np.concatenate((lo, hi))
+    deg = np.bincount(ends, minlength=n)
+    if np.count_nonzero(deg) != n:
+        _raise_shape_fault(lo, hi)
+
+    # neighbour lists from the directed pairs (lo, hi) then (hi, lo),
+    # sorted by (source, target); the forward pairs among them are the
+    # edges in lexicographic order
+    heads = np.concatenate((hi, lo))
+    slot = np.argsort(ends * n + heads, kind="stable")
+    ids = heads[slot].tolist()
+    stops = np.cumsum(deg).tolist()
+    neighbors = tuple(tuple(ids[i:j]) for i, j in zip([0, *stops], stops))
     # connectivity; n-1 edges + connected == tree
-    if len(_bfs(adj, 0)[0]) != n:
-        raise NotATreeError("graph is disconnected")
+    order, parent = _bfs(neighbors, 0)
+    if len(order) != n:
+        _raise_shape_fault(lo, hi)
+    fwd = slot[slot < m]
+    lo, hi = lo[fwd], hi[fwd]
 
-    deg = [len(a) for a in adj]
-    boundary = tuple(v for v in range(n) if deg[v] == 1)
-    interior = tuple(v for v in range(n) if deg[v] > 1)
+    leaf = deg == 1
     # structural consequence of n >= 3 on a tree (and with n - 1 >= 2 edges it
     # implies an interior vertex); cheap to check, never traded away
-    if not all(deg[u] > 1 or deg[v] > 1 for u, v in norm):
+    if np.count_nonzero(leaf[lo] & leaf[hi]):
         raise InvariantViolationError(
             "boundary-boundary edge impossible on a connected tree with n >= 3")
+    boundary = leaf.nonzero()[0]
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[boundary] = np.arange(len(boundary))
 
-    edges_sorted = tuple(sorted(norm))
-    edge_u = np.array([e[0] for e in edges_sorted], dtype=np.int64)
-    edge_v = np.array([e[1] for e in edges_sorted], dtype=np.int64)
-    neighbors = tuple(tuple(sorted(a)) for a in adj)
-    pos = [-1] * n
-    for i, b in enumerate(boundary):
-        pos[b] = i
-
-    return BoundaryTree(
+    t = BoundaryTree(
         n=n,
-        edges=edges_sorted,
-        boundary=boundary,
-        interior=interior,
-        max_degree=max(deg),
-        degrees=np.array(deg, dtype=np.int64),
-        edge_u=edge_u,
-        edge_v=edge_v,
+        edges=tuple(zip(lo.tolist(), hi.tolist())),
+        boundary=tuple(boundary.tolist()),
+        interior=tuple((~leaf).nonzero()[0].tolist()),
+        max_degree=int(deg.max()),
+        degrees=deg.astype(np.int64, copy=False),
+        edge_u=lo,
+        edge_v=hi,
         neighbors=neighbors,
-        boundary_pos=np.array(pos, dtype=np.int64),
+        boundary_pos=pos,
     )
+    _rooted_index.memo[t] = _RootedIndex(order, parent, leaf.tolist())
+    return t
 
 
 # -- metric queries ------------------------------------------------------------
@@ -197,13 +306,18 @@ def _bfs(neighbors: Sequence[Sequence[int]], source: int) -> tuple[list[int], li
     return order, parent
 
 
+def _depths(n: int, order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """Distance of each vertex from the root of a BFS ``order``."""
+    dist = [0] * n
+    for x in order[1:]:
+        dist[x] = dist[parent[x]] + 1
+    return dist
+
+
 def _bfs_distances(t: BoundaryTree, source: int) -> tuple[list[int], list[int]]:
     """Distances from ``source`` and the BFS parents they were found along."""
     order, parent = _bfs(t.neighbors, source)
-    dist = [0] * t.n
-    for x in order[1:]:
-        dist[x] = dist[parent[x]] + 1
-    return dist, parent
+    return _depths(t.n, order, parent), parent
 
 
 def distance(t: BoundaryTree, u: int, v: int) -> int:
@@ -228,9 +342,12 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     smallest vertex id at both endpoint selections, and the returned path
     runs from its smaller endpoint to its larger one, so the result is a
     deterministic function of the tree.  Both endpoints are boundary
-    vertices.  Computed once per tree (the result is immutable).
+    vertices.  Computed once per tree (the result is immutable); the
+    distances from vertex 0 come from the tree's rooted index, so only
+    the search from the first endpoint runs here.
     """
-    d0, _ = _bfs_distances(t, 0)
+    idx = _rooted_index(t)
+    d0 = _depths(t.n, idx.order, idx.parent)
     a = d0.index(max(d0))
     da, parent = _bfs_distances(t, a)
     L = max(da)
@@ -271,20 +388,23 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
     """Build a :class:`SubtreeRef`, checking induced connectivity.
 
     An induced subgraph of a tree is a forest, so it is connected exactly
-    when it has ``|vertices| - 1`` edges; one mask counts them.
+    when it has ``|vertices| - 1`` edges.  Rooted at vertex 0, those
+    edges join the members whose parent is also a member to that parent,
+    so counting such members takes O(|vertices|).
     """
     vs = frozenset(map(int, vertices))
     if not vs:
         raise BadVertexError("empty subtree")
-    lo, hi = min(vs), max(vs)
+    ascending = sorted(vs)
+    lo, hi = ascending[0], ascending[-1]
     if lo < 0 or hi >= t.n:
         raise BadVertexError(f"vertex {lo if lo < 0 else hi!r} outside 0..{t.n - 1}")
-    mask = np.zeros(t.n, dtype=bool)
-    mask[np.fromiter(vs, np.int64, len(vs))] = True
-    if np.count_nonzero(mask[t.edge_u] & mask[t.edge_v]) != len(vs) - 1:
+    idx = _rooted_index(t)
+    # vertex 0 is its own parent, so it counts itself when it is a member
+    inner = sum(map(vs.__contains__, map(idx.parent.__getitem__, ascending))) - (lo == 0)
+    if inner != len(vs) - 1:
         raise NotATreeError("vertex set does not induce a connected subtree")
-    ids = np.flatnonzero(mask)
-    rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
+    rb = tuple(filter(idx.boundary.__getitem__, ascending))
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
 
 
@@ -373,7 +493,39 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
 # -- serialization --------------------------------------------------------------
 
 def tree_from_text(text: str) -> BoundaryTree:
-    """Parse the edge-list format: one ``u v`` pair per line, ``#`` comments."""
+    """Parse the edge-list format: one ``u v`` pair per line, ``#`` comments.
+
+    The whole text is checked and converted at once (see
+    :func:`_edge_array`).  Only when that fails does a line-by-line pass
+    run, to name the first bad line.
+    """
+    try:
+        a = _edge_array(text)
+    except (ValueError, OverflowError):
+        _raise_text_fault(text)
+    return _tree_from_array(a)
+
+
+def _edge_array(text: str) -> np.ndarray:
+    """The ``(m, 2)`` int64 edge array of an edge-list text.
+
+    Every line, once its comment is cut, must split into zero or two
+    tokens.  numpy converts all tokens in one call, each by ``int()``, so
+    ``+3``, ``0_1`` and non-ASCII digits parse as ids.  Raises
+    ``ValueError`` (or ``OverflowError`` for an id beyond int64) when the
+    text is not a valid list.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+        text = "\n".join(lines)
+    if not set(map(len, map(str.split, lines))) <= {0, 2}:
+        raise ValueError("a line holds neither a pair nor nothing")
+    return np.array(text.split(), dtype=np.int64).reshape(-1, 2)
+
+
+def _raise_text_fault(text: str) -> NoReturn:
+    """Raise for the first malformed line of a text the bulk parse rejected."""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -386,7 +538,9 @@ def tree_from_text(text: str) -> BoundaryTree:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise MalformedError(f"line {lineno}: non-integer id in {raw!r}") from exc
-    return build_tree(edges)
+    # every line holds two integers, so some id is beyond int64: build_tree says which
+    build_tree(edges)
+    raise InvariantViolationError("bulk parse failed on a valid edge list")
 
 
 def tree_to_text(t: BoundaryTree) -> str:

@@ -223,6 +223,16 @@ def _bisect_memo(t: BoundaryTree) -> dict[tuple[int, float], float]:
     return {}
 
 
+@per_tree_cache
+def _count_memo(t: BoundaryTree) -> dict[float, int]:
+    """Pencil counts for one tree, keyed on the shift.
+
+    Bisections for different ``k`` start from the same bracket, so they
+    probe the same first midpoints; each shift is counted once.
+    """
+    return {}
+
+
 def steklov_eigenvalue_bisect(
     t: BoundaryTree,
     k: int,
@@ -234,7 +244,8 @@ def steklov_eigenvalue_bisect(
     Inertia bisection on the pencil ``L - t B``; each inertia count is a
     single O(n) pass, so this handles trees whose boundary is far beyond
     dense reach.  The spectrum lies in [0, 1], which brackets the search.
-    Results are memoized per tree on ``(k, abs_tol)``.
+    Results are memoized per tree on ``(k, abs_tol)``, and counts on
+    their shift, so bisections for several ``k`` share their probes.
     """
     m = t.n_boundary
     if not 1 <= k <= m:
@@ -243,13 +254,22 @@ def steklov_eigenvalue_bisect(
     key = (k, abs_tol)
     if key in memo:
         return memo[key]
+    counts = _count_memo(t)
+
+    def count(shift: float) -> int:
+        try:
+            return counts[shift]
+        except KeyError:
+            c = counts[shift] = _steklov_count_below(t, shift)
+            return c
+
     lo = -1e-9
     hi = 1.0 + 1e-9
-    if _steklov_count_below(t, lo) != 0:
+    if count(lo) != 0:
         raise InvariantViolationError("pencil count below 0 is not zero")
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
-        if _steklov_count_below(t, mid) >= k:
+        if count(mid) >= k:
             hi = mid
         else:
             lo = mid

@@ -5,7 +5,9 @@ re-derives the whole chain of guarantees: structural invariants, the
 boundary response matrix, spectra from independent routes, partition
 certificates in exact arithmetic, the three test-function constructions,
 and every bound report.  The result is a deterministic report object:
-same config, same counters, byte for byte.
+same config, same counters, byte for byte.  A check that raises
+``InvariantViolationError`` or ``AssertionError`` failed; one that
+raises anything else crashed, and its failure entry names the exception.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import bounds as bnd
 from .config import DEFAULT_TOL, Tolerances
-from .errors import BadParamsError, PartTooSmallError
+from .errors import BadParamsError, InvariantViolationError, PartTooSmallError
 from .generators import gen_random_interior3, gen_random_tree
 from .graph_core import BoundaryTree, diameter
 from .harmonic import dtn_matrix
@@ -59,11 +61,24 @@ class VerifyConfig:
             raise BadParamsError("oracle_stride must be >= 1")
 
 
+# a check that raises one of these found a violation; any other exception
+# means the check itself crashed
+_FINDINGS = (InvariantViolationError, AssertionError)
+
+
 @dataclass
 class CheckCounter:
     passed: int = 0
     failed: int = 0
     skipped: int = 0
+    crashed: int = 0
+
+    def to_json_dict(self) -> dict:
+        """The counts; ``crashed`` only when nonzero, so healthy reports keep their bytes."""
+        out = {"passed": self.passed, "failed": self.failed, "skipped": self.skipped}
+        if self.crashed:
+            out["crashed"] = self.crashed
+        return out
 
 
 @dataclass
@@ -84,10 +99,7 @@ class VerificationReport:
             "schema": "steklov-trees/1",
             "command": "verify",
             "config": self.config,
-            "checks": {
-                name: {"passed": c.passed, "failed": c.failed, "skipped": c.skipped}
-                for name, c in sorted(self.counters.items())
-            },
+            "checks": {name: c.to_json_dict() for name, c in sorted(self.counters.items())},
             "failures": self.failures,
             "overall_pass": self.overall_pass,
         }
@@ -110,14 +122,22 @@ def _check_tree(
 ) -> None:
     slack = tol.bound_slack
 
+    def record(name: str, exc: Exception, context: str = "") -> None:
+        """Count a check that raised: failed on a finding, crashed otherwise."""
+        entry = {"trial": label, "check": name,
+                 "detail": f"{context}{type(exc).__name__}: {exc}"}
+        if isinstance(exc, _FINDINGS):
+            rep.counter(name).failed += 1
+        else:
+            rep.counter(name).crashed += 1
+            entry["crashed"] = type(exc).__name__
+        rep.failures.append(entry)
+
     def run(name: str, fn) -> bool:
         try:
             fn()
-        except Exception as exc:  # any failure is a finding, not a crash
-            rep.counter(name).failed += 1
-            rep.failures.append(
-                {"trial": label, "check": name,
-                 "detail": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # recorded, and the harness goes on to the next check
+            record(name, exc)
             return False
         rep.counter(name).passed += 1
         return True
@@ -235,9 +255,7 @@ def _check_tree(
         try:
             chain_k()
         except Exception as exc:
-            rep.counter("multiway_chain").failed += 1
-            rep.failures.append({"trial": label, "check": "multiway_chain",
-                                 "detail": f"k={k} {type(exc).__name__}: {exc}"})
+            record("multiway_chain", exc, f"k={k} ")
 
     def reports() -> None:
         for r in bnd.audit(t, ks, tol=tol, spectrum=spectrum, with_witness=False):
@@ -255,9 +273,7 @@ def _check_tree(
     try:
         reports()
     except Exception as exc:
-        rep.counter("bound_reports").failed += 1
-        rep.failures.append({"trial": label, "check": "bound_reports",
-                             "detail": f"{type(exc).__name__}: {exc}"})
+        record("bound_reports", exc)
 
 
 def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:

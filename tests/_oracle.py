@@ -1,8 +1,10 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here works on a plain ``(n, edges)`` description and leans on
-numpy's LAPACK-backed solvers, deliberately sharing no code with the
-package: dense Schur complements and ``eigvalsh`` cross-check the
+numpy's LAPACK-backed solvers, deliberately sharing no logic with the
+package (the input-layer references build its ``BoundaryTree`` and raise
+its errors, so that results compare field by field and message by
+message): dense Schur complements and ``eigvalsh`` cross-check the
 hand-rolled harmonic solver, Jacobi sweep, and bisection routes, and a
 breadth-first component counter cross-checks the partition machinery
 and, edge by edge, the O(n) optimal split.
@@ -11,6 +13,10 @@ component search per candidate side) is the reference for the
 package's prefix-sum descent.
 A scalar one-vertex-at-a-time pencil count is the reference for the
 package's level-by-level inertia count.
+The edge-by-edge ``build_tree`` and line-by-line text parser as they
+stood before the int64 input layer are the reference for its trees and
+its error messages, and a boolean mask over all vertices is the
+reference for ``make_subtree``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,15 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+from steklov_trees.errors import (
+    BadVertexError,
+    InvariantViolationError,
+    MalformedError,
+    NotATreeError,
+    TooSmallError,
+)
+from steklov_trees.graph_core import BoundaryTree, SubtreeRef
 
 
 def laplacian_brute(n: int, edges) -> np.ndarray:
@@ -276,3 +291,125 @@ def descend_brute(t, allowed, tau, *, enter_at_equal, ports=frozenset(), total=N
             return comp, frac, edge
         u, v = edge
     raise RuntimeError("descent failed to terminate")
+
+
+# -- input layer ------------------------------------------------------------------
+# the edge-by-edge build_tree, its BFS and the line parser, verbatim apart
+# from their names
+
+def _bfs_oracle(neighbors, source: int) -> tuple[list[int], list[int]]:
+    parent = [-1] * len(neighbors)
+    parent[source] = source
+    order = [source]
+    for x in order:
+        for y in neighbors[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def build_tree_oracle(edges) -> BoundaryTree:
+    norm: list = []
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError) as exc:
+            raise MalformedError(f"edge {e!r} is not a pair") from exc
+        if isinstance(u, bool) or isinstance(v, bool):
+            raise MalformedError(f"edge {e!r} has non-integer endpoint")
+        if not isinstance(u, (int, np.integer)) or not isinstance(v, (int, np.integer)):
+            raise MalformedError(f"edge {e!r} has non-integer endpoint")
+        u, v = int(u), int(v)
+        if u == v:
+            raise MalformedError(f"self-loop at vertex {u}")
+        if u < 0 or v < 0:
+            raise MalformedError(f"negative vertex id in edge {(u, v)}")
+        norm.append((min(u, v), max(u, v)))
+
+    if len(set(norm)) != len(norm):
+        dupes = sorted({e for e in norm if norm.count(e) > 1})
+        raise MalformedError(f"duplicate edge(s) {dupes}")
+
+    seen = sorted({x for e in norm for x in e})
+    if not seen:
+        raise TooSmallError("empty edge list")
+    n = seen[-1] + 1
+    if seen != list(range(n)):
+        missing = sorted(set(range(n)) - set(seen))
+        raise MalformedError(f"vertex ids not contiguous; missing {missing}")
+    if n < 3:
+        raise TooSmallError(f"need at least 3 vertices, got {n}")
+    if len(norm) != n - 1:
+        raise NotATreeError(f"{len(norm)} edges on {n} vertices cannot be a tree")
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    # connectivity; n-1 edges + connected == tree
+    if len(_bfs_oracle(adj, 0)[0]) != n:
+        raise NotATreeError("graph is disconnected")
+
+    deg = [len(a) for a in adj]
+    boundary = tuple(v for v in range(n) if deg[v] == 1)
+    interior = tuple(v for v in range(n) if deg[v] > 1)
+    # structural consequence of n >= 3 on a tree (and with n - 1 >= 2 edges it
+    # implies an interior vertex); cheap to check, never traded away
+    if not all(deg[u] > 1 or deg[v] > 1 for u, v in norm):
+        raise InvariantViolationError(
+            "boundary-boundary edge impossible on a connected tree with n >= 3")
+
+    edges_sorted = tuple(sorted(norm))
+    edge_u = np.array([e[0] for e in edges_sorted], dtype=np.int64)
+    edge_v = np.array([e[1] for e in edges_sorted], dtype=np.int64)
+    neighbors = tuple(tuple(sorted(a)) for a in adj)
+    pos = [-1] * n
+    for i, b in enumerate(boundary):
+        pos[b] = i
+
+    return BoundaryTree(
+        n=n,
+        edges=edges_sorted,
+        boundary=boundary,
+        interior=interior,
+        max_degree=max(deg),
+        degrees=np.array(deg, dtype=np.int64),
+        edge_u=edge_u,
+        edge_v=edge_v,
+        neighbors=neighbors,
+        boundary_pos=np.array(pos, dtype=np.int64),
+    )
+
+
+def tree_from_text_oracle(text: str) -> BoundaryTree:
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise MalformedError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise MalformedError(f"line {lineno}: non-integer id in {raw!r}") from exc
+    return build_tree_oracle(edges)
+
+
+def make_subtree_oracle(t, vertices) -> SubtreeRef:
+    """``make_subtree`` by a boolean mask over all vertices and all edges."""
+    vs = frozenset(map(int, vertices))
+    if not vs:
+        raise BadVertexError("empty subtree")
+    lo, hi = min(vs), max(vs)
+    if lo < 0 or hi >= t.n:
+        raise BadVertexError(f"vertex {lo if lo < 0 else hi!r} outside 0..{t.n - 1}")
+    mask = np.zeros(t.n, dtype=bool)
+    mask[np.fromiter(vs, np.int64, len(vs))] = True
+    if np.count_nonzero(mask[t.edge_u] & mask[t.edge_v]) != len(vs) - 1:
+        raise NotATreeError("vertex set does not induce a connected subtree")
+    ids = np.flatnonzero(mask)
+    rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
+    return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)

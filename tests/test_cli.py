@@ -228,6 +228,23 @@ def test_sweep_range_validation(capsys):
     assert code == 2
 
 
+def test_sweep_extremal_middle_ranges_even_lengths(capsys):
+    code, out, _ = run(capsys, "sweep", "--family",
+                       '{"family":"EXTREMAL_MIDDLE","L":[4,12],"variant":"A"}',
+                       "--threshold", "0.2")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [r.split("),")[0] for r in rows] == [
+        f"EXTREMAL_MIDDLE(L={ell},variant=A" for ell in (4, 6, 8, 10, 12)]
+
+
+def test_sweep_extremal_middle_rejects_a_range_without_even_lengths(capsys):
+    code, out, err = run(capsys, "sweep", "--family",
+                         '{"family":"EXTREMAL_MIDDLE","L":[5,5],"variant":"A"}')
+    assert code == 2 and out == ""
+    assert "needs an even L" in err and "[5, 5] holds no even value" in err
+
+
 # -- top-level dispatch --------------------------------------------------------------
 
 def test_missing_tree_source(capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,6 +100,19 @@ def test_extremal_variant_c():
     assert t.n == 10
     lam2 = steklov_eigenvalue_bisect(t, 2)
     assert lam2 == pytest.approx(2.0 / 6.0, abs=1e-9)
+
+
+def test_extremal_tree_dies_with_its_caller():
+    # the shape search is remembered as an edge list, not as a tree that
+    # would pin itself and its per-tree memos
+    t = gen_extremal_middle(6, "A")
+    again = gen_extremal_middle(6, "A")
+    assert again is not t and again.edges == t.edges
+    steklov_eigenvalue_bisect(t, 2)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 def test_extremal_rejects():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,13 @@ from steklov_trees import (
 from steklov_trees import graph_core
 from steklov_trees.graph_core import tree_from_json_dict
 
-from _oracle import boundary_brute, diameter_brute
+from _oracle import (
+    boundary_brute,
+    build_tree_oracle,
+    diameter_brute,
+    make_subtree_oracle,
+    tree_from_text_oracle,
+)
 from conftest import BALL32_EDGES, CATERPILLAR_EDGES, PATH4_EDGES
 
 
@@ -92,6 +100,196 @@ def test_check_vertex(path4):
     for bad in (-1, 5, 2.0, "2", None):
         with pytest.raises(BadVertexError):
             path4.check_vertex(bad)
+
+
+# -- the int64 input layer against the edge-by-edge oracle -----------------------
+
+@st.composite
+def tree_edges(draw, max_n: int = 40) -> list[tuple[int, int]]:
+    """A random labelled tree as an edge list in random order."""
+    n = draw(st.integers(3, max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    label = list(range(n))
+    rnd.shuffle(label)
+    edges = [(label[i], label[rnd.randrange(i)]) for i in range(1, n)]
+    rnd.shuffle(edges)
+    return edges
+
+
+def outcome(fn, arg):
+    """``("tree", every field)`` on success, else the exception type and message."""
+    try:
+        t = fn(arg)
+    except Exception as exc:  # the comparison is the point
+        return type(exc).__name__, str(exc)
+    fields = []
+    for f in dataclasses.fields(t):
+        x = getattr(t, f.name)
+        # repr tells np.int64 from int inside tuples; arrays also carry their dtype
+        fields.append((f.name, x.dtype.str, x.shape, x.tolist())
+                      if isinstance(x, np.ndarray) else (f.name, repr(x)))
+    return "tree", fields
+
+
+@given(edges=tree_edges(), data=st.data())
+def test_build_tree_matches_oracle_on_valid_trees(edges, data):
+    kinds = data.draw(st.lists(st.sampled_from(["int", "flip", "np.int64", "np.int32"]),
+                               min_size=len(edges), max_size=len(edges)))
+    given_edges = []
+    for (u, v), kind in zip(edges, kinds):
+        if kind == "flip":
+            u, v = v, u
+        elif kind != "int":
+            u, v = getattr(np, kind[3:])(u), getattr(np, kind[3:])(v)
+        given_edges.append((u, v))
+    got = outcome(build_tree, given_edges)
+    assert got[0] == "tree"
+    assert got == outcome(build_tree_oracle, given_edges)
+    assert outcome(build_tree, iter(given_edges)) == got
+
+
+# each fault turns a valid edge list into an invalid one at position i
+FAULTS = {
+    "self-loop": lambda e, i, rnd: e.insert(i, (e[0][0], e[0][0])),
+    "negative": lambda e, i, rnd: e.insert(i, (-1, e[0][0])),
+    "bool": lambda e, i, rnd: e.insert(i, (e[0][0], True)),
+    "2.5": lambda e, i, rnd: e.insert(i, (2.5, e[0][0])),
+    "2.0": lambda e, i, rnd: e.insert(i, (e[0][1], 2.0)),
+    "non-pair": lambda e, i, rnd: e.insert(i, rnd.choice([(1,), (0, 1, 2), 7, "01"])),
+    "duplicate": lambda e, i, rnd: e.insert(i, e[rnd.randrange(len(e))][::-1]),
+    "id gap": lambda e, i, rnd: e.__setitem__(i % len(e), (e[i % len(e)][0], 1000 + i)),
+    "extra edge": lambda e, i, rnd: e.insert(i, (e[0][0], e[-1][1])),
+    "disconnected": lambda e, i, rnd: e.__setitem__(i % len(e), (e[0][0], e[-1][1])),
+}
+
+
+@given(edges=tree_edges(), data=st.data())
+def test_build_tree_matches_oracle_on_malformed_lists(edges, data):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    faults = data.draw(st.lists(st.sampled_from(sorted(FAULTS)), min_size=1, max_size=3))
+    for name in faults:
+        FAULTS[name](edges, rnd.randrange(len(edges) + 1), rnd)
+    expected = outcome(build_tree_oracle, edges)
+    assert outcome(build_tree, edges) == expected
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 2), (1, 2.5)],          # a value fault before a type fault
+    [(0, 1), (1, 2.5), (2, 2)],                  # a type fault before a value fault
+    [(0, 1), (3, 2), (1, 2), (2, 3)],            # every repeated edge is named
+    [(0, 1), (1, 5), (5, 7), (1, 2), (1, 2)],    # a repeat before a gap
+    [(0, 2), (2, 3)],                            # a gap at 1
+    [(0, 1), (1, 2), (0, 2), (3, 4)],            # a cycle beside an edge
+    [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (0, 5)],
+    [(0, 1)], [], [(0, 1), (1, 2), (2, 0)],
+    [(0, 2**70), (1, 2)], [(3, 3), (0, -2**70)], [(0, np.int64(1)), (np.int64(1), 2)],
+    [(0, 1), (1, np.bool_(True))], [(0, 1), [1, 2]], [(0, 1), "12"], [(0, 1), 5],
+])
+def test_build_tree_error_order_matches_oracle(edges):
+    expected = outcome(build_tree_oracle, edges)
+    got = outcome(build_tree, edges)
+    if "out of range" in str(got[1]):
+        # ids beyond int64: the edge-by-edge build overflowed building range(n)
+        assert expected[0] == "OverflowError"
+    else:
+        assert got == expected
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge-list text with decorations the format allows, and sometimes a fault."""
+    edges = draw(tree_edges(max_n=25))
+    rnd = draw(st.randoms(use_true_random=False))
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+    def token(x: int) -> str:
+        s = str(x)
+        pick = rnd.random()
+        if pick < 0.1:
+            return "+" + s
+        if pick < 0.2 and len(s) > 1:
+            return s[0] + "_" + s[1:]
+        if pick < 0.3:
+            return s.translate(arabic)
+        if pick < 0.35:
+            return "0" + s
+        return s
+
+    pad = [" ", "\t", "  ", "\x0b", "\xa0", "\u3000"]
+    lines = []
+    for u, v in edges:
+        if rnd.random() < 0.15:
+            lines.append(rnd.choice(["", "   ", "\t", "# a comment", "  # note"]))
+        line = rnd.choice(["", " ", "\t"]) + token(u) + rnd.choice(pad) + token(v)
+        if rnd.random() < 0.2:
+            line += rnd.choice(pad) + rnd.choice(["#", "# 1 2 3", "#x"])
+        lines.append(line + rnd.choice(["", " ", "\t"]))
+    if rnd.random() < 0.5:
+        i = rnd.randrange(len(lines) + 1)
+        lines.insert(i, rnd.choice(["1 2 3", "4", "a b", "1 x", "1.0 2", "0x1 2",
+                                    "1 2 # ok", "1\t2\t3", "-1 2", "3 3", "1 99"]))
+    eol = rnd.choice(["\n", "\r\n", "\r", "\u2028"])
+    return eol.join(lines) + rnd.choice(["", eol])
+
+
+@given(text=edge_texts())
+def test_tree_from_text_matches_oracle(text):
+    assert outcome(tree_from_text, text) == outcome(tree_from_text_oracle, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "# only a comment\n", "0 1\n1 2\n", "0 1\r\n1 2\r\n\r\n",
+    "+0 1\n1 +2\n", "0_0 1\n1 2\n", "٠ ١\n١ ٢\n", "0\t1\n 1  2 \n",
+    "0 1\n1 2 3\n", "0 1\n1\n", "0 1\n1 x\n", "0 1\n1 2.0\n", "0 1 # c\n1 2#d\n",
+    "0 1\n1 2\n2 2\n", "0 1\n1 99999999999999999999\n", "0 1\n1\x1c2\n",
+    "0 1\x1f\n1 2\n", "0 1\n\x00 2\n",
+])
+def test_tree_from_text_cases_match_oracle(text):
+    got = outcome(tree_from_text, text)
+    expected = outcome(tree_from_text_oracle, text)
+    if "out of range" in str(got[1]):
+        assert expected[0] == "OverflowError"
+    else:
+        assert got == expected
+
+
+@given(edges=tree_edges(), data=st.data())
+def test_make_subtree_matches_mask_oracle(edges, data):
+    t = build_tree(edges)
+    if data.draw(st.booleans()):
+        # a connected part: the side of one end of a random edge
+        u, v = data.draw(st.sampled_from(t.edges))
+        vs = set(component_avoiding(t, u, v))
+    else:
+        vs = set(data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=t.n)))
+    if data.draw(st.booleans()):
+        vs ^= {0}
+    # a tree whose index is computed lazily gives the same answers
+    fresh = dataclasses.replace(t)
+    for tree in (t, fresh):
+        try:
+            expected = make_subtree_oracle(tree, vs)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                make_subtree(tree, vs)
+            continue
+        got = make_subtree(tree, vs)
+        assert got.vertices == expected.vertices
+        assert got.relative_boundary == expected.relative_boundary
+
+
+def test_rooted_index_is_the_connectivity_search_and_dies_with_its_tree():
+    t = build_tree(BALL32_EDGES)
+    idx = graph_core._rooted_index(t)
+    assert graph_core._rooted_index(t) is idx  # stored by build_tree, not searched again
+    assert (idx.order, idx.parent) == graph_core._bfs(t.neighbors, 0)
+    assert idx.boundary == [t.is_boundary(v) for v in range(t.n)]
+    lazy = graph_core._rooted_index(dataclasses.replace(t))
+    assert (lazy.order, lazy.parent, lazy.boundary) == (idx.order, idx.parent, idx.boundary)
+    refs = weakref.ref(t), weakref.ref(idx)
+    del t, idx, lazy
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # -- metric queries --------------------------------------------------------------

@@ -321,8 +321,18 @@ def test_bisect_memo_returns_identical_float(monkeypatch):
     assert n_first > 0
     assert steklov_eigenvalue_bisect(t, 2) is first
     assert len(passes) == n_first
-    steklov_eigenvalue_bisect(t, 2, abs_tol=1e-10)
-    assert len(passes) > n_first
+    # a new key bisects again; its probes are the first ones of the 1e-12
+    # search, whose counts the per-tree count memo already holds
+    again = steklov_eigenvalue_bisect(t, 2, abs_tol=1e-10)
+    assert again is not first and abs(again - first) <= 1e-10
+    assert len(passes) == n_first
+    # lambda_3 = lambda_2 on this ball: the k = 3 search probes the same shifts
+    assert steklov_eigenvalue_bisect(t, 3) == first
+    assert len(passes) == n_first
+    # lambda_4 is larger: the k = 4 search shares only its first probes
+    steklov_eigenvalue_bisect(t, 4)
+    assert n_first < len(passes) < 2 * n_first
+    assert len(set(passes)) == len(passes)
 
 
 def test_bisect_memo_dies_with_its_tree():

@@ -8,9 +8,11 @@ import pytest
 
 from steklov_trees import (
     BadParamsError,
+    InvariantViolationError,
     VerifyConfig,
     run_verification,
 )
+from steklov_trees import verify
 from steklov_trees.cli import main
 
 # sha256 of fixed-seed `verify` reports, recorded for the benchmark
@@ -89,3 +91,54 @@ def test_fixed_seed_report_bytes_match_recorded_digests(seed, capsys):
     assert main([*recorded["argv"], "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"][str(seed)]
+
+
+def _raiser(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+@pytest.mark.parametrize("target,check,context", [
+    ("diameter_test_function", "diameter_chain", ""),
+    ("multiway_test_functions", "multiway_chain", "k="),
+    ("bnd.audit", "bound_reports", ""),
+])
+@pytest.mark.parametrize("exc,outcome", [
+    (TypeError("harness bug"), "crashed"),
+    (KeyError("harness bug"), "crashed"),
+    (InvariantViolationError("bound violated"), "failed"),
+    (AssertionError("bound violated"), "failed"),
+])
+def test_a_crashing_check_is_told_apart_from_a_failing_one(monkeypatch, target, check,
+                                                          context, exc, outcome):
+    owner, _, attr = target.rpartition(".")
+    monkeypatch.setattr(getattr(verify, owner) if owner else verify, attr, _raiser(exc))
+    rep = run_verification(small_config(trials=3, interior3_trials=0))
+    assert not rep.overall_pass
+    c = rep.counter(check)
+    assert c.passed == 0 and getattr(c, outcome) > 0
+    assert (c.failed if outcome == "crashed" else c.crashed) == 0
+    entries = [f for f in rep.failures if f["check"] == check]
+    assert len(entries) == getattr(c, outcome)
+    kind = type(exc).__name__
+    for f in entries:
+        assert f["detail"].startswith(context)
+        assert f["detail"].endswith(f"{kind}: {exc}")
+        assert f.get("crashed") == (kind if outcome == "crashed" else None)
+    checks = rep.to_json_dict()["checks"]
+    assert ("crashed" in checks[check]) == (outcome == "crashed")
+    assert "crashed" not in checks["tree_structure"]
+
+
+def test_cli_reports_a_crashed_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "diameter_test_function", _raiser(TypeError("harness bug")))
+    argv = ["verify", "--trials", "3", "--max-n", "12", "--max-degree", "4"]
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checks"]["diameter_chain"]["crashed"] == 3
+    assert {f["crashed"] for f in rep["failures"]} == {"TypeError"}
+    assert main([*argv, "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "check,passed,failed,skipped,crashed"
+    assert "diameter_chain,0,0,0,3" in lines
