@@ -148,18 +148,19 @@ def test_build_tree_matches_oracle_on_valid_trees(edges, data):
     assert outcome(build_tree, iter(given_edges)) == got
 
 
-# each fault turns a valid edge list into an invalid one at position i
+# each fault turns an edge list into an invalid one at position i; the ids it uses
+# come from the valid tree t, so an earlier fault (a non-pair, say) cannot break it
 FAULTS = {
-    "self-loop": lambda e, i, rnd: e.insert(i, (e[0][0], e[0][0])),
-    "negative": lambda e, i, rnd: e.insert(i, (-1, e[0][0])),
-    "bool": lambda e, i, rnd: e.insert(i, (e[0][0], True)),
-    "2.5": lambda e, i, rnd: e.insert(i, (2.5, e[0][0])),
-    "2.0": lambda e, i, rnd: e.insert(i, (e[0][1], 2.0)),
-    "non-pair": lambda e, i, rnd: e.insert(i, rnd.choice([(1,), (0, 1, 2), 7, "01"])),
-    "duplicate": lambda e, i, rnd: e.insert(i, e[rnd.randrange(len(e))][::-1]),
-    "id gap": lambda e, i, rnd: e.__setitem__(i % len(e), (e[i % len(e)][0], 1000 + i)),
-    "extra edge": lambda e, i, rnd: e.insert(i, (e[0][0], e[-1][1])),
-    "disconnected": lambda e, i, rnd: e.__setitem__(i % len(e), (e[0][0], e[-1][1])),
+    "self-loop": lambda e, t, i, rnd: e.insert(i, (t[0][0], t[0][0])),
+    "negative": lambda e, t, i, rnd: e.insert(i, (-1, t[0][0])),
+    "bool": lambda e, t, i, rnd: e.insert(i, (t[0][0], True)),
+    "2.5": lambda e, t, i, rnd: e.insert(i, (2.5, t[0][0])),
+    "2.0": lambda e, t, i, rnd: e.insert(i, (t[0][1], 2.0)),
+    "non-pair": lambda e, t, i, rnd: e.insert(i, rnd.choice([(1,), (0, 1, 2), 7, "01"])),
+    "duplicate": lambda e, t, i, rnd: e.insert(i, t[rnd.randrange(len(t))][::-1]),
+    "id gap": lambda e, t, i, rnd: e.__setitem__(i % len(e), (t[i % len(t)][0], 1000 + i)),
+    "extra edge": lambda e, t, i, rnd: e.insert(i, (t[0][0], t[-1][1])),
+    "disconnected": lambda e, t, i, rnd: e.__setitem__(i % len(e), (t[0][0], t[-1][1])),
 }
 
 
@@ -167,8 +168,9 @@ FAULTS = {
 def test_build_tree_matches_oracle_on_malformed_lists(edges, data):
     rnd = data.draw(st.randoms(use_true_random=False))
     faults = data.draw(st.lists(st.sampled_from(sorted(FAULTS)), min_size=1, max_size=3))
+    tree = list(edges)
     for name in faults:
-        FAULTS[name](edges, rnd.randrange(len(edges) + 1), rnd)
+        FAULTS[name](edges, tree, rnd.randrange(len(edges) + 1), rnd)
     expected = outcome(build_tree_oracle, edges)
     assert outcome(build_tree, edges) == expected
 
