@@ -11,10 +11,16 @@ derivative at a boundary vertex ``x`` is
 boundary neighbors.
 
 The solver eliminates interior vertices leaf-first along the interior
-subtree.  Each elimination touches one parent, all pivots stay positive
-(the interior block is diagonally dominant with at least one strict row
-per pendant subtree), so the solve is exact Gaussian elimination in a
-perfect order: O(n), no fill-in, no iteration.
+subtree (Jacobs and Trevisan's no-fill-in elimination of a tree).  Each
+elimination touches one parent, all pivots stay positive (the interior
+block is diagonally dominant with at least one strict row per pendant
+subtree), so the solve is exact Gaussian elimination in a perfect order:
+O(n), no fill-in, no iteration.  The elimination is found once per tree,
+one vertex at a time, and then replayed level by level: all vertices of
+one height are eliminated in one numpy step across every right-hand
+side.  The Laplacian sums neighbors by one numpy step per neighbor rank.
+Both do the one-at-a-time arithmetic in its order, so their floats are
+bit-identical to it.
 """
 from __future__ import annotations
 
@@ -67,12 +73,7 @@ class BoundaryFunction:
 
 def laplacian_apply(f: VertexFunction) -> VertexFunction:
     """Apply the graph Laplacian: ``(L f)(x) = deg(x) f(x) - sum_{y~x} f(y)``."""
-    t = f.tree
-    vals = f.values
-    nbr_sum = np.zeros(t.n)
-    np.add.at(nbr_sum, t.edge_u, vals[t.edge_v])
-    np.add.at(nbr_sum, t.edge_v, vals[t.edge_u])
-    return VertexFunction(t, t.degrees * vals - nbr_sum)
+    return VertexFunction(f.tree, laplacian_apply_matrix(f.tree, f.values))
 
 
 def normal_derivative(f: VertexFunction) -> BoundaryFunction:
@@ -85,37 +86,129 @@ def normal_derivative(f: VertexFunction) -> BoundaryFunction:
     return BoundaryFunction(f.tree, lap.values[np.array(f.tree.boundary)])
 
 
-@dataclass(frozen=True, eq=False)
-class _InteriorSolver:
-    """Elimination data for the interior block; reusable across right-hand sides.
+# a set of rows: a slice where consecutive, so that indexing makes no copy
+_Rows = slice | np.ndarray
 
-    ``order`` eliminates interior vertices leaf-first along the interior
-    subtree; ``parent[v]`` is the one un-eliminated interior neighbor at
-    the time ``v`` is eliminated (-1 for the last vertex), and
-    ``inv_piv[v]`` is the reciprocal of the positive pivot.
-    ``boundary_owner`` maps each boundary vertex to its unique interior
-    neighbor, which is how Dirichlet data enters the right-hand side.
+
+@dataclass(frozen=True, eq=False)
+class _OrderedAdds:
+    """``out[dst[i]] += blk[src[i]]`` for ``i = 0, 1, ...`` in a few numpy steps.
+
+    Each target receives its terms one at a time in the given order, so
+    the sums are bit-identical to a scalar loop over ``i``.  A round adds
+    one term to each of a set of distinct targets; a run adds all the
+    terms of one target by a single ``np.add.accumulate``, which is
+    sequential.
     """
 
-    order: np.ndarray
-    parent: np.ndarray
+    rounds: tuple[tuple[_Rows, _Rows], ...]
+    runs: tuple[tuple[int, _Rows], ...]
+
+    def __call__(self, out: np.ndarray, blk: np.ndarray) -> None:
+        for tgt, rows in self.rounds:
+            out[tgt] += blk[rows]
+        for tgt, rows in self.runs:
+            acc = np.concatenate((out[tgt:tgt + 1], blk[rows]))
+            np.add.accumulate(acc, axis=0, out=acc)
+            out[tgt] = acc[-1]
+
+
+def _as_index(ids: list[int]) -> _Rows:
+    """Row ids as a slice when they are consecutive and ascending (no gather)."""
+    if ids == list(range(ids[0], ids[0] + len(ids))):
+        return slice(ids[0], ids[0] + len(ids))
+    return np.array(ids, dtype=np.int64)
+
+
+def _ordered_adds(dst: np.ndarray, src: np.ndarray) -> _OrderedAdds:
+    """Schedule ``out[dst[i]] += blk[src[i]]`` in order, in the fewest steps.
+
+    Round ``j`` adds the ``j``-th term of every target; a target with
+    more terms than there are rounds gets a run of its own instead.  The
+    number of rounds minimizes the steps, counting a run as two (it
+    copies its target's terms once more), so a star is one run, not one
+    round per leaf.
+    """
+    by_dst = np.argsort(dst, kind="stable")
+    d = dst[by_dst]
+    new = np.ones(len(d), dtype=bool)
+    np.not_equal(d[1:], d[:-1], out=new[1:])
+    rank = np.empty(len(d), dtype=np.int64)  # earlier terms of the same target
+    rank[by_dst] = np.arange(len(d)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    sizes = np.bincount(dst)
+    # longer[r]: targets with more than r terms
+    longer = np.append(np.cumsum(np.bincount(sizes)[:0:-1])[::-1], 0)
+    n_rounds = int(np.argmin(np.arange(len(longer)) + 2 * longer))
+    in_run = sizes[dst] > n_rounds
+    # by round, then by target, so that a round's targets ascend
+    light = np.flatnonzero(~in_run)
+    light = light[np.lexsort((dst[light], rank[light]))]
+    stops = np.cumsum(np.bincount(rank[light], minlength=n_rounds)).tolist()
+    rounds = tuple((_as_index(dst[light[a:b]].tolist()), src[light[a:b]])
+                   for a, b in zip([0, *stops], stops))
+    runs = []
+    if in_run.any():
+        heavy = by_dst[in_run[by_dst]]  # by target, each target's terms in order
+        targets = np.flatnonzero(sizes > n_rounds)
+        stops = np.cumsum(sizes[targets]).tolist()
+        runs = [(tgt, _as_index(src[heavy[a:b]].tolist()))
+                for tgt, a, b in zip(targets.tolist(), [0, *stops], stops)]
+    return _OrderedAdds(rounds, tuple(runs))
+
+
+# one level of the elimination: the slots [start, stop) of its vertices,
+# the slots of their parents, and the rounds (parent slots, child slots)
+# that add its rows into its parents' rows, one round per rank among
+# siblings (a single round when the parents are distinct); slot sets are
+# slices where consecutive
+_Level = tuple[int, int, _Rows, tuple[tuple[_Rows, _Rows], ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class _InteriorSolver:
+    """Elimination schedule of the interior block; reusable across right-hand sides.
+
+    Interior vertices are numbered into slots by elimination order:
+    ``vertices[s]`` is the vertex in slot ``s`` and ``inv_piv[s, 0]``
+    the reciprocal of its positive pivot.  The slots of one height form
+    a level, and levels ascend; the root, eliminated last, is alone on
+    the top level, and its parent slot is the sink ``len(vertices)``.
+    ``rhs`` adds each boundary vertex's data into the slot of its unique
+    interior neighbor, in boundary order, which is how Dirichlet data
+    enters the right-hand side.
+    """
+
+    vertices: np.ndarray
     inv_piv: np.ndarray
-    boundary_owner: np.ndarray
+    levels: tuple[_Level, ...]
+    rhs: _OrderedAdds
+    boundary: np.ndarray
 
 
 @per_tree_cache
 def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
-    n = t.n
-    interior = t.degrees > 1
-    # count of interior neighbors, interior vertices only
-    rem = np.zeros(n, dtype=np.int64)
-    for v in t.interior:
-        rem[v] = sum(1 for w in t.neighbors[v] if interior[w])
+    """Eliminate the interior leaf-first, one vertex at a time, then level it.
 
-    piv = t.degrees.astype(np.float64).copy()
-    parent = np.full(n, -1, dtype=np.int64)
-    inv_piv = np.zeros(n)
-    eliminated = np.zeros(n, dtype=bool)
+    Peels interior vertices off a queue; each vertex's parent is its one
+    interior neighbor still present when it is eliminated, and its
+    height is one more than the largest height among its children.  The
+    peel is sorted by height (as in ``spectra._peel_levels``; checked
+    below), so each vertex follows all its children, each parent
+    receives its children's updates in elimination order level by level,
+    and the root is alone at the top.
+    """
+    n = t.n
+    interior = (t.degrees > 1).tolist()
+    # count of interior neighbors, interior vertices only
+    rem = [0] * n
+    for v in t.interior:
+        rem[v] = sum(map(interior.__getitem__, t.neighbors[v]))
+
+    piv = t.degrees.astype(np.float64).tolist()
+    parent = [n] * n
+    height = [0] * n
+    inv_piv = [0.0] * n
+    eliminated = [False] * n
     order: list[int] = []
     dq = deque(v for v in t.interior if rem[v] <= 1)
     while dq:
@@ -127,28 +220,61 @@ def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
         if not piv[v] > 0.0:
             raise InvariantViolationError(f"interior pivot {piv[v]} is not positive")
         inv_piv[v] = 1.0 / piv[v]
-        p = -1
         for w in t.neighbors[v]:
             if interior[w] and not eliminated[w]:
-                p = w
+                parent[v] = w
+                if height[w] <= height[v]:
+                    height[w] = height[v] + 1
+                piv[w] -= inv_piv[v]
+                rem[w] -= 1
+                if rem[w] <= 1:
+                    dq.append(w)
                 break
-        if p >= 0:
-            parent[v] = p
-            piv[p] -= inv_piv[v]
-            rem[p] -= 1
-            if rem[p] <= 1:
-                dq.append(p)
-    if len(order) != len(t.interior):
+    n_int = len(order)
+    if n_int != len(t.interior):
         raise InvariantViolationError(
-            f"interior elimination reached {len(order)} of {len(t.interior)} vertices")
+            f"interior elimination reached {n_int} of {len(t.interior)} vertices")
 
-    boundary_owner = np.array(
-        [t.neighbors[b][0] for b in t.boundary], dtype=np.int64)
+    slot = [n_int] * (n + 1)
+    for i, v in enumerate(order):
+        slot[v] = i
+    parents = [slot[parent[v]] for v in order]
+    heights = [height[v] for v in order]
+    bounds = [0]
+    for i in range(1, n_int):
+        if heights[i] != heights[i - 1]:
+            if heights[i] < heights[i - 1]:
+                raise InvariantViolationError(
+                    "interior elimination order is not sorted by height")
+            bounds.append(i)
+    bounds.append(n_int)
+    levels = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ps = parents[start:stop]
+        idx = _as_index(ps)
+        if len(set(ps)) == stop - start:
+            rounds = ((idx, slice(start, stop)),)
+        else:
+            # round j adds each parent's j-th child on this level, in slot order
+            tgt: list[list[int]] = []
+            rows: list[list[int]] = []
+            seen: dict[int, int] = {}
+            for s, p in enumerate(ps, start):
+                j = seen[p] = seen.get(p, -1) + 1
+                if j == len(tgt):
+                    tgt.append([])
+                    rows.append([])
+                tgt[j].append(p)
+                rows[j].append(s)
+            rounds = tuple((np.array(a), np.array(b)) for a, b in zip(tgt, rows))
+        levels.append((start, stop, idx, rounds))
+    owner = [slot[t.neighbors[b][0]] for b in t.boundary]
     return _InteriorSolver(
-        order=np.array(order, dtype=np.int64),
-        parent=parent,
-        inv_piv=inv_piv,
-        boundary_owner=boundary_owner,
+        vertices=np.array(order, dtype=np.int64),
+        inv_piv=np.array([inv_piv[v] for v in order])[:, None],
+        levels=tuple(levels),
+        rhs=_ordered_adds(np.array(owner, dtype=np.int64), np.arange(len(owner))),
+        boundary=np.array(t.boundary, dtype=np.int64),
     )
 
 
@@ -156,24 +282,25 @@ def _extend_columns(t: BoundaryTree, g: np.ndarray) -> np.ndarray:
     """Harmonic extension of boundary data, vectorized over columns.
 
     ``g`` has shape ``(m, k)`` with one column per right-hand side;
-    returns ``(n, k)``.  Interior rows of the one output array hold the
-    right-hand side, then the forward-eliminated values, then the
-    solution.
+    returns ``(n, k)``.  Works on one row per interior slot (plus the
+    sink), one numpy step per level: the rows hold the right-hand side,
+    then the forward-eliminated values, then the solution, which is
+    scattered back to vertex order.  Every entry is the same float, bit
+    for bit, as eliminating one vertex at a time.
     """
     sol = _interior_solver(t)
-    out = np.zeros((t.n, g.shape[1]))
-    np.add.at(out, sol.boundary_owner, g)
-    order = sol.order
-    for v in order:
-        out[v] *= sol.inv_piv[v]
-        p = sol.parent[v]
-        if p >= 0:
-            out[p] += out[v]
-    for v in order[::-1]:
-        p = sol.parent[v]
-        if p >= 0:
-            out[v] += sol.inv_piv[v] * out[p]
-    out[np.array(t.boundary, dtype=np.int64), :] = g
+    w = np.zeros((len(sol.vertices) + 1, g.shape[1]))
+    sol.rhs(w, g)
+    for start, stop, _, rounds in sol.levels:
+        blk = w[start:stop]
+        blk *= sol.inv_piv[start:stop]
+        for parents, children in rounds:
+            w[parents] += w[children]
+    for start, stop, parents, _ in reversed(sol.levels[:-1]):  # not the root
+        w[start:stop] += sol.inv_piv[start:stop] * w[parents]
+    out = np.empty((t.n, g.shape[1]))
+    out[sol.vertices] = w[:-1]
+    out[sol.boundary] = g
     return out
 
 
@@ -224,9 +351,6 @@ class DtnMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.entries @ g
-
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         m = self.entries
         scale = 1.0 + float(np.abs(m).max(initial=0.0))
@@ -239,11 +363,12 @@ class DtnMatrix:
 
 
 def dtn_matrix(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> DtnMatrix:
-    """Assemble the boundary response matrix column by column.
+    """Assemble the boundary response matrix.
 
     Column ``j`` is the normal derivative of the harmonic extension of
-    the ``j``-th boundary indicator; all extensions are solved in one
-    vectorized elimination pass.
+    the ``j``-th boundary indicator.  All ``m`` extensions are solved at
+    once, one numpy step per level of the interior elimination, and the
+    Laplacian of all of them is one more pass.
     """
     m = t.n_boundary
     ext = _extend_columns(t, np.eye(m))
@@ -258,9 +383,20 @@ def dtn_matrix(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> DtnMatrix:
     return mat
 
 
+@per_tree_cache
+def _neighbor_adds(t: BoundaryTree) -> _OrderedAdds:
+    """The neighbor sums of the Laplacian, as ordered adds.
+
+    Each vertex takes its neighbors above it, then those below it, each
+    ascending: the order of one scatter-add over the sorted edge list from
+    the ``edge_u`` ends, then one from the ``edge_v`` ends.
+    """
+    return _ordered_adds(np.concatenate((t.edge_u, t.edge_v)),
+                         np.concatenate((t.edge_v, t.edge_u)))
+
+
 def laplacian_apply_matrix(t: BoundaryTree, vals: np.ndarray) -> np.ndarray:
-    """Laplacian applied to each column of an ``(n, k)`` array."""
+    """Laplacian of an ``(n,)`` vector, or of each column of an ``(n, k)`` array."""
     nbr_sum = np.zeros_like(vals)
-    np.add.at(nbr_sum, t.edge_u, vals[t.edge_v])
-    np.add.at(nbr_sum, t.edge_v, vals[t.edge_u])
-    return t.degrees[:, None] * vals - nbr_sum
+    _neighbor_adds(t)(nbr_sum, vals)
+    return t.degrees.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals - nbr_sum

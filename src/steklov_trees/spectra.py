@@ -45,6 +45,7 @@ from .errors import (
 )
 from .graph_core import BoundaryTree, per_tree_cache
 from .harmonic import (
+    DtnMatrix,
     VertexFunction,
     _extend_columns,
     dtn_matrix,
@@ -343,6 +344,15 @@ def _check_spectrum(
         raise InvariantViolationError(f"eigenbasis orthonormality off by {gram_dev:.3e}")
 
 
+def _spectrum_from_matrix(mat: DtnMatrix, tol: Tolerances) -> SteklovSpectrum:
+    """Diagonalize an assembled response matrix and check the spectral invariants."""
+    t = mat.tree
+    w, q = eigendecompose_symmetric(mat.entries)
+    ext = _extend_columns(t, q)
+    _check_spectrum(t, w, q, ext, tol)
+    return SteklovSpectrum(tree=t, eigenvalues=w, boundary_basis=q, extensions=ext)
+
+
 def steklov_spectrum(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> SteklovSpectrum:
     """Assemble the boundary response matrix and diagonalize it (primary route).
 
@@ -352,11 +362,7 @@ def steklov_spectrum(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> SteklovS
     derivative ``lambda * f`` on the boundary, and an orthonormal
     boundary basis.
     """
-    mat = dtn_matrix(t, tol)
-    w, q = eigendecompose_symmetric(mat.entries)
-    ext = _extend_columns(t, q)
-    _check_spectrum(t, w, q, ext, tol)
-    return SteklovSpectrum(tree=t, eigenvalues=w, boundary_basis=q, extensions=ext)
+    return _spectrum_from_matrix(dtn_matrix(t, tol), tol)
 
 
 def steklov_lambda(

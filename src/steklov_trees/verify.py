@@ -31,9 +31,9 @@ from .partitions import (
     two_level_test_function,
 )
 from .spectra import (
+    _spectrum_from_matrix,
     rayleigh_quotient,
     steklov_eigenvalue_bisect,
-    steklov_spectrum,
     variational_upper_check,
 )
 
@@ -160,7 +160,7 @@ def _check_tree(
 
     def spectral() -> None:
         nonlocal spectrum
-        spectrum = steklov_spectrum(t, tol)
+        spectrum = _spectrum_from_matrix(mat, tol)  # the matrix assembled above
 
     if not run("spectrum_invariants", spectral):
         return  # everything below needs eigenvalues

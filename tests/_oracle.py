@@ -17,11 +17,15 @@ The edge-by-edge ``build_tree`` and line-by-line text parser as they
 stood before the int64 input layer are the reference for its trees and
 its error messages, and a boolean mask over all vertices is the
 reference for ``make_subtree``.
+The one-vertex-at-a-time interior elimination and the ``np.add.at``
+Laplacian as they stood before the level schedule are the reference
+for the harmonic layer's bits.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -413,3 +417,89 @@ def make_subtree_oracle(t, vertices) -> SubtreeRef:
     ids = np.flatnonzero(mask)
     rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
+
+
+# -- harmonic layer ---------------------------------------------------------------
+# the one-vertex-at-a-time interior elimination, its column extension and the
+# np.add.at Laplacian as they stood before the level schedule, verbatim apart
+# from their names and the per-tree cache
+
+@dataclass(frozen=True, eq=False)
+class _InteriorSolverOracle:
+    order: np.ndarray
+    parent: np.ndarray
+    inv_piv: np.ndarray
+    boundary_owner: np.ndarray
+
+
+def interior_solver_oracle(t: BoundaryTree) -> _InteriorSolverOracle:
+    n = t.n
+    interior = t.degrees > 1
+    # count of interior neighbors, interior vertices only
+    rem = np.zeros(n, dtype=np.int64)
+    for v in t.interior:
+        rem[v] = sum(1 for w in t.neighbors[v] if interior[w])
+
+    piv = t.degrees.astype(np.float64).copy()
+    parent = np.full(n, -1, dtype=np.int64)
+    inv_piv = np.zeros(n)
+    eliminated = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    dq = deque(v for v in t.interior if rem[v] <= 1)
+    while dq:
+        v = dq.popleft()
+        if eliminated[v]:
+            continue
+        eliminated[v] = True
+        order.append(v)
+        if not piv[v] > 0.0:
+            raise InvariantViolationError(f"interior pivot {piv[v]} is not positive")
+        inv_piv[v] = 1.0 / piv[v]
+        p = -1
+        for w in t.neighbors[v]:
+            if interior[w] and not eliminated[w]:
+                p = w
+                break
+        if p >= 0:
+            parent[v] = p
+            piv[p] -= inv_piv[v]
+            rem[p] -= 1
+            if rem[p] <= 1:
+                dq.append(p)
+    if len(order) != len(t.interior):
+        raise InvariantViolationError(
+            f"interior elimination reached {len(order)} of {len(t.interior)} vertices")
+
+    boundary_owner = np.array(
+        [t.neighbors[b][0] for b in t.boundary], dtype=np.int64)
+    return _InteriorSolverOracle(
+        order=np.array(order, dtype=np.int64),
+        parent=parent,
+        inv_piv=inv_piv,
+        boundary_owner=boundary_owner,
+    )
+
+
+def extend_columns_oracle(t: BoundaryTree, g: np.ndarray) -> np.ndarray:
+    sol = interior_solver_oracle(t)
+    out = np.zeros((t.n, g.shape[1]))
+    np.add.at(out, sol.boundary_owner, g)
+    order = sol.order
+    for v in order:
+        out[v] *= sol.inv_piv[v]
+        p = sol.parent[v]
+        if p >= 0:
+            out[p] += out[v]
+    for v in order[::-1]:
+        p = sol.parent[v]
+        if p >= 0:
+            out[v] += sol.inv_piv[v] * out[p]
+    out[np.array(t.boundary, dtype=np.int64), :] = g
+    return out
+
+
+def laplacian_apply_matrix_oracle(t: BoundaryTree, vals: np.ndarray) -> np.ndarray:
+    nbr_sum = np.zeros_like(vals)
+    np.add.at(nbr_sum, t.edge_u, vals[t.edge_v])
+    np.add.at(nbr_sum, t.edge_v, vals[t.edge_u])
+    return t.degrees[:, None] * vals - nbr_sum

@@ -23,6 +23,30 @@ PENCIL_REPORT_DIGESTS = [
      "de0e8687d4d5b25482f4f29696f699fe334201fda2613856291f071a1bbcfe64"),
 ]
 
+# sha256 of dense-route reports (boundary sizes 108, 151, 199 and 24),
+# recorded with the one-vertex-at-a-time interior elimination and the
+# np.add.at Laplacian; the level-scheduled harmonic layer must keep every
+# byte, eigenfunctions included
+_BALL44 = '{"family":"BALL","D":4,"r":4}'
+_INTERIOR3_M151 = '{"family":"RANDOM_INTERIOR3","n_target":250,"max_degree":4,"seed":7}'
+_INTERIOR3_M199 = '{"family":"RANDOM_INTERIOR3","n_target":333,"max_degree":4,"seed":2}'
+DENSE_REPORT_DIGESTS = [
+    (["bounds", "--family", _BALL44, "--k", "3,5", "--format", "json"],
+     "323936f5d0a9f5972f730effa5b12d6cbd170a229e0ac41357367ed5407a9001"),
+    (["bounds", "--family", _BALL44, "--k", "3,5", "--format", "csv"],
+     "c96ff86f30c976830d7b8a2b949577116face78de95d33880110eae4a796c112"),
+    (["bounds", "--family", _INTERIOR3_M151, "--k", "3,5", "--format", "json"],
+     "6c17194fce1821dfcb69febb9ab22f6fed659843e482d3c0cc90e1c48a2695b2"),
+    (["bounds", "--family", _INTERIOR3_M151, "--k", "3,5", "--format", "csv"],
+     "030c035915fa1ecbd8fa8701e9dc15197a15ade8ae0f5ed88fabe56e3b367dd7"),
+    (["bounds", "--family", _INTERIOR3_M199, "--k", "3,5", "--format", "json"],
+     "8f38c1a834f56ed5d1790a79e372797c446dffef6a06d1b30019237d916558c2"),
+    (["bounds", "--family", _INTERIOR3_M199, "--k", "3,5", "--format", "csv"],
+     "34d78f6305833c9b61bb7db730180387c4d36ab0b4f198cc097ba94f2b5a1b27"),
+    (["spectrum", "--family", '{"family":"BALL","D":3,"r":4}', "--eigenfunctions"],
+     "f5aeb6a1a446c6f4b4d9d7f547e2187827e7c5f3594455174c92e4e9f308517f"),
+]
+
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -278,6 +302,17 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize("argv,digest", PENCIL_REPORT_DIGESTS,
                          ids=["bounds-ball38", "bounds-interior3-m402", "sweep-ball3"])
 def test_pencil_route_report_bytes_match_recorded_digests(argv, digest, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", DENSE_REPORT_DIGESTS,
+                         ids=["bounds-ball44-json", "bounds-ball44-csv",
+                              "bounds-interior3-m151-json", "bounds-interior3-m151-csv",
+                              "bounds-interior3-m199-json", "bounds-interior3-m199-csv",
+                              "spectrum-ball34-eigenfunctions"])
+def test_dense_route_report_bytes_match_recorded_digests(argv, digest, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,17 +12,33 @@ from hypothesis.extra.numpy import arrays
 
 from steklov_trees import (
     BoundaryFunction,
+    BoundaryTree,
     InvariantViolationError,
     VertexFunction,
+    build_tree,
     dtn_matrix,
     gen_ball,
+    gen_path,
     gen_random_tree,
     harmonic_extension,
     laplacian_apply,
     normal_derivative,
 )
+from steklov_trees.harmonic import (
+    _extend_columns,
+    _interior_solver,
+    _neighbor_adds,
+    laplacian_apply_matrix,
+)
+from steklov_trees.spectra import eigendecompose_symmetric
 
-from _oracle import dtn_brute, harmonic_extension_brute, laplacian_brute
+from _oracle import (
+    dtn_brute,
+    extend_columns_oracle,
+    harmonic_extension_brute,
+    laplacian_apply_matrix_oracle,
+    laplacian_brute,
+)
 
 RTOL = 1e-12
 
@@ -137,10 +155,12 @@ def test_dtn_path_frozen(path4):
 
 
 def test_dtn_apply(ball32):
+    # the response to boundary data is the matrix product
     mat = dtn_matrix(ball32)
     assert mat.size == 6
     g = np.arange(6.0)
-    np.testing.assert_allclose(mat.apply(g), mat.entries @ g, rtol=RTOL)
+    flux = normal_derivative(harmonic_extension(ball32, g)).values
+    np.testing.assert_allclose(flux, mat.entries @ g, rtol=RTOL, atol=1e-14)
 
 
 def test_dtn_validate_catches_tampering(ball32):
@@ -167,7 +187,7 @@ def test_dtn_flux_is_matrix_times_data(n, cap, seed):
     rng = np.random.default_rng(seed % 2**31)
     g = rng.standard_normal(t.n_boundary)
     flux = normal_derivative(harmonic_extension(t, g)).values
-    np.testing.assert_allclose(flux, mat.apply(g), rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(flux, mat.entries @ g, rtol=1e-9, atol=1e-10)
 
 
 def test_interior_pivot_check_raises_without_assert():
@@ -186,3 +206,87 @@ def test_interior_elimination_check_raises_on_a_cycle(ball32):
         boundary=(), interior=(0, 1, 2), boundary_pos=np.full(3, -1))
     with pytest.raises(InvariantViolationError, match="elimination"):
         dtn_matrix(cyc)
+
+
+# -- level schedule against the one-vertex-at-a-time elimination -----------------------
+
+def _caterpillar(legs: list[int]) -> BoundaryTree:
+    """A spine ``0..len(legs)-1`` with ``legs[i]`` leaves hung on spine vertex ``i``."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    nxt = len(legs)
+    for i, k in enumerate(legs):
+        edges += [(i, nxt + j) for j in range(k)]
+        nxt += k
+    return build_tree(edges)
+
+
+def _spider(lengths: list[int]) -> BoundaryTree:
+    """Legs of the given lengths from a hub: many siblings on one level."""
+    edges = []
+    nxt = 1
+    for k in lengths:
+        prev = 0
+        for _ in range(k):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return build_tree(edges)
+
+
+shapes = st.one_of(
+    st.builds(gen_random_tree, st.integers(4, 60), st.integers(2, 7),
+              st.integers(0, 2**32)),
+    st.builds(gen_path, st.integers(2, 80)),
+    st.builds(gen_ball, st.integers(3, 60), st.just(1)),
+    st.builds(gen_ball, st.integers(3, 5), st.integers(2, 3)),
+    st.builds(_caterpillar, st.lists(st.integers(0, 30), min_size=3, max_size=12)),
+    st.builds(_spider, st.lists(st.integers(1, 4), min_size=3, max_size=30)),
+)
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    # tobytes, not array_equal: -0.0 == 0.0, but their bits differ
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(t=shapes, seed=st.integers(0, 2**31), k=st.integers(1, 5))
+def test_extension_and_laplacian_bytes_match_the_scalar_elimination(t, seed, k):
+    m = t.n_boundary
+    _, q = eigendecompose_symmetric(dtn_matrix(t).entries)
+    rng = np.random.default_rng(seed)
+    for g in (np.eye(m), rng.standard_normal((m, k)), q, -q):
+        ext = _extend_columns(t, g)
+        _same_bytes(ext, extend_columns_oracle(t, g))
+        _same_bytes(laplacian_apply_matrix(t, ext), laplacian_apply_matrix_oracle(t, ext))
+    # one column, through the public entry points
+    g = -q[:, rng.integers(m)]
+    f = harmonic_extension(t, g)
+    want = extend_columns_oracle(t, g[:, None])[:, 0]
+    _same_bytes(f.values, want)
+    lap = laplacian_apply_matrix_oracle(t, want[:, None])[:, 0]
+    _same_bytes(laplacian_apply(f).values, lap)
+    _same_bytes(normal_derivative(f).values, lap[list(t.boundary)])
+
+
+def test_interior_height_order_check_raises_without_assert(ball32):
+    # a real check, not an ``assert``: in a forest of two interior parts the
+    # queue reaches the second part's lone vertex, at height 0, after the
+    # first part's root at height 1
+    forest = dataclasses.replace(
+        ball32, n=7, degrees=np.array([2, 2, 2, 1, 1, 1, 1]),
+        neighbors=((1, 3), (0, 4), (5, 6), (0,), (1,), (2,), (2,)),
+        boundary=(3, 4, 5, 6), interior=(0, 1, 2),
+        boundary_pos=np.array([-1, -1, -1, 0, 1, 2, 3]))
+    with pytest.raises(InvariantViolationError, match="sorted by height"):
+        dtn_matrix(forest)
+
+
+def test_interior_schedule_dies_with_its_tree():
+    t = gen_ball(3, 4)
+    sol = _interior_solver(t)
+    assert _interior_solver(t) is sol
+    nbr = _neighbor_adds(t)
+    refs = weakref.ref(t), weakref.ref(sol), weakref.ref(nbr)
+    del t, sol, nbr
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
