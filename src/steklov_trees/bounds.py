@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULT_TOL, Tolerances
 from .errors import PartTooSmallError
-from .graph_core import BoundaryTree, diameter
+from .graph_core import BoundaryTree, diameter, per_tree_cache
 from .partitions import (
     diameter_test_function,
     multiway_test_functions,
@@ -79,8 +81,14 @@ class BoundReport:
         }
 
 
+@per_tree_cache
 def _interior_degrees_ok(t: BoundaryTree) -> bool:
-    return all(t.degrees[v] >= 3 for v in t.interior)
+    """Does every interior vertex have degree >= 3?
+
+    Interior vertices are those of degree >= 2, so this asks that no
+    vertex has degree exactly 2.
+    """
+    return not np.count_nonzero(t.degrees == 2)
 
 
 def _upper_report(

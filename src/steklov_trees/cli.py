@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -236,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for s, t, row in zip(specs, trees, report.rows):
         d = t.max_degree
         bb = 4 * (d - 1) / row.n_boundary
-        volume_ok = all(t.degrees[v] >= 3 for v in t.interior)
+        volume_ok = bnd._interior_degrees_ok(t)
         bv = 8 * (d - 1) / (t.n + 2)
         lines.append(",".join([
             family_label(s), str(row.n), str(row.n_boundary), str(d),
@@ -256,7 +257,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand's ``cmd_<name>`` is looked up by name when it runs,
+    so a rebinding of the module attribute takes effect.
+    """
     ap = argparse.ArgumentParser(
         prog="steklov-trees",
         description="Steklov spectra of trees with boundary: compute, bound, verify.")
@@ -279,20 +286,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--eigenfunctions", action="store_true",
                    help="include boundary eigenvectors in JSON output")
-    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("bounds", help="all certified bound reports for one tree")
     add_tree_source(p)
     add_io(p)
     p.add_argument("--k", default="3,5",
                    help="comma-separated higher eigenvalue indices (default 3,5)")
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("generate", help="emit a named family member as an edge list")
     p.add_argument("--family", required=True)
     p.add_argument("--format", choices=("edges", "json"), default="edges")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="seeded random-tree verification harness")
     add_io(p)
@@ -301,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=60)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="lambda_2 decay along a growing family")
     add_io(p, fmt_default="csv")
@@ -310,18 +313,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         '{"family":"PATH","L":[2,200]}')
     p.add_argument("--threshold", type=float, default=0.01,
                    help="the largest member must bring lambda_2 to this or below")
-    p.set_defaults(fn=cmd_sweep)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

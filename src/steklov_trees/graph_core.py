@@ -21,7 +21,13 @@ with the same message, as validating one edge at a time would.  The
 search's BFS order and parents from vertex 0 stay as a weakly held
 per-tree index: :func:`make_subtree` checks a part's connectivity in
 O(|part|) from the parents, and :func:`diameter` reads its distances
-from vertex 0 off the order.
+from vertex 0 off the order.  A second per-tree index, built on first
+use, holds the DFS preorder from vertex 0 with each subtree's slice
+``[tin, tout)``: the partition descents read their sides off it, and
+:func:`branch_components` takes each spine component as one preorder
+slice minus at most two nested slices.  The leaf-first peel of the
+spectral count keeps its own walk, since its order fixes the count's
+float bits.
 """
 from __future__ import annotations
 
@@ -131,6 +137,55 @@ def _rooted_index(t: BoundaryTree) -> _RootedIndex:
     """The rooted index of ``t``; :func:`build_tree` stores it as it builds."""
     order, parent = _bfs(t.neighbors, 0)
     return _RootedIndex(order, parent, (t.boundary_pos >= 0).tolist())
+
+
+class _Preorder(NamedTuple):
+    """The tree rooted at vertex 0 in depth-first preorder.
+
+    The subtree of ``x`` is the preorder slice ``[tin[x], tout[x])`` of
+    ``order`` (and of ``pre``, the same vertices as an array).
+    """
+
+    order: list[int]       # vertices in preorder
+    pre: np.ndarray        # ``order`` as an int64 array
+    tin: list[int]
+    tout: list[int]
+    parent: list[int]      # -1 at the root, vertex 0
+    boundary: np.ndarray   # boundary flags, in preorder
+
+
+@per_tree_cache
+def _preorder(t: BoundaryTree) -> _Preorder:
+    """Depth-first preorder of ``t`` from vertex 0, neighbours ascending.
+
+    Built once per tree and shared by the partition descents and
+    :func:`branch_components`.
+    """
+    parent = [-1] * t.n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in reversed(t.neighbors[x]):
+            if y != parent[x]:
+                parent[y] = x
+                stack.append(y)
+    tin = [0] * t.n
+    for i, x in enumerate(order):
+        tin[x] = i
+    size = [1] * t.n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    pre = np.array(order, dtype=np.int64)
+    return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
+                     t.boundary_pos[pre] >= 0)
+
+
+def _is_edge(t: BoundaryTree, e: Edge) -> bool:
+    """Is ``e`` one of ``t.edges``, a pair ``(u, v)`` with ``u < v``?"""
+    u, v = e
+    return 0 <= u < v < t.n and v in t.neighbors[u]
 
 
 def _is_id_type(tp: type) -> bool:
@@ -390,9 +445,11 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
     An induced subgraph of a tree is a forest, so it is connected exactly
     when it has ``|vertices| - 1`` edges.  Rooted at vertex 0, those
     edges join the members whose parent is also a member to that parent,
-    so counting such members takes O(|vertices|).
+    so counting such members takes O(|vertices|).  A frozenset is kept
+    as it is (its members must be Python ints); any other iterable is
+    converted.
     """
-    vs = frozenset(map(int, vertices))
+    vs = vertices if type(vertices) is frozenset else frozenset(map(int, vertices))
     if not vs:
         raise BadVertexError("empty subtree")
     ascending = sorted(vs)
@@ -416,7 +473,7 @@ def edge_split(t: BoundaryTree, u: int, v: int) -> tuple[frozenset[int], frozens
     """
     t.check_vertex(u)
     t.check_vertex(v)
-    if (min(u, v), max(u, v)) not in set(t.edges):
+    if not _is_edge(t, (min(u, v), max(u, v))):
         raise MalformedError(f"({u}, {v}) is not an edge")
     side_u = component_avoiding(t, u, v)
     side_v = frozenset(range(t.n)) - side_u
@@ -446,6 +503,11 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     endpoints, and their relative boundary counts ``n_k`` add up to
     ``|boundary| - 2``.
 
+    Each ``G_k`` is read off the tree's cached preorder: the subtree of
+    ``x_k`` (all of ``V`` when both spine neighbours are its children)
+    minus the subtrees of the spine neighbours below it, so one slice
+    minus at most two nested slices.
+
     Returns a list of length ``L-1`` whose entry ``k-1`` is ``G_k``.
 
     Raises:
@@ -457,32 +519,35 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
         raise NotAPathError("vertex sequence is not a simple path")
     for v in p:
         t.check_vertex(v)
-    eset = set(t.edges)
     for a, b in zip(p, p[1:]):
-        if (min(a, b), max(a, b)) not in eset:
+        if b not in t.neighbors[a]:
             raise NotAPathError(f"({a}, {b}) is not an edge")
     L = len(p) - 1
     if L != diameter(t).length:
         raise NotAPathError("path does not realize the diameter")
 
+    idx = _preorder(t)
+    order, tin, tout = idx.order, idx.tin, idx.tout
     out: list[SubtreeRef] = []
+    spans: list[tuple[int, int]] = []
     for k in range(1, L):
-        xk = p[k]
-        block = {p[k - 1], p[k + 1]}
-        comp = {xk}
-        dq = deque([xk])
-        while dq:
-            x = dq.popleft()
-            for y in t.neighbors[x]:
-                if y not in block and y not in comp:
-                    comp.add(y)
-                    dq.append(y)
-        out.append(make_subtree(t, comp))
+        x = p[k]
+        below = sorted((tin[y], tout[y]) for y in (p[k - 1], p[k + 1])
+                       if idx.parent[y] == x)
+        lo, hi = (0, t.n) if len(below) == 2 else (tin[x], tout[x])
+        members: list[int] = []
+        for a, b in below:
+            spans.append((lo, a))
+            members += order[lo:a]
+            lo = b
+        spans.append((lo, hi))
+        members += order[lo:hi]
+        out.append(make_subtree(t, frozenset(members)))
 
-    covered = set(p[0:1]) | set(p[-1:])
-    for ref in out:
-        covered |= ref.vertices
-    if len(covered) != t.n:
+    pre = idx.pre
+    hits = np.bincount(np.concatenate([pre[a:b] for a, b in spans] + [p[:1], p[-1:]]),
+                       minlength=t.n)
+    if len(hits) != t.n or np.count_nonzero(hits != 1):
         raise InvariantViolationError("branch components must partition V")
     if sum(len(r.relative_boundary) for r in out) != t.n_boundary - 2:
         raise InvariantViolationError(

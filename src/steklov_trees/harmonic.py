@@ -51,7 +51,7 @@ class VertexFunction:
         object.__setattr__(self, "values", vals)
 
     def boundary_values(self) -> np.ndarray:
-        return self.values[np.array(self.tree.boundary, dtype=np.int64)]
+        return self.values[self.tree.boundary_pos >= 0]  # ascending ids
 
 
 @dataclass(frozen=True, eq=False)

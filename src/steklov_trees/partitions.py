@@ -8,19 +8,23 @@ checked exactly, never through floating point.
 
 The balanced-part descents behind :func:`partition_two`,
 :func:`partition_k` and the sub-split of :func:`multiway_test_functions`
-run on a per-tree DFS preorder of the tree: inside a connected vertex
-set, the side of any edge is one preorder slice or its complement, so a
-side's boundary count is a difference of prefix sums.  Each extraction
-takes O(n) numpy work and O(1) Python work per candidate side.
-:func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
-share no code with that index; they are the independent oracle and
-re-derivation.
+run on the tree's DFS preorder, cached once per tree in
+:mod:`.graph_core` and shared with :func:`.graph_core.branch_components`:
+inside a connected vertex set, the side of any edge is one preorder
+slice or its complement, so a side's boundary count is a difference of
+prefix sums.  The vertex set a descent works in is a length-``n`` bool
+mask (:func:`partition_k` clears each extracted part from its remainder
+in place), and each part becomes a frozenset exactly once, when it is
+extracted.  Each extraction takes O(n) numpy work and O(1) Python work
+per candidate side; the test functions write their values through
+index arrays.  :func:`partition_two_optimal` and
+:meth:`PartitionCertificate.validate` share no code with the preorder;
+they are the independent oracle and re-derivation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +37,12 @@ from .errors import (
 from .graph_core import (
     BoundaryTree,
     SubtreeRef,
+    _is_edge,
+    _preorder,
     branch_components,
     component_avoiding,
     diameter,
     make_subtree,
-    per_tree_cache,
 )
 from .harmonic import VertexFunction
 
@@ -66,15 +71,14 @@ class PartitionCertificate:
             raise InvariantViolationError("certificate field lengths disagree")
         if len(set(self.removed_edges)) != len(self.removed_edges):
             raise InvariantViolationError("removed edges are not distinct")
-        eset = set(t.edges)
         for e in self.removed_edges:
-            if e not in eset:
+            if not _is_edge(t, e):
                 raise InvariantViolationError(f"{e} is not an edge of the tree")
         lo, hi = self.interval
         seen: set[int] = set()
         m = t.n_boundary
         for ref, frac in zip(self.parts, self.fractions):
-            if ref.vertices & seen:
+            if not seen.isdisjoint(ref.vertices):
                 raise InvariantViolationError("parts are not pairwise disjoint")
             seen |= ref.vertices
             make_subtree(t, ref.vertices)  # connectivity re-check
@@ -97,61 +101,26 @@ class PartitionCertificate:
 
 # -- descent machinery --------------------------------------------------------------
 
-class _Preorder(NamedTuple):
-    pre: np.ndarray        # vertices in preorder
-    tin: list[int]         # the subtree of x is the preorder slice [tin[x], tout[x])
-    tout: list[int]
-    parent: list[int]      # -1 at the root, vertex 0
-    boundary: np.ndarray   # boundary flags, in preorder
-
-
-@per_tree_cache
-def _preorder(t: BoundaryTree) -> _Preorder:
-    """Depth-first preorder of ``t`` from vertex 0, neighbours ascending.
-
-    Built once per tree and shared by every descent on it.  The
-    exhaustive split and :meth:`PartitionCertificate.validate` do not use
-    it: they stay independent of the descent.
-    """
-    parent = [-1] * t.n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in reversed(t.neighbors[x]):
-            if y != parent[x]:
-                parent[y] = x
-                stack.append(y)
-    tin = [0] * t.n
-    for i, x in enumerate(order):
-        tin[x] = i
-    size = [1] * t.n
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-    pre = np.array(order, dtype=np.int64)
-    return _Preorder(pre, tin, [a + b for a, b in zip(tin, size)], parent,
-                     t.boundary_pos[pre] >= 0)
-
-
 class _Sides:
     """The sides of every edge inside a connected vertex set, O(1) each.
 
-    A side is named by a directed edge ``(v, w)``: the component of ``w``
-    in ``allowed`` after deleting ``v``.  Because ``allowed`` is
-    connected, that is ``allowed ∩ subtree(w)`` when ``w`` is a child of
-    ``v`` (rooted at vertex 0), and ``allowed`` minus ``subtree(v)``
-    otherwise; either way one preorder slice, inside or outside, so its
-    boundary count is a difference of prefix sums.
+    ``allowed`` is a length-``n`` bool mask.  A side is named by a
+    directed edge ``(v, w)``: the component of ``w`` in ``allowed`` after
+    deleting ``v``.  Because ``allowed`` is connected, that is
+    ``allowed ∩ subtree(w)`` when ``w`` is a child of ``v`` (rooted at
+    vertex 0), and ``allowed`` minus ``subtree(v)`` otherwise; either way
+    one preorder slice, inside or outside, so its boundary count is a
+    difference of prefix sums.
     """
 
-    def __init__(self, t: BoundaryTree, allowed: frozenset[int], ports: frozenset[int]):
+    def __init__(self, t: BoundaryTree, allowed: np.ndarray, ports: frozenset[int]):
         idx = self.idx = _preorder(t)
-        member = np.zeros(t.n, dtype=bool)
-        member[np.fromiter(allowed, np.int64, len(allowed))] = True
-        self.mask = member[idx.pre]  # allowed, in preorder
-        self.below = [0, *np.cumsum(self.mask & idx.boundary).tolist()]
-        self.port_pos = [idx.tin[p] for p in ports & allowed]
+        self.mask = allowed[idx.pre]  # allowed, in preorder
+        # below[i]: boundary vertices of allowed among the first i in preorder
+        self.below = np.zeros(len(self.mask) + 1, dtype=np.int64)
+        np.cumsum(self.mask & idx.boundary, out=self.below[1:])
+        self.held = int(self.below[-1])
+        self.port_pos = [idx.tin[p] for p in ports if allowed[p]]
 
     def _span(self, e: Edge) -> tuple[int, int, bool]:
         """``(lo, hi, inside)``: the side is the slice ``[lo, hi)`` or its complement."""
@@ -163,8 +132,8 @@ class _Sides:
 
     def count(self, e: Edge) -> int:
         lo, hi, inside = self._span(e)
-        c = self.below[hi] - self.below[lo]
-        return c if inside else self.below[-1] - c
+        c = int(self.below[hi] - self.below[lo])
+        return c if inside else self.held - c
 
     def touches_port(self, e: Edge) -> bool:
         lo, hi, inside = self._span(e)
@@ -200,7 +169,7 @@ def _pick(sides: _Sides, candidates: list[Edge]) -> tuple[int, Edge]:
 
 def _descend(
     t: BoundaryTree,
-    allowed: frozenset[int],
+    allowed: np.ndarray,
     tau: Fraction,
     *,
     enter_at_equal: bool,
@@ -209,24 +178,24 @@ def _descend(
 ) -> tuple[frozenset[int], Fraction, Edge]:
     """One balanced-part extraction inside the subtree induced on ``allowed``.
 
-    ``allowed`` must be connected (all of ``V``, a :func:`partition_k`
-    remainder, or a certified part).  Starts from the smallest edge
-    inside it, walks toward larger boundary mass while a side exceeds
-    ``tau`` (``enter_at_equal`` controls whether a side exactly at
-    ``tau`` is still descended into), and returns the maximal child
-    strictly below the threshold when the walk stops.  Fractions count
+    ``allowed`` is a length-``n`` bool mask and must be connected (all of
+    ``V``, a :func:`partition_k` remainder, or a certified part).  Starts
+    from the smallest edge inside it, walks toward larger boundary mass
+    while a side exceeds ``tau`` (``enter_at_equal`` controls whether a
+    side exactly at ``tau`` is still descended into), and returns the
+    maximal child strictly below the threshold when the walk stops.  Fractions count
     boundary vertices of ``t`` over ``total`` (default: all of them).
     Descending strictly shrinks the active side, so at most ``n`` steps
-    occur.  An extraction costs a few O(n) numpy passes (the membership
-    mask and one prefix sum over the cached preorder, the winning side's
-    slice) and O(1) Python work per candidate side; only the winning
-    side becomes a set.  Returns ``(part vertices, fraction, cut edge)``.
+    occur.  An extraction costs a few O(n) numpy passes (the mask and one
+    prefix sum over the cached preorder, the winning side's slice) and
+    O(1) Python work per candidate side; only the winning side becomes a
+    set.  Returns ``(part vertices, fraction, cut edge)``.
     """
     if total is None:
         total = t.n_boundary
-    u0 = min(allowed)
-    v0 = next((w for w in t.neighbors[u0] if w in allowed), None)
-    if v0 is None:
+    u0 = int(allowed.argmax())
+    v0 = next((w for w in t.neighbors[u0] if allowed[w]), None)
+    if v0 is None or not allowed[u0]:
         raise InvariantViolationError("descent needs at least one edge")
     sides = _Sides(t, allowed, ports)
     # walk into the heavy side;  v is its entry vertex, u the vertex left behind
@@ -241,7 +210,7 @@ def _descend(
         steps += 1
         if steps > t.n:
             raise InvariantViolationError("descent failed to terminate")
-        children = [(v, w) for w in t.neighbors[v] if w != u and w in allowed]
+        children = [(v, w) for w in t.neighbors[v] if w != u and allowed[w]]
         if not children:
             raise InvariantViolationError("heavy side cannot be a single vertex")
         cnt, edge = _pick(sides, children)
@@ -258,7 +227,7 @@ def partition_two(t: BoundaryTree) -> PartitionCertificate:
     because its parent vertex spreads more than half of the boundary over
     at most ``D - 1`` child components.
     """
-    allowed = frozenset(range(t.n))
+    allowed = np.ones(t.n, dtype=bool)
     part, frac, edge = _descend(t, allowed, Fraction(1, 2), enter_at_equal=False)
     d = t.max_degree
     cert = PartitionCertificate(
@@ -331,7 +300,7 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
         raise InfeasibleKError(f"need 3 <= k <= {m}, got {k}")
     d = t.max_degree
     tau = Fraction(1, k - 1)
-    remaining = frozenset(range(t.n))
+    remaining = np.ones(t.n, dtype=bool)
     removed: list[Edge] = []
     parts: list[SubtreeRef] = []
     fractions: list[Fraction] = []
@@ -342,8 +311,8 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
         parts.append(make_subtree(t, part))
         fractions.append(frac)
         removed.append((min(edge), max(edge)))
-        remaining -= part
-        ports |= {edge[0], edge[1]} & remaining
+        remaining[list(part)] = False
+        ports |= {v for v in edge if remaining[v]}
     cert = PartitionCertificate(
         tree=t,
         removed_edges=tuple(removed),
@@ -356,6 +325,11 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
 
 
 # -- test functions -----------------------------------------------------------------
+
+def _ids(vertices: frozenset[int]) -> np.ndarray:
+    """A vertex set as an index array, in the set's own order."""
+    return np.fromiter(vertices, np.intp, len(vertices))
+
 
 def two_level_rayleigh_exact(cert: PartitionCertificate) -> Fraction:
     """Exact Rayleigh quotient of the two-level function: 1/(m β(1-β)).
@@ -381,7 +355,7 @@ def two_level_test_function(
     beta = cert.fractions[0]
     part = cert.parts[0].vertices
     vals = np.full(t.n, float(-beta))
-    vals[sorted(part)] = float(1 - beta)
+    vals[_ids(part)] = float(1 - beta)
     f = VertexFunction(t, vals)
     bsum = float(f.boundary_values().sum())
     if abs(bsum) > tol.boundary_sum * t.n_boundary:
@@ -414,14 +388,16 @@ def multiway_test_functions(
         if len(rb) < 2:
             raise PartTooSmallError(
                 f"part with boundary {rb} cannot carry a sum-zero test function")
+        inside = np.zeros(t.n, dtype=bool)
+        inside[_ids(ref.vertices)] = True
         # two-way descent local to the part, against its own boundary
-        piece, pfrac, _ = _descend(t, ref.vertices, Fraction(1, 2),
+        piece, pfrac, _ = _descend(t, inside, Fraction(1, 2),
                                    enter_at_equal=False, total=len(rb))
         b1 = pfrac
         b2 = 1 - pfrac
         vals = np.zeros(t.n)
-        vals[sorted(piece)] = float(b2)
-        vals[sorted(ref.vertices - piece)] = float(-b1)
+        vals[inside] = float(-b1)
+        vals[_ids(piece)] = float(b2)
         f = VertexFunction(t, vals)
         bsum = float(f.boundary_values().sum())
         if abs(bsum) > tol.boundary_sum * t.n_boundary:
@@ -526,7 +502,7 @@ def diameter_test_function(t: BoundaryTree) -> VertexFunction:
 
     vals = np.empty(t.n)
     for ref, ak in zip(comps, sol[1:]):
-        vals[sorted(ref.vertices)] = float(ak)
+        vals[_ids(ref.vertices)] = float(ak)
     vals[path[0]] = float(sol[0])
     vals[path[-1]] = float(-sol[0] - weighted)
     f = VertexFunction(t, vals)

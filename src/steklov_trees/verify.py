@@ -153,8 +153,14 @@ def _check_tree(
 
     run("tree_structure", structure)
 
-    mat = dtn_matrix(t, tol)
-    run("dtn_invariants", lambda: mat.validate(tol))
+    mat = None
+
+    def assemble() -> None:
+        nonlocal mat
+        mat = dtn_matrix(t, tol)  # validates the matrix before returning it
+
+    if not run("dtn_invariants", assemble):
+        return  # everything below needs the response matrix
 
     spectrum = None
 

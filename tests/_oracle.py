@@ -20,6 +20,11 @@ reference for ``make_subtree``.
 The one-vertex-at-a-time interior elimination and the ``np.add.at``
 Laplacian as they stood before the level schedule are the reference
 for the harmonic layer's bits.
+The branch components, the two- and k-way splits and the multiway test
+functions as they stood before the vertex masks and the shared
+preorder (one component search per spine vertex, one set per remainder)
+are the reference for the witness layer's parts, certificates and
+function bytes.
 """
 
 from __future__ import annotations
@@ -27,17 +32,24 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
+from steklov_trees.config import DEFAULT_TOL, Tolerances
 from steklov_trees.errors import (
     BadVertexError,
+    InfeasibleKError,
     InvariantViolationError,
     MalformedError,
+    NotAPathError,
     NotATreeError,
+    PartTooSmallError,
     TooSmallError,
 )
-from steklov_trees.graph_core import BoundaryTree, SubtreeRef
+from steklov_trees.graph_core import BoundaryTree, SubtreeRef, diameter
+from steklov_trees.harmonic import VertexFunction
+from steklov_trees.partitions import PartitionCertificate
 
 
 def laplacian_brute(n: int, edges) -> np.ndarray:
@@ -503,3 +515,172 @@ def laplacian_apply_matrix_oracle(t: BoundaryTree, vals: np.ndarray) -> np.ndarr
     np.add.at(nbr_sum, t.edge_u, vals[t.edge_v])
     np.add.at(nbr_sum, t.edge_v, vals[t.edge_u])
     return t.degrees[:, None] * vals - nbr_sum
+
+
+# -- witness layer ----------------------------------------------------------------
+# branch_components, partition_two, partition_k and multiway_test_functions as
+# they stood before the vertex masks and the shared preorder, verbatim apart
+# from their names; their descent is descend_brute above (which the old
+# descent matched) and their subtree check is make_subtree_oracle
+
+Edge = tuple[int, int]
+_descend = descend_brute
+make_subtree = make_subtree_oracle
+
+
+def branch_components_oracle(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
+    """Components hanging off the interior vertices of a diameter path.
+
+    For a diameter-realizing path ``x_0 .. x_L``, the component ``G_k``
+    at spine vertex ``x_k`` (``1 <= k <= L-1``) consists of ``x_k``
+    together with everything reachable from it after deleting the two
+    spine edges at ``x_k``.  The components partition ``V`` minus the
+    endpoints, and their relative boundary counts ``n_k`` add up to
+    ``|boundary| - 2``.
+
+    Returns a list of length ``L-1`` whose entry ``k-1`` is ``G_k``.
+
+    Raises:
+        NotAPathError: the sequence is not a path in ``t`` or does not
+            realize the diameter.
+    """
+    p = [int(x) for x in path]
+    if len(p) < 2 or len(set(p)) != len(p):
+        raise NotAPathError("vertex sequence is not a simple path")
+    for v in p:
+        t.check_vertex(v)
+    eset = set(t.edges)
+    for a, b in zip(p, p[1:]):
+        if (min(a, b), max(a, b)) not in eset:
+            raise NotAPathError(f"({a}, {b}) is not an edge")
+    L = len(p) - 1
+    if L != diameter(t).length:
+        raise NotAPathError("path does not realize the diameter")
+
+    out: list[SubtreeRef] = []
+    for k in range(1, L):
+        xk = p[k]
+        block = {p[k - 1], p[k + 1]}
+        comp = {xk}
+        dq = deque([xk])
+        while dq:
+            x = dq.popleft()
+            for y in t.neighbors[x]:
+                if y not in block and y not in comp:
+                    comp.add(y)
+                    dq.append(y)
+        out.append(make_subtree(t, comp))
+
+    covered = set(p[0:1]) | set(p[-1:])
+    for ref in out:
+        covered |= ref.vertices
+    if len(covered) != t.n:
+        raise InvariantViolationError("branch components must partition V")
+    if sum(len(r.relative_boundary) for r in out) != t.n_boundary - 2:
+        raise InvariantViolationError(
+            "branch components must hold all boundary vertices but the endpoints")
+    return out
+
+
+def partition_two_oracle(t: BoundaryTree) -> PartitionCertificate:
+    """A one-edge split whose small side holds a guaranteed boundary share.
+
+    The certified part ``H`` satisfies
+    ``1/(2(D-1)) <= |H ∩ boundary|/|boundary| <= 1/2``: starting from an
+    arbitrary edge, descend into any side holding strictly more than half
+    of the boundary; when no side does, the current maximal child works
+    because its parent vertex spreads more than half of the boundary over
+    at most ``D - 1`` child components.
+    """
+    allowed = frozenset(range(t.n))
+    part, frac, edge = _descend(t, allowed, Fraction(1, 2), enter_at_equal=False)
+    d = t.max_degree
+    cert = PartitionCertificate(
+        tree=t,
+        removed_edges=((min(edge), max(edge)),),
+        parts=(make_subtree(t, part),),
+        fractions=(frac,),
+        interval=(Fraction(1, 2 * (d - 1)), Fraction(1, 2)),
+    )
+    cert.validate()
+    return cert
+
+
+def partition_k_oracle(t: BoundaryTree, k: int) -> PartitionCertificate:
+    """Peel off ``k - 1`` disjoint subtrees with balanced boundary shares.
+
+    Each extraction runs the descent with threshold ``1/(k-1)`` inside
+    whatever remains (always a connected tree: the extracted part is one
+    side of an edge split), so every fraction lands in
+    ``[1/((D-1)(k-1)), 1/(k-1)]``.  Unlike the two-way split, a side
+    exactly at the threshold is still descended into, otherwise a star
+    would surrender half its boundary in one part.
+    """
+    m = t.n_boundary
+    if not 3 <= k <= m:
+        raise InfeasibleKError(f"need 3 <= k <= {m}, got {k}")
+    d = t.max_degree
+    tau = Fraction(1, k - 1)
+    remaining = frozenset(range(t.n))
+    removed: list[Edge] = []
+    parts: list[SubtreeRef] = []
+    fractions: list[Fraction] = []
+    ports: frozenset[int] = frozenset()
+    for _ in range(k - 1):
+        part, frac, edge = _descend(
+            t, remaining, tau, enter_at_equal=True, ports=ports)
+        parts.append(make_subtree(t, part))
+        fractions.append(frac)
+        removed.append((min(edge), max(edge)))
+        remaining -= part
+        ports |= {edge[0], edge[1]} & remaining
+    cert = PartitionCertificate(
+        tree=t,
+        removed_edges=tuple(removed),
+        parts=tuple(parts),
+        fractions=tuple(fractions),
+        interval=(Fraction(1, (d - 1) * (k - 1)), tau),
+    )
+    cert.validate()
+    return cert
+
+
+def multiway_test_functions_oracle(
+    t: BoundaryTree,
+    cert: PartitionCertificate,
+    tol: Tolerances = DEFAULT_TOL,
+) -> list[VertexFunction]:
+    """One sum-zero function per extracted part, constant on a sub-split.
+
+    Part ``G_j`` is itself split two ways with threshold 1/2 relative to
+    its own boundary share; ``f_j`` is ``+|B_2|/|B_j|`` on the first
+    piece, ``-|B_1|/|B_j|`` on the second, zero off ``G_j``.  Supports
+    are pairwise disjoint by part disjointness.
+
+    Raises:
+        PartTooSmallError: some part holds a single boundary vertex, so
+            every sum-zero function constant on a sub-split of it has
+            zero boundary mass and an unbounded Rayleigh quotient.  Stars
+            near ``k = 3`` genuinely hit this; callers treat the bound as
+            witness-free there.
+    """
+    out: list[VertexFunction] = []
+    for ref in cert.parts:
+        rb = ref.relative_boundary
+        if len(rb) < 2:
+            raise PartTooSmallError(
+                f"part with boundary {rb} cannot carry a sum-zero test function")
+        # two-way descent local to the part, against its own boundary
+        piece, pfrac, _ = _descend(t, ref.vertices, Fraction(1, 2),
+                                   enter_at_equal=False, total=len(rb))
+        b1 = pfrac
+        b2 = 1 - pfrac
+        vals = np.zeros(t.n)
+        vals[sorted(piece)] = float(b2)
+        vals[sorted(ref.vertices - piece)] = float(-b1)
+        f = VertexFunction(t, vals)
+        bsum = float(f.boundary_values().sum())
+        if abs(bsum) > tol.boundary_sum * t.n_boundary:
+            raise InvariantViolationError(f"boundary sum {bsum:.3e} not ~0")
+        out.append(f)
+    return out

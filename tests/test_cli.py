@@ -154,6 +154,47 @@ def test_tol_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_repeated_calls_share_one_parser(capsys, monkeypatch):
+    # the parser is built once per process; each call still parses its own
+    # argv, reads STEKLOV_TOL afresh and keeps the exit-code contract
+    from steklov_trees import cli
+
+    def slack(*argv):
+        code, out, _ = run(capsys, "verify", "--trials", "2", "--max-n", "10", *argv)
+        assert code == 0
+        return json.loads(out)["config"]["bound_slack"]
+
+    monkeypatch.delenv("STEKLOV_TOL", raising=False)
+    code, first, _ = run(capsys, "bounds", "--family", BALL32, "--format", "csv")
+    assert code == 0
+    assert run(capsys, "bounds", "--family", BALL32, "--k", "2,x")[0] == 2
+    assert run(capsys, "nonsense")[0] == 2
+    assert run(capsys, "bounds", "--family", BALL32, "--format", "csv") == (0, first, "")
+    # lambda_2 of BALL(3,3) is 1/7, far above the threshold
+    unreached = ["sweep", "--family", '{"family":"BALL","D":3,"r":[1,3]}',
+                 "--threshold", "0.001"]
+    assert run(capsys, *unreached)[0] == 1
+    assert run(capsys, "bounds", "--family", BALL32, "--format", "csv") == (0, first, "")
+    assert slack() == 1e-8
+    monkeypatch.setenv("STEKLOV_TOL", "0.125")
+    assert slack() == 0.125
+    assert slack("--tol", "0.5") == 0.5
+    monkeypatch.setenv("STEKLOV_TOL", "banana")
+    assert run(capsys, "bounds", "--family", BALL32)[0] == 2
+    monkeypatch.delenv("STEKLOV_TOL")
+    assert slack() == 1e-8
+    assert cli._parser() is cli._parser()
+
+
+def test_subcommands_dispatch_through_the_module_binding(capsys, monkeypatch):
+    from steklov_trees import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args.family) or 0)
+    assert run(capsys, "generate", "--family", BALL32) == (0, "", "")
+    assert calls == [BALL32]
+
+
 # -- generate ---------------------------------------------------------------------
 
 def test_generate_edges(capsys):

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,14 +32,18 @@ from steklov_trees import (
     two_level_rayleigh_exact,
     two_level_test_function,
 )
-from steklov_trees import partitions
+from steklov_trees import graph_core, partitions
 from steklov_trees.partitions import _diameter_kernel
 
 from _oracle import (
     best_split_brute,
     best_split_edge_brute,
     boundary_fraction_brute,
+    branch_components_oracle,
     descend_brute,
+    multiway_test_functions_oracle,
+    partition_k_oracle,
+    partition_two_oracle,
 )
 
 STAR4_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4))
@@ -152,7 +157,7 @@ def test_descent_checks_raise_without_assert(ball32, monkeypatch):
     # real checks, not ``assert``s: they also run under ``python -O``
     half = Fraction(1, 2)
     with pytest.raises(InvariantViolationError, match="at least one edge"):
-        partitions._descend(ball32, frozenset({0}), half, enter_at_equal=False)
+        partitions._descend(ball32, _mask(ball32, {0}), half, enter_at_equal=False)
 
     def walk_out(sides, cands):  # always heavy: walks out to a leaf
         return ball32.n_boundary, cands[0]
@@ -202,33 +207,90 @@ _DESCENT_TREES = st.one_of(
 )
 
 
+def _mask(t, vertices):
+    """``vertices`` as the bool mask that ``_descend`` takes."""
+    out = np.zeros(t.n, dtype=bool)
+    out[list(vertices)] = True
+    return out
+
+
 @given(t=_DESCENT_TREES)
 def test_descent_matches_brute_force(t):
     half = Fraction(1, 2)
     everything = frozenset(range(t.n))
-    assert partitions._descend(t, everything, half, enter_at_equal=False) == \
+    assert partitions._descend(t, _mask(t, everything), half, enter_at_equal=False) == \
         descend_brute(t, everything, half, enter_at_equal=False)
     for k in range(3, min(6, t.n_boundary) + 1):
         tau = Fraction(1, k - 1)
         remaining, ports = everything, frozenset()
         for _ in range(k - 1):
-            got = partitions._descend(t, remaining, tau, enter_at_equal=True, ports=ports)
+            got = partitions._descend(t, _mask(t, remaining), tau, enter_at_equal=True,
+                                      ports=ports)
             assert got == descend_brute(t, remaining, tau, enter_at_equal=True, ports=ports)
             part, _, edge = got
             # the sub-split of a certified part against its own boundary, as
             # multiway_test_functions runs it (only on parts with two or more)
             total = sum(1 for v in t.boundary if v in part)
             if total >= 2:
-                assert partitions._descend(t, part, half, enter_at_equal=False, total=total) \
+                assert partitions._descend(t, _mask(t, part), half, enter_at_equal=False,
+                                           total=total) \
                     == descend_brute(t, part, half, enter_at_equal=False, total=total)
             remaining -= part
             ports |= {edge[0], edge[1]} & remaining
 
 
+def _ref_fields(refs):
+    out = [(r.tree, r.vertices, r.relative_boundary) for r in refs]
+    assert all(type(v) is int for r in refs for v in r.vertices)
+    return out
+
+
+def _cert_fields(cert):
+    return (cert.tree, cert.removed_edges, _ref_fields(cert.parts), cert.fractions,
+            cert.interval)
+
+
+@given(t=_DESCENT_TREES)
+def test_branch_components_and_diameter_function_match_oracle(t):
+    path = diameter(t).path
+    assert _ref_fields(graph_core.branch_components(t, path)) == \
+        _ref_fields(branch_components_oracle(t, path))
+    got = diameter_test_function(t).values.tobytes()
+    with mock.patch.object(partitions, "branch_components", branch_components_oracle):
+        assert diameter_test_function(t).values.tobytes() == got
+
+
+@given(t=_DESCENT_TREES)
+def test_partition_two_and_two_level_function_match_oracle(t):
+    cert = partition_two(t)
+    assert _cert_fields(cert) == _cert_fields(partition_two_oracle(t))
+    # the two-level function as it was built from the sorted part
+    beta = cert.fractions[0]
+    want = np.full(t.n, float(-beta))
+    want[sorted(cert.parts[0].vertices)] = float(1 - beta)
+    assert two_level_test_function(t, cert).values.tobytes() == want.tobytes()
+
+
+@given(t=_DESCENT_TREES)
+def test_partition_k_and_multiway_functions_match_oracle(t):
+    for k in range(3, min(6, t.n_boundary) + 1):
+        cert, want = partition_k(t, k), partition_k_oracle(t, k)
+        assert _cert_fields(cert) == _cert_fields(want)
+        try:
+            ref = multiway_test_functions_oracle(t, want)
+        except PartTooSmallError:
+            with pytest.raises(PartTooSmallError):
+                multiway_test_functions(t, cert)
+            continue
+        got = multiway_test_functions(t, cert)
+        assert [f.values.tobytes() for f in got] == [f.values.tobytes() for f in ref]
+
+
 def test_preorder_index_dies_with_its_tree():
     t = gen_ball(3, 4)
-    idx = partitions._preorder(t)
-    assert partitions._preorder(t) is idx
+    idx = graph_core._preorder(t)
+    assert graph_core._preorder(t) is idx
+    assert idx.order == idx.pre.tolist()
     assert sorted(idx.pre.tolist()) == list(range(t.n))
     ref = weakref.ref(t)
     del t

@@ -142,3 +142,25 @@ def test_cli_reports_a_crashed_check(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "check,passed,failed,skipped,crashed"
     assert "diameter_chain,0,0,0,3" in lines
+
+
+def test_an_assembly_failure_is_recorded_and_the_next_tree_checked(monkeypatch):
+    real, calls = verify.dtn_matrix, []
+
+    def flaky(t, tol):
+        calls.append(t.n)
+        if len(calls) == 2:
+            raise ValueError("assembly bug")
+        return real(t, tol)
+
+    monkeypatch.setattr(verify, "dtn_matrix", flaky)
+    rep = run_verification(small_config(trials=4, interior3_trials=0))
+    assert len(calls) == 4
+    c = rep.counter("dtn_invariants")
+    assert (c.passed, c.failed, c.crashed) == (3, 0, 1)
+    assert rep.failures == [{"trial": "random[1]", "check": "dtn_invariants",
+                             "detail": "ValueError: assembly bug", "crashed": "ValueError"}]
+    # the broken tree stops at the assembly; the others go through every check
+    assert rep.counter("tree_structure").passed == 4
+    assert rep.counter("spectrum_invariants").passed == 3
+    assert rep.counter("diameter_chain").passed == 3
