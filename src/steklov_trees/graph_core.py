@@ -529,7 +529,6 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     idx = _preorder(t)
     order, tin, tout = idx.order, idx.tin, idx.tout
     out: list[SubtreeRef] = []
-    spans: list[tuple[int, int]] = []
     for k in range(1, L):
         x = p[k]
         below = sorted((tin[y], tout[y]) for y in (p[k - 1], p[k + 1])
@@ -537,17 +536,15 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
         lo, hi = (0, t.n) if len(below) == 2 else (tin[x], tout[x])
         members: list[int] = []
         for a, b in below:
-            spans.append((lo, a))
             members += order[lo:a]
             lo = b
-        spans.append((lo, hi))
         members += order[lo:hi]
         out.append(make_subtree(t, frozenset(members)))
 
-    pre = idx.pre
-    hits = np.bincount(np.concatenate([pre[a:b] for a, b in spans] + [p[:1], p[-1:]]),
-                       minlength=t.n)
-    if len(hits) != t.n or np.count_nonzero(hits != 1):
+    covered = set(p[0:1]) | set(p[-1:])
+    for ref in out:
+        covered |= ref.vertices
+    if len(covered) != t.n:
         raise InvariantViolationError("branch components must partition V")
     if sum(len(r.relative_boundary) for r in out) != t.n_boundary - 2:
         raise InvariantViolationError(

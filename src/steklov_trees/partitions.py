@@ -132,7 +132,7 @@ class _Sides:
 
     def count(self, e: Edge) -> int:
         lo, hi, inside = self._span(e)
-        c = int(self.below[hi] - self.below[lo])
+        c = self.below.item(hi) - self.below.item(lo)
         return c if inside else self.held - c
 
     def touches_port(self, e: Edge) -> bool:
