@@ -34,14 +34,12 @@ from .errors import (
     BadIndexError,
     BadParamsError,
     BadVertexError,
-    DegenerateSystemError,
     DimensionMismatchError,
     HarmonicResidualError,
     InfeasibleDegreeCapError,
     InfeasibleKError,
     InvariantViolationError,
     MalformedError,
-    NoConvergenceError,
     NoExtremalShapeFoundError,
     NotAPathError,
     NotATreeError,
@@ -71,8 +69,6 @@ from .graph_core import (
     build_tree,
     component_avoiding,
     diameter,
-    distance,
-    edge_split,
     make_subtree,
     tree_from_json,
     tree_from_json_dict,

@@ -28,16 +28,6 @@ class Tolerances:
     jacobi_off: float = 1e-12      # off-diagonal Frobenius target, relative
     bisect_abs: float = 1e-10      # bisection oracle absolute tolerance
 
-    def scaled(self, factor: float) -> "Tolerances":
-        """A copy with the check tolerances scaled (solver targets untouched)."""
-        return replace(
-            self,
-            eigen_residual=self.eigen_residual * factor,
-            oracle_agreement=self.oracle_agreement * factor,
-            bound_slack=self.bound_slack * factor,
-            orthogonality=self.orthogonality * factor,
-        )
-
 
 DEFAULT_TOL = Tolerances()
 

@@ -42,14 +42,6 @@ class NotSymmetricError(SteklovTreeError):
     """Matrix handed to a symmetric eigensolver is not symmetric."""
 
 
-class NoConvergenceError(SteklovTreeError):
-    """An iterative solver missed its target.
-
-    Kept for API stability; every solver in the package is direct, so
-    none raises it.
-    """
-
-
 class BadIndexError(SteklovTreeError):
     """Eigenvalue index outside 1..m."""
 
@@ -78,14 +70,6 @@ class InfeasibleKError(SteklovTreeError):
 
 class PartTooSmallError(SteklovTreeError):
     """A part owns a single boundary vertex, so no admissible split exists."""
-
-
-class DegenerateSystemError(SteklovTreeError):
-    """Homogeneous system for the diameter witness had no usable null vector.
-
-    Kept for API stability; the witness takes the system's kernel in
-    closed form, so nothing raises it.
-    """
 
 
 # -- generators ---------------------------------------------------------------

@@ -21,13 +21,13 @@ with the same message, as validating one edge at a time would.  The
 search's BFS order and parents from vertex 0 stay as a weakly held
 per-tree index: :func:`make_subtree` checks a part's connectivity in
 O(|part|) from the parents, and :func:`diameter` reads its distances
-from vertex 0 off the order.  A second per-tree index, built on first
-use, holds the DFS preorder from vertex 0 with each subtree's slice
-``[tin, tout)``: the partition descents read their sides off it, and
-:func:`branch_components` takes each spine component as one preorder
-slice minus at most two nested slices.  The leaf-first peel of the
-spectral count keeps its own walk, since its order fixes the count's
-float bits.
+from vertex 0 off the order.  The DFS preorder from vertex 0, with each
+subtree's slice ``[tin, tout)``, is derived from the same BFS order and
+parents on first use, with no search of its own: the partition descents
+read their sides off it, and :func:`branch_components` takes each spine
+component as one preorder slice minus at most two nested slices.  The
+leaf-first peel of the spectral count keeps its own walk, since its
+order fixes the count's float bits.
 """
 from __future__ import annotations
 
@@ -150,33 +150,36 @@ class _Preorder(NamedTuple):
     pre: np.ndarray        # ``order`` as an int64 array
     tin: list[int]
     tout: list[int]
-    parent: list[int]      # -1 at the root, vertex 0
+    parent: list[int]      # the rooted index's parents: vertex 0 is its own
     boundary: np.ndarray   # boundary flags, in preorder
 
 
 @per_tree_cache
 def _preorder(t: BoundaryTree) -> _Preorder:
-    """Depth-first preorder of ``t`` from vertex 0, neighbours ascending.
+    """Depth-first preorder of ``t`` from vertex 0, children ascending.
 
-    Built once per tree and shared by the partition descents and
-    :func:`branch_components`.
+    Read off the rooted index, with no search of its own: in BFS order
+    over sorted neighbour lists, a vertex's children come consecutive and
+    ascending, so each child's subtree is the next block of its parent's
+    preorder slice.  One reverse pass gives the subtree sizes, one
+    forward pass the slice starts.  Built once per tree and shared by the
+    partition descents and :func:`branch_components`.
     """
-    parent = [-1] * t.n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in reversed(t.neighbors[x]):
-            if y != parent[x]:
-                parent[y] = x
-                stack.append(y)
-    tin = [0] * t.n
-    for i, x in enumerate(order):
-        tin[x] = i
-    size = [1] * t.n
-    for x in reversed(order[1:]):
+    idx = _rooted_index(t)
+    bfs, parent = idx.order, idx.parent
+    size = [1] * len(parent)
+    for x in reversed(bfs[1:]):
         size[parent[x]] += size[x]
+    tin = [0] * len(parent)
+    nxt = [1] * len(parent)  # the next free preorder slot below each vertex
+    for x in bfs[1:]:
+        p = parent[x]
+        tin[x] = nxt[p]
+        nxt[p] += size[x]
+        nxt[x] = tin[x] + 1
+    order = [0] * len(bfs)
+    for x in bfs:
+        order[tin[x]] = x
     pre = np.array(order, dtype=np.int64)
     return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
                      t.boundary_pos[pre] >= 0)
@@ -369,21 +372,6 @@ def _depths(n: int, order: Sequence[int], parent: Sequence[int]) -> list[int]:
     return dist
 
 
-def _bfs_distances(t: BoundaryTree, source: int) -> tuple[list[int], list[int]]:
-    """Distances from ``source`` and the BFS parents they were found along."""
-    order, parent = _bfs(t.neighbors, source)
-    return _depths(t.n, order, parent), parent
-
-
-def distance(t: BoundaryTree, u: int, v: int) -> int:
-    """Graph distance between two vertices (BFS; exact)."""
-    t.check_vertex(u)
-    t.check_vertex(v)
-    if u == v:
-        return 0
-    return _bfs_distances(t, u)[0][v]
-
-
 class DiameterPath(NamedTuple):
     length: int
     path: tuple[int, ...]
@@ -404,7 +392,8 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     idx = _rooted_index(t)
     d0 = _depths(t.n, idx.order, idx.parent)
     a = d0.index(max(d0))
-    da, parent = _bfs_distances(t, a)
+    order, parent = _bfs(t.neighbors, a)
+    da = _depths(t.n, order, parent)
     L = max(da)
     b = da.index(L)
     path = [b]
@@ -463,21 +452,6 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
         raise NotATreeError("vertex set does not induce a connected subtree")
     rb = tuple(filter(idx.boundary.__getitem__, ascending))
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
-
-
-def edge_split(t: BoundaryTree, u: int, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertex sets of the two components of ``t`` minus edge ``(u, v)``.
-
-    Returned as ``(side of u, side of v)``.  Raises
-    :class:`MalformedError` if ``(u, v)`` is not an edge.
-    """
-    t.check_vertex(u)
-    t.check_vertex(v)
-    if not _is_edge(t, (min(u, v), max(u, v))):
-        raise MalformedError(f"({u}, {v}) is not an edge")
-    side_u = component_avoiding(t, u, v)
-    side_v = frozenset(range(t.n)) - side_u
-    return side_u, side_v
 
 
 def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[int]:

@@ -8,8 +8,9 @@ checked exactly, never through floating point.
 
 The balanced-part descents behind :func:`partition_two`,
 :func:`partition_k` and the sub-split of :func:`multiway_test_functions`
-run on the tree's DFS preorder, cached once per tree in
-:mod:`.graph_core` and shared with :func:`.graph_core.branch_components`:
+run on the tree's DFS preorder, derived once per tree from the rooted
+index in :mod:`.graph_core` and shared with
+:func:`.graph_core.branch_components`:
 inside a connected vertex set, the side of any edge is one preorder
 slice or its complement, so a side's boundary count is a difference of
 prefix sums.  The vertex set a descent works in is a length-``n`` bool
@@ -19,7 +20,9 @@ extracted.  Each extraction takes O(n) numpy work and O(1) Python work
 per candidate side; the test functions write their values through
 index arrays.  :func:`partition_two_optimal` and
 :meth:`PartitionCertificate.validate` share no code with the preorder;
-they are the independent oracle and re-derivation.
+they are the independent oracle and re-derivation.  Every function that
+builds a certificate validates it before returning, so callers need
+not validate it again.
 """
 from __future__ import annotations
 
@@ -54,9 +57,11 @@ class PartitionCertificate:
     """Removed edges plus exact boundary-fraction witnesses for a split.
 
     ``fractions[j]`` is ``|parts[j] ∩ boundary| / |boundary|`` and must
-    lie in the closed ``interval``; :meth:`validate` re-derives every
-    fraction from scratch and checks disjointness, so a certificate that
-    validates is a complete proof of the split.
+    lie in the closed ``interval``; ``removed_edges[j]`` cuts ``parts[j]``
+    off, so exactly one of its endpoints lies in the part.
+    :meth:`validate` re-derives every part's boundary and fraction from
+    its vertices and checks disjointness and the cuts, so a certificate
+    that validates is a complete proof of the split.
     """
 
     tree: BoundaryTree
@@ -77,12 +82,18 @@ class PartitionCertificate:
         lo, hi = self.interval
         seen: set[int] = set()
         m = t.n_boundary
-        for ref, frac in zip(self.parts, self.fractions):
+        for ref, frac, (u, v) in zip(self.parts, self.fractions, self.removed_edges):
             if not seen.isdisjoint(ref.vertices):
                 raise InvariantViolationError("parts are not pairwise disjoint")
             seen |= ref.vertices
-            make_subtree(t, ref.vertices)  # connectivity re-check
-            true_frac = Fraction(len(ref.relative_boundary), m)
+            if (u in ref.vertices) == (v in ref.vertices):
+                raise InvariantViolationError(f"{(u, v)} does not cut its part off")
+            fresh = make_subtree(t, ref.vertices)  # connectivity and boundary re-derived
+            if fresh.relative_boundary != ref.relative_boundary:
+                raise InvariantViolationError(
+                    f"declared boundary {ref.relative_boundary} but found"
+                    f" {fresh.relative_boundary}")
+            true_frac = Fraction(len(fresh.relative_boundary), m)
             if frac != true_frac:
                 raise InvariantViolationError(
                     f"declared fraction {frac} but found {true_frac}")

@@ -21,6 +21,8 @@ leaf-first peel: O(n) work in O(height) numpy steps.  Bushy trees have a
 few dozen levels even at n = 8000; path-like trees, with about n/2
 levels, are the slow case.  The sweep does the scalar elimination's
 arithmetic in the scalar order, so counts are bit-identical to it.
+Counts are memoized per tree on their shift, the bisection's only memo:
+a repeated bisection walks its memoized probes again to the same float.
 
 The Rayleigh tools check a trial family against ``lambda_k`` by the
 min-max principle: :func:`variational_upper_check` takes the exact
@@ -54,6 +56,8 @@ from .harmonic import (
 
 # dense route above this boundary size would dominate runtime; bisect instead
 DENSE_BOUNDARY_LIMIT = 220
+# largest asymmetry a dense eigensolve accepts, relative to the largest entry
+_SYM_TOL = 1e-8
 
 
 def _require_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
@@ -67,19 +71,15 @@ def _require_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eigendecompose_symmetric(
-    m: np.ndarray,
-    *,
-    sym_tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose_symmetric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns ``(w, Q)`` with eigenvalues ascending and ``Q``'s columns the
     matching orthonormal eigenvectors, each signed so its largest-magnitude
     entry is positive.  :class:`NotSymmetricError` if ``m`` is not square
-    or not symmetric within ``sym_tol`` relative to its largest entry.
+    or not symmetric within ``_SYM_TOL`` relative to its largest entry.
     """
-    w, q = np.linalg.eigh(_require_symmetric(m, sym_tol))
+    w, q = np.linalg.eigh(_require_symmetric(m, _SYM_TOL))
     lead = np.abs(q).argmax(axis=0)
     q[:, q[lead, np.arange(q.shape[1])] < 0.0] *= -1.0
     return w, q
@@ -93,7 +93,7 @@ def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
     The name stays because the benchmark's per-layer metrics
     (``spectra.eigenvalue_oracle.*`` in ``BENCHMARK.json``) refer to it.
     """
-    w = np.linalg.eigvalsh(_require_symmetric(m, 1e-8))
+    w = np.linalg.eigvalsh(_require_symmetric(m, _SYM_TOL))
     if not 1 <= k <= len(w):
         raise BadIndexError(f"index {k} outside 1..{len(w)}")
     return float(w[k - 1])
@@ -219,12 +219,6 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
 
 
 @per_tree_cache
-def _bisect_memo(t: BoundaryTree) -> dict[tuple[int, float], float]:
-    """Bisection results for one tree, keyed on ``(k, abs_tol)``."""
-    return {}
-
-
-@per_tree_cache
 def _count_memo(t: BoundaryTree) -> dict[float, int]:
     """Pencil counts for one tree, keyed on the shift.
 
@@ -245,16 +239,12 @@ def steklov_eigenvalue_bisect(
     Inertia bisection on the pencil ``L - t B``; each inertia count is a
     single O(n) pass, so this handles trees whose boundary is far beyond
     dense reach.  The spectrum lies in [0, 1], which brackets the search.
-    Results are memoized per tree on ``(k, abs_tol)``, and counts on
-    their shift, so bisections for several ``k`` share their probes.
+    Counts are memoized per tree on their shift, so bisections for
+    several ``k`` share their probes and a repeated one counts nothing.
     """
     m = t.n_boundary
     if not 1 <= k <= m:
         raise BadIndexError(f"index {k} outside 1..{m}")
-    memo = _bisect_memo(t)
-    key = (k, abs_tol)
-    if key in memo:
-        return memo[key]
     counts = _count_memo(t)
 
     def count(shift: float) -> int:
@@ -274,8 +264,7 @@ def steklov_eigenvalue_bisect(
             hi = mid
         else:
             lo = mid
-    out = memo[key] = max(0.0, 0.5 * (lo + hi))
-    return out
+    return max(0.0, 0.5 * (lo + hi))
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -370,20 +359,17 @@ def steklov_lambda(
     k: int,
     *,
     spectrum: SteklovSpectrum | None = None,
-    method: str = "auto",
 ) -> float:
     """The k-th smallest Steklov eigenvalue via the cheapest sound route.
 
-    ``method`` is one of ``auto`` (dense below DENSE_BOUNDARY_LIMIT,
-    bisection above), ``dense``, or ``bisect``.
+    Read off ``spectrum`` when given; otherwise dense up to
+    ``DENSE_BOUNDARY_LIMIT`` boundary vertices, bisection above.
     """
     if spectrum is not None:
         return spectrum.eigenvalue(k)
-    if method == "dense" or (method == "auto" and t.n_boundary <= DENSE_BOUNDARY_LIMIT):
+    if t.n_boundary <= DENSE_BOUNDARY_LIMIT:
         return steklov_spectrum(t).eigenvalue(k)
-    if method in ("auto", "bisect"):
-        return steklov_eigenvalue_bisect(t, k)
-    raise ValueError(f"unknown method {method!r}")
+    return steklov_eigenvalue_bisect(t, k)
 
 
 # -- Rayleigh quotients and the variational check --------------------------------

@@ -198,8 +198,7 @@ def _check_tree(
 
     def p2() -> None:
         nonlocal cert2
-        cert2 = partition_two(t)
-        cert2.validate()
+        cert2 = partition_two(t)  # validates the certificate before returning it
 
     if run("partition_two_cert", p2):
         run("partition_two_optimal", lambda: expect(
@@ -231,8 +230,7 @@ def _check_tree(
 
         def pk() -> None:
             nonlocal certk
-            certk = partition_k(t, k)
-            certk.validate()
+            certk = partition_k(t, k)  # validates the certificate before returning it
 
         if not run("partition_k_cert", pk):
             continue

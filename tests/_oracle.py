@@ -25,6 +25,9 @@ functions as they stood before the vertex masks and the shared
 preorder (one component search per spine vertex, one set per remainder)
 are the reference for the witness layer's parts, certificates and
 function bytes.
+The stack-based depth-first search as it stood before the preorder was
+read off the rooted index is the reference for ``order``, ``tin``,
+``tout`` and the parents of the shared preorder.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from steklov_trees.errors import (
     PartTooSmallError,
     TooSmallError,
 )
-from steklov_trees.graph_core import BoundaryTree, SubtreeRef, diameter
+from steklov_trees.graph_core import BoundaryTree, SubtreeRef, _Preorder, diameter
 from steklov_trees.harmonic import VertexFunction
 from steklov_trees.partitions import PartitionCertificate
 
@@ -684,3 +687,30 @@ def multiway_test_functions_oracle(
             raise InvariantViolationError(f"boundary sum {bsum:.3e} not ~0")
         out.append(f)
     return out
+
+
+def preorder_oracle(t: BoundaryTree) -> _Preorder:
+    """Depth-first preorder of ``t`` from vertex 0, neighbours ascending.
+
+    Built once per tree and shared by the partition descents and
+    :func:`branch_components`.
+    """
+    parent = [-1] * t.n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in reversed(t.neighbors[x]):
+            if y != parent[x]:
+                parent[y] = x
+                stack.append(y)
+    tin = [0] * t.n
+    for i, x in enumerate(order):
+        tin[x] = i
+    size = [1] * t.n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    pre = np.array(order, dtype=np.int64)
+    return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
+                     t.boundary_pos[pre] >= 0)

@@ -20,8 +20,6 @@ from steklov_trees import (
     build_tree,
     component_avoiding,
     diameter,
-    distance,
-    edge_split,
     gen_random_tree,
     make_subtree,
     tree_from_json,
@@ -296,12 +294,6 @@ def test_rooted_index_is_the_connectivity_search_and_dies_with_its_tree():
 
 # -- metric queries --------------------------------------------------------------
 
-def test_distance_path(path4):
-    assert distance(path4, 0, 4) == 4
-    assert distance(path4, 2, 2) == 0
-    assert distance(path4, 1, 3) == 2
-
-
 @pytest.mark.parametrize("edges,expect", [
     (PATH4_EDGES, 4),
     (BALL32_EDGES, 4),
@@ -382,14 +374,6 @@ def test_make_subtree_rejects_two_disjoint_edges(ball32):
     assert all(any(w in {2, 6, 1, 4} for w in ball32.neighbors[v]) for v in (2, 6, 1, 4))
     with pytest.raises(NotATreeError):
         make_subtree(ball32, {2, 6, 1, 4})
-
-
-def test_edge_split(ball32):
-    side_u, side_v = edge_split(ball32, 0, 2)
-    assert side_v == frozenset({2, 6, 7})
-    assert side_u == frozenset(range(10)) - side_v
-    with pytest.raises(MalformedError):
-        edge_split(ball32, 4, 5)  # not an edge
 
 
 def test_component_avoiding(caterpillar):

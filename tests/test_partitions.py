@@ -16,6 +16,7 @@ from steklov_trees import (
     InvariantViolationError,
     PartitionCertificate,
     PartTooSmallError,
+    SubtreeRef,
     build_tree,
     diameter,
     diameter_system,
@@ -44,6 +45,7 @@ from _oracle import (
     multiway_test_functions_oracle,
     partition_k_oracle,
     partition_two_oracle,
+    preorder_oracle,
 )
 
 STAR4_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4))
@@ -101,6 +103,27 @@ def test_certificate_validate_catches_tampering(ball32):
     )
     with pytest.raises(InvariantViolationError):
         not_edge.validate()
+    # a part whose stored boundary is not its own, with the fraction to match
+    part = good.parts[0]
+    wrong_boundary = PartitionCertificate(
+        tree=ball32,
+        removed_edges=good.removed_edges,
+        parts=(SubtreeRef(ball32, part.vertices, (4, 5, 6)),),
+        fractions=(Fraction(1, 2),),
+        interval=good.interval,
+    )
+    with pytest.raises(InvariantViolationError, match="declared boundary"):
+        wrong_boundary.validate()
+    # an edge of the tree that does not cut the part {2, 6, 7} off
+    uncut = PartitionCertificate(
+        tree=ball32,
+        removed_edges=((0, 1),),
+        parts=good.parts,
+        fractions=good.fractions,
+        interval=good.interval,
+    )
+    with pytest.raises(InvariantViolationError, match="does not cut"):
+        uncut.validate()
 
 
 @given(n=st.integers(4, 50), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
@@ -284,6 +307,21 @@ def test_partition_k_and_multiway_functions_match_oracle(t):
             continue
         got = multiway_test_functions(t, cert)
         assert [f.values.tobytes() for f in got] == [f.values.tobytes() for f in ref]
+
+
+_PATH_EDGES = st.builds(lambda n: [(i, i + 1) for i in range(n)], st.integers(2, 40))
+
+
+@given(t=st.one_of(_DESCENT_TREES, st.builds(build_tree, _PATH_EDGES),
+                   st.builds(_relabelled, _PATH_EDGES, st.integers(0, 2**32))))
+def test_preorder_from_rooted_index_matches_depth_first_search(t):
+    got, want = graph_core._preorder(t), preorder_oracle(t)
+    assert (got.order, got.tin, got.tout) == (want.order, want.tin, want.tout)
+    assert got.pre.tobytes() == want.pre.tobytes()
+    assert got.boundary.tobytes() == want.boundary.tobytes()
+    # the root's parent differs by convention (itself, against -1)
+    assert got.parent[1:] == want.parent[1:]
+    assert got.parent is graph_core._rooted_index(t).parent
 
 
 def test_preorder_index_dies_with_its_tree():
