@@ -322,8 +322,8 @@ def test_bisect_memo_returns_identical_float(monkeypatch):
     # a repeated bisection walks its memoized probes to the same float
     assert steklov_eigenvalue_bisect(t, 2).hex() == first.hex()
     assert len(passes) == n_first
-    # a new key bisects again; its probes are the first ones of the 1e-12
-    # search, whose counts the per-tree count memo already holds
+    # a coarser tolerance bisects again; its probes are the first ones of
+    # the 1e-12 search, whose counts the per-tree count memo already holds
     again = steklov_eigenvalue_bisect(t, 2, abs_tol=1e-10)
     assert again is not first and abs(again - first) <= 1e-10
     assert len(passes) == n_first
