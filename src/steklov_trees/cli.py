@@ -8,14 +8,13 @@ identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import sys
 
 from . import bounds as bnd
-from .config import tolerances_from_env
+from .config import tolerances_from_env, with_slack
 from .errors import (
     BadParamsError,
     BadVertexError,
@@ -73,11 +72,7 @@ def _json_text(obj: dict) -> str:
 
 def _tolerances(args: argparse.Namespace):
     tol = tolerances_from_env()
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise BadParamsError("--tol must be positive")
-        tol = dataclasses.replace(tol, bound_slack=args.tol)
-    return tol
+    return tol if args.tol is None else with_slack(tol, args.tol, "--tol")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -228,6 +223,8 @@ def _expand_family_range(spec: dict) -> list[dict]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    if not math.isfinite(args.threshold):
+        raise BadParamsError(f"--threshold must be finite, got {args.threshold}")
     specs = _expand_family_range(json.loads(args.family))
     trees = [generate_family(s) for s in specs]
     report = bnd.asymptotic_decay_check(trees, threshold=args.threshold, tol=tol)

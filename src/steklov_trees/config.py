@@ -8,6 +8,7 @@ is direct, so there is no reason to accept loose answers.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,13 @@ DEFAULT_TOL = Tolerances()
 ENV_TOL = "STEKLOV_TOL"
 
 
+def with_slack(base: Tolerances, value: float, source: str) -> Tolerances:
+    """``base`` with bound-check slack ``value``, which must be finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{source} must be finite and positive, got {value}")
+    return replace(base, bound_slack=value)
+
+
 def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
     """Apply the STEKLOV_TOL override, if set, as the bound-check slack."""
     raw = os.environ.get(ENV_TOL)
@@ -43,6 +51,4 @@ def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{ENV_TOL} must be positive, got {value}")
-    return replace(base, bound_slack=value)
+    return with_slack(base, value, ENV_TOL)

@@ -26,8 +26,8 @@ subtree's slice ``[tin, tout)``, is derived from the same BFS order and
 parents on first use, with no search of its own: the partition descents
 read their sides off it, and :func:`branch_components` takes each spine
 component as one preorder slice minus at most two nested slices.  The
-leaf-first peel of the spectral count keeps its own walk, since its
-order fixes the count's float bits.
+one leaf-first elimination, :func:`_eliminate`, runs on the whole tree
+for the spectral count and on the interior for the harmonic solver.
 """
 from __future__ import annotations
 
@@ -183,6 +183,73 @@ def _preorder(t: BoundaryTree) -> _Preorder:
     pre = np.array(order, dtype=np.int64)
     return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
                      t.boundary_pos[pre] >= 0)
+
+
+# one level of an elimination: the slots [start, stop) of its vertices,
+# the slots of their parents, and whether those parents are all distinct
+_Level = tuple[int, int, np.ndarray, bool]
+
+
+def _eliminate(
+    t: BoundaryTree, outside: np.ndarray, rem: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
+    """Leaf-first elimination of the subtree on the vertices not ``outside``.
+
+    ``rem[v]`` counts the neighbours of ``v`` that are not ``outside``.
+    Peels leaves off a queue, seeded with the subtree's leaves ascending;
+    each vertex's parent is its first neighbour still present when it is
+    peeled, and its height is one more than the largest among its
+    children's (leaves have height 0).  Slots number the vertices in peel
+    order.  Returns the vertex in each slot, each slot's parent slot (the
+    root's is the sink, the subtree's size) and the levels by height,
+    ascending.
+
+    The peel order is sorted by height (checked below): by induction, a
+    vertex enters the queue when its last child is peeled, which is also
+    its tallest, so it sits one level above the vertex just peeled; the
+    root is peeled last, above its last-peeled child.  So each height is
+    a contiguous run of slots, every vertex follows all its children, and
+    each parent receives its children's updates in slot order.
+    """
+    n = t.n
+    size = n - int(np.count_nonzero(outside))
+    dq = deque(np.flatnonzero(~outside & (rem <= 1)).tolist())
+    rem = rem.tolist()
+    done = outside.tolist()
+    parent = [n] * n
+    height = [0] * n
+    order: list[int] = []
+    while dq:
+        v = dq.popleft()
+        if done[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for w in t.neighbors[v]:
+            if not done[w]:
+                parent[v] = w
+                if height[w] <= height[v]:
+                    height[w] = height[v] + 1
+                rem[w] -= 1
+                if rem[w] <= 1:
+                    dq.append(w)
+                break
+    k = len(order)
+    if k != size:
+        raise InvariantViolationError(f"elimination reached {k} of {size} vertices")
+    peel = np.array(order, dtype=np.int64)
+    hp = np.array(height, dtype=np.int64)[peel]
+    if np.any(hp[1:] < hp[:-1]):
+        raise InvariantViolationError("elimination order is not sorted by height")
+    slot = np.full(n + 1, k, dtype=np.int64)
+    slot[peel] = np.arange(k)
+    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
+    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), k]
+    levels = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ps = parent_slot[start:stop]
+        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
+    return peel, parent_slot, tuple(levels)
 
 
 def _is_edge(t: BoundaryTree, e: Edge) -> bool:

@@ -15,23 +15,24 @@ subtree (Jacobs and Trevisan's no-fill-in elimination of a tree).  Each
 elimination touches one parent, all pivots stay positive (the interior
 block is diagonally dominant with at least one strict row per pendant
 subtree), so the solve is exact Gaussian elimination in a perfect order:
-O(n), no fill-in, no iteration.  The elimination is found once per tree,
-one vertex at a time, and then replayed level by level: all vertices of
-one height are eliminated in one numpy step across every right-hand
-side.  The Laplacian sums neighbors by one numpy step per neighbor rank.
-Both do the one-at-a-time arithmetic in its order, so their floats are
-bit-identical to it.
+O(n), no fill-in, no iteration.  The order is the one leaf-first
+elimination of :mod:`.graph_core`, which runs here on the interior and
+in :mod:`.spectra` on the whole tree.  It is found once per tree and
+then replayed level by level: all vertices of one height are eliminated
+in one numpy step across every right-hand side.  The Laplacian sums
+neighbors by one numpy step per neighbor rank.  Both do the
+one-at-a-time arithmetic in its order, so their floats are bit-identical
+to it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import HarmonicResidualError, InvariantViolationError
-from .graph_core import BoundaryTree, per_tree_cache
+from .graph_core import BoundaryTree, _eliminate, per_tree_cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +169,12 @@ _Level = tuple[int, int, _Rows, tuple[tuple[_Rows, _Rows], ...]]
 class _InteriorSolver:
     """Elimination schedule of the interior block; reusable across right-hand sides.
 
-    Interior vertices are numbered into slots by elimination order:
-    ``vertices[s]`` is the vertex in slot ``s`` and ``inv_piv[s, 0]``
-    the reciprocal of its positive pivot.  The slots of one height form
-    a level, and levels ascend; the root, eliminated last, is alone on
-    the top level, and its parent slot is the sink ``len(vertices)``.
-    ``rhs`` adds each boundary vertex's data into the slot of its unique
-    interior neighbor, in boundary order, which is how Dirichlet data
-    enters the right-hand side.
+    ``vertices[s]`` is the interior vertex in slot ``s`` of the
+    elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot;
+    the root's parent slot is the sink ``len(vertices)``.  ``rhs`` adds
+    each boundary vertex's data into the slot of its unique interior
+    neighbor, in boundary order, which is how Dirichlet data enters the
+    right-hand side.
     """
 
     vertices: np.ndarray
@@ -187,93 +186,44 @@ class _InteriorSolver:
 
 @per_tree_cache
 def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
-    """Eliminate the interior leaf-first, one vertex at a time, then level it.
+    """The interior's leaf-first elimination, with its pivots and rounds.
 
-    Peels interior vertices off a queue; each vertex's parent is its one
-    interior neighbor still present when it is eliminated, and its
-    height is one more than the largest height among its children.  The
-    peel is sorted by height (as in ``spectra._peel_levels``; checked
-    below), so each vertex follows all its children, each parent
-    receives its children's updates in elimination order level by level,
-    and the root is alone at the top.
+    Every vertex follows all its children, so one pass in slot order
+    gives each its pivot and updates its parent's, in elimination order.
     """
-    n = t.n
-    interior = (t.degrees > 1).tolist()
-    # count of interior neighbors, interior vertices only
-    rem = [0] * n
-    for v in t.interior:
-        rem[v] = sum(map(interior.__getitem__, t.neighbors[v]))
-
-    piv = t.degrees.astype(np.float64).tolist()
-    parent = [n] * n
-    height = [0] * n
-    inv_piv = [0.0] * n
-    eliminated = [False] * n
-    order: list[int] = []
-    dq = deque(v for v in t.interior if rem[v] <= 1)
-    while dq:
-        v = dq.popleft()
-        if eliminated[v]:
-            continue
-        eliminated[v] = True
-        order.append(v)
-        if not piv[v] > 0.0:
-            raise InvariantViolationError(f"interior pivot {piv[v]} is not positive")
-        inv_piv[v] = 1.0 / piv[v]
-        for w in t.neighbors[v]:
-            if interior[w] and not eliminated[w]:
-                parent[v] = w
-                if height[w] <= height[v]:
-                    height[w] = height[v] + 1
-                piv[w] -= inv_piv[v]
-                rem[w] -= 1
-                if rem[w] <= 1:
-                    dq.append(w)
-                break
-    n_int = len(order)
-    if n_int != len(t.interior):
-        raise InvariantViolationError(
-            f"interior elimination reached {n_int} of {len(t.interior)} vertices")
-
-    slot = [n_int] * (n + 1)
-    for i, v in enumerate(order):
-        slot[v] = i
-    parents = [slot[parent[v]] for v in order]
-    heights = [height[v] for v in order]
-    bounds = [0]
-    for i in range(1, n_int):
-        if heights[i] != heights[i - 1]:
-            if heights[i] < heights[i - 1]:
-                raise InvariantViolationError(
-                    "interior elimination order is not sorted by height")
-            bounds.append(i)
-    bounds.append(n_int)
+    # each boundary vertex's one neighbour, which is interior
+    owner = np.array([t.neighbors[b][0] for b in t.boundary], dtype=np.int64)
+    order, parents, peel_levels = _eliminate(
+        t, t.boundary_pos >= 0, t.degrees - np.bincount(owner, minlength=t.n))
+    piv = [*t.degrees[order].astype(np.float64).tolist(), 0.0]  # and the sink
+    inv_piv = []
+    for s, p in enumerate(parents.tolist()):
+        if not piv[s] > 0.0:
+            raise InvariantViolationError(f"interior pivot {piv[s]} is not positive")
+        inv_piv.append(1.0 / piv[s])
+        piv[p] -= inv_piv[-1]
     levels = []
-    for start, stop in zip(bounds, bounds[1:]):
-        ps = parents[start:stop]
+    for start, stop, ps, distinct in peel_levels:
+        ps = ps.tolist()
         idx = _as_index(ps)
-        if len(set(ps)) == stop - start:
+        if distinct:
             rounds = ((idx, slice(start, stop)),)
         else:
             # round j adds each parent's j-th child on this level, in slot order
-            tgt: list[list[int]] = []
-            rows: list[list[int]] = []
-            seen: dict[int, int] = {}
+            rank: dict[int, int] = {}
+            by_round: dict[int, list[tuple[int, int]]] = {}
             for s, p in enumerate(ps, start):
-                j = seen[p] = seen.get(p, -1) + 1
-                if j == len(tgt):
-                    tgt.append([])
-                    rows.append([])
-                tgt[j].append(p)
-                rows[j].append(s)
-            rounds = tuple((np.array(a), np.array(b)) for a, b in zip(tgt, rows))
+                j = rank[p] = rank.get(p, -1) + 1
+                by_round.setdefault(j, []).append((p, s))
+            rounds = tuple(tuple(map(np.array, zip(*pairs))) for pairs in by_round.values())
         levels.append((start, stop, idx, rounds))
-    owner = [slot[t.neighbors[b][0]] for b in t.boundary]
+    slot = np.empty(t.n, dtype=np.int64)
+    slot[order] = np.arange(len(order))
     return _InteriorSolver(
-        vertices=np.array(order, dtype=np.int64),
-        inv_piv=np.array([inv_piv[v] for v in order])[:, None],
+        vertices=order,
+        inv_piv=np.array(inv_piv)[:, None],
         levels=tuple(levels),
-        rhs=_ordered_adds(np.array(owner, dtype=np.int64), np.arange(len(owner))),
+        rhs=_ordered_adds(slot[owner], np.arange(len(owner))),
         boundary=np.array(t.boundary, dtype=np.int64),
     )
 

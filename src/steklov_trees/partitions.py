@@ -14,15 +14,16 @@ index in :mod:`.graph_core` and shared with
 inside a connected vertex set, the side of any edge is one preorder
 slice or its complement, so a side's boundary count is a difference of
 prefix sums.  The vertex set a descent works in is a length-``n`` bool
-mask (:func:`partition_k` clears each extracted part from its remainder
-in place), and each part becomes a frozenset exactly once, when it is
-extracted.  Each extraction takes O(n) numpy work and O(1) Python work
-per candidate side; the test functions write their values through
-index arrays.  :func:`partition_two_optimal` and
-:meth:`PartitionCertificate.validate` share no code with the preorder;
-they are the independent oracle and re-derivation.  Every function that
-builds a certificate validates it before returning, so callers need
-not validate it again.
+mask; a descent returns its part as an index array, with which
+:func:`partition_k` clears the part from its remainder in place, and
+each certified part becomes a frozenset exactly once.  Each extraction
+takes O(n) numpy work and O(1) Python work per candidate side; the test
+functions write their values through index arrays.
+:func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
+share no code with the preorder, nor the validation with
+:func:`.graph_core.make_subtree`; they are the independent oracle and
+re-derivation.  Every function that builds a certificate validates it
+before returning, so callers need not validate it again.
 """
 from __future__ import annotations
 
@@ -59,8 +60,9 @@ class PartitionCertificate:
     ``fractions[j]`` is ``|parts[j] ∩ boundary| / |boundary|`` and must
     lie in the closed ``interval``; ``removed_edges[j]`` cuts ``parts[j]``
     off, so exactly one of its endpoints lies in the part.
-    :meth:`validate` re-derives every part's boundary and fraction from
-    its vertices and checks disjointness and the cuts, so a certificate
+    :meth:`validate` re-derives every part's connectivity, boundary and
+    fraction from its vertices, the edge list and the degrees, and checks
+    disjointness and the cuts, so a certificate
     that validates is a complete proof of the split.
     """
 
@@ -82,18 +84,26 @@ class PartitionCertificate:
         lo, hi = self.interval
         seen: set[int] = set()
         m = t.n_boundary
+        leaf = t.degrees == 1
         for ref, frac, (u, v) in zip(self.parts, self.fractions, self.removed_edges):
             if not seen.isdisjoint(ref.vertices):
                 raise InvariantViolationError("parts are not pairwise disjoint")
             seen |= ref.vertices
             if (u in ref.vertices) == (v in ref.vertices):
                 raise InvariantViolationError(f"{(u, v)} does not cut its part off")
-            fresh = make_subtree(t, ref.vertices)  # connectivity and boundary re-derived
-            if fresh.relative_boundary != ref.relative_boundary:
+            ids = _ids(ref.vertices)  # not empty: it holds an end of its cut
+            if ids.min() < 0 or ids.max() >= t.n:
+                raise InvariantViolationError(f"part has a vertex outside 0..{t.n - 1}")
+            mask = np.zeros(t.n, dtype=bool)
+            mask[ids] = True
+            # connectivity and boundary re-derived from the edge list and degrees
+            if np.count_nonzero(mask[t.edge_u] & mask[t.edge_v]) != len(ids) - 1:
+                raise InvariantViolationError("part does not induce a connected subtree")
+            found = tuple(np.flatnonzero(mask & leaf).tolist())
+            if found != ref.relative_boundary:
                 raise InvariantViolationError(
-                    f"declared boundary {ref.relative_boundary} but found"
-                    f" {fresh.relative_boundary}")
-            true_frac = Fraction(len(fresh.relative_boundary), m)
+                    f"declared boundary {ref.relative_boundary} but found {found}")
+            true_frac = Fraction(len(found), m)
             if frac != true_frac:
                 raise InvariantViolationError(
                     f"declared fraction {frac} but found {true_frac}")
@@ -186,7 +196,7 @@ def _descend(
     enter_at_equal: bool,
     ports: frozenset[int] = frozenset(),
     total: int | None = None,
-) -> tuple[frozenset[int], Fraction, Edge]:
+) -> tuple[np.ndarray, Fraction, Edge]:
     """One balanced-part extraction inside the subtree induced on ``allowed``.
 
     ``allowed`` is a length-``n`` bool mask and must be connected (all of
@@ -199,8 +209,9 @@ def _descend(
     Descending strictly shrinks the active side, so at most ``n`` steps
     occur.  An extraction costs a few O(n) numpy passes (the mask and one
     prefix sum over the cached preorder, the winning side's slice) and
-    O(1) Python work per candidate side; only the winning side becomes a
-    set.  Returns ``(part vertices, fraction, cut edge)``.
+    O(1) Python work per candidate side; only the winning side is
+    gathered.  Returns ``(part vertices, fraction, cut edge)``, the
+    vertices as an index array in preorder.
     """
     if total is None:
         total = t.n_boundary
@@ -217,7 +228,7 @@ def _descend(
         frac = Fraction(cnt, total)
         over = (frac >= tau) if enter_at_equal else (frac > tau)
         if not over:
-            return frozenset(sides.members((u, v)).tolist()), frac, edge
+            return sides.members((u, v)), frac, edge
         steps += 1
         if steps > t.n:
             raise InvariantViolationError("descent failed to terminate")
@@ -244,7 +255,7 @@ def partition_two(t: BoundaryTree) -> PartitionCertificate:
     cert = PartitionCertificate(
         tree=t,
         removed_edges=((min(edge), max(edge)),),
-        parts=(make_subtree(t, part),),
+        parts=(make_subtree(t, frozenset(part.tolist())),),
         fractions=(frac,),
         interval=(Fraction(1, 2 * (d - 1)), Fraction(1, 2)),
     )
@@ -319,10 +330,10 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
     for _ in range(k - 1):
         part, frac, edge = _descend(
             t, remaining, tau, enter_at_equal=True, ports=ports)
-        parts.append(make_subtree(t, part))
+        parts.append(make_subtree(t, frozenset(part.tolist())))
         fractions.append(frac)
         removed.append((min(edge), max(edge)))
-        remaining[list(part)] = False
+        remaining[part] = False
         ports |= {v for v in edge if remaining[v]}
     cert = PartitionCertificate(
         tree=t,
@@ -408,7 +419,7 @@ def multiway_test_functions(
         b2 = 1 - pfrac
         vals = np.zeros(t.n)
         vals[inside] = float(-b1)
-        vals[_ids(piece)] = float(b2)
+        vals[piece] = float(b2)
         f = VertexFunction(t, vals)
         bsum = float(f.boundary_values().sum())
         if abs(bsum) > tol.boundary_sum * t.n_boundary:

@@ -16,10 +16,11 @@ certify the other:
   also scales to trees whose boundary is far too large for a dense
   matrix.
 
-Each count is one leaf-to-root sweep over the levels of the tree's
-leaf-first peel: O(n) work in O(height) numpy steps.  Bushy trees have a
-few dozen levels even at n = 8000; path-like trees, with about n/2
-levels, are the slow case.  The sweep does the scalar elimination's
+Each count is one leaf-to-root sweep over the levels of the leaf-first
+elimination of :mod:`.graph_core`, which runs here on the whole tree
+and in :mod:`.harmonic` on the interior: O(n) work in O(height) numpy
+steps.  Bushy trees have a few dozen levels even at n = 8000; path-like
+trees, with about n/2 levels, are the slow case.  The sweep does the scalar elimination's
 arithmetic in the scalar order, so counts are bit-identical to it.
 Counts are memoized per tree on their shift, the bisection's only memo:
 a repeated bisection walks its memoized probes again to the same float.
@@ -31,7 +32,6 @@ eigenvalue of a ``(k-1) x (k-1)`` pencil, rather than a sample of it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
     NotSymmetricError,
     ZeroFunctionError,
 )
-from .graph_core import BoundaryTree, per_tree_cache
+from .graph_core import BoundaryTree, _eliminate, _Level, per_tree_cache
 from .harmonic import (
     DtnMatrix,
     VertexFunction,
@@ -106,69 +106,12 @@ def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
 # outer-product growth here, unlike a dense triangular factorization)
 _TINY = 1e-280
 
-# one level of the sweep: the slots [start, stop) of its vertices, the
-# slots of their parents, and whether those parents are all distinct
-_Level = tuple[int, int, np.ndarray, bool]
-
 
 @per_tree_cache
 def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
-    """Leaf-first elimination schedule of the whole tree, level by level.
-
-    Peels leaves off a queue; each vertex's parent is its one neighbour
-    still present when it is peeled, and its height is one more than the
-    largest height among its children (leaves have height 0).  Vertices
-    are renumbered into slots by peel order, so each height is a
-    contiguous run of slots.  Returns the degrees and the boundary mask
-    by slot, and ``(start, stop, parents, distinct)`` per height,
-    ascending.  The last vertex peeled (the root, alone on the top
-    level) has no parent; its parent slot is the sink ``n``.
-
-    The peel order is already sorted by height (checked below): by
-    induction, a vertex enters the queue when its last child is peeled,
-    which is also its tallest, so it sits one level above the vertex just
-    peeled; the root is peeled last, above its last-peeled child.  So
-    every vertex is eliminated after all its children, and each parent
-    receives its children's updates in peel order.
-    """
-    n = t.n
-    rem = t.degrees.tolist()
-    parent = [n] * n
-    height = [0] * n
-    done = [False] * n
-    order: list[int] = []
-    dq = deque(v for v in range(n) if rem[v] <= 1)
-    while dq:
-        v = dq.popleft()
-        if done[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for w in t.neighbors[v]:
-            if not done[w]:
-                parent[v] = w
-                height[w] = max(height[w], height[v] + 1)
-                rem[w] -= 1
-                if rem[w] <= 1:
-                    dq.append(w)
-                break
-    if len(order) != n:
-        raise InvariantViolationError(f"peel reached {len(order)} of {n} vertices")
-    peel = np.array(order, dtype=np.int64)
-    hp = np.array(height, dtype=np.int64)[peel]
-    if np.any(hp[1:] < hp[:-1]):
-        raise InvariantViolationError("peel order is not sorted by height")
-    slot = np.empty(n + 1, dtype=np.int64)
-    slot[peel] = np.arange(n)
-    slot[n] = n
-    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
-    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), n]
-    levels = []
-    for start, stop in zip(bounds, bounds[1:]):
-        ps = parent_slot[start:stop]
-        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
-    return (t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0,
-            tuple(levels))
+    """The whole tree's elimination levels, with degrees and boundary mask by slot."""
+    peel, _, levels = _eliminate(t, np.zeros(t.n, dtype=bool), t.degrees)
+    return t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0, levels
 
 
 def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:

@@ -12,7 +12,9 @@ The partition descent as it stood before the preorder index (one
 component search per candidate side) is the reference for the
 package's prefix-sum descent.
 A scalar one-vertex-at-a-time pencil count is the reference for the
-package's level-by-level inertia count.
+package's level-by-level inertia count, and the whole-tree peel and level
+sweep as they stood before the shared elimination are the reference for
+its pivot bits.
 The edge-by-edge ``build_tree`` and line-by-line text parser as they
 stood before the int64 input layer are the reference for its trees and
 its error messages, and a boolean mask over all vertices is the
@@ -432,6 +434,100 @@ def make_subtree_oracle(t, vertices) -> SubtreeRef:
     ids = np.flatnonzero(mask)
     rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
     return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
+
+
+# -- pencil count -----------------------------------------------------------------
+# the whole-tree peel and level sweep of the spectral count as they stood
+# before the shared elimination, verbatim apart from their names and the
+# per-tree cache
+
+_TINY = 1e-280
+
+# one level of the sweep: the slots [start, stop) of its vertices, the
+# slots of their parents, and whether those parents are all distinct
+_Level = tuple[int, int, np.ndarray, bool]
+
+
+def peel_levels_oracle(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
+    """Leaf-first elimination schedule of the whole tree, level by level.
+
+    Peels leaves off a queue; each vertex's parent is its one neighbour
+    still present when it is peeled, and its height is one more than the
+    largest height among its children (leaves have height 0).  Vertices
+    are renumbered into slots by peel order, so each height is a
+    contiguous run of slots.  Returns the degrees and the boundary mask
+    by slot, and ``(start, stop, parents, distinct)`` per height,
+    ascending.  The last vertex peeled (the root, alone on the top
+    level) has no parent; its parent slot is the sink ``n``.
+
+    The peel order is already sorted by height (checked below): by
+    induction, a vertex enters the queue when its last child is peeled,
+    which is also its tallest, so it sits one level above the vertex just
+    peeled; the root is peeled last, above its last-peeled child.  So
+    every vertex is eliminated after all its children, and each parent
+    receives its children's updates in peel order.
+    """
+    n = t.n
+    rem = t.degrees.tolist()
+    parent = [n] * n
+    height = [0] * n
+    done = [False] * n
+    order: list[int] = []
+    dq = deque(v for v in range(n) if rem[v] <= 1)
+    while dq:
+        v = dq.popleft()
+        if done[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for w in t.neighbors[v]:
+            if not done[w]:
+                parent[v] = w
+                height[w] = max(height[w], height[v] + 1)
+                rem[w] -= 1
+                if rem[w] <= 1:
+                    dq.append(w)
+                break
+    if len(order) != n:
+        raise InvariantViolationError(f"peel reached {len(order)} of {n} vertices")
+    peel = np.array(order, dtype=np.int64)
+    hp = np.array(height, dtype=np.int64)[peel]
+    if np.any(hp[1:] < hp[:-1]):
+        raise InvariantViolationError("peel order is not sorted by height")
+    slot = np.empty(n + 1, dtype=np.int64)
+    slot[peel] = np.arange(n)
+    slot[n] = n
+    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
+    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), n]
+    levels = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ps = parent_slot[start:stop]
+        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
+    return (t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0,
+            tuple(levels))
+
+
+def pencil_pivots_oracle(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
+    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
+    degrees, boundary, levels = peel_levels_oracle(t)
+    n = t.n
+    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
+    diag[:n] = degrees
+    diag[:n][boundary] -= shift
+    for start, stop, ps, distinct in levels:
+        # only children update a vertex, so its slot holds its pivot by now
+        d = diag[start:stop]
+        if clamp:
+            d[np.abs(d) < _TINY] = -_TINY
+        if distinct:
+            # one update per parent: fancy indexing does the same
+            # arithmetic as ufunc.at, at a fraction of its cost
+            diag[ps] -= 1.0 / d
+        else:
+            # ufunc.at applies repeated parents in order: each parent sees
+            # its children's updates in peel order, as a scalar sweep would
+            np.subtract.at(diag, ps, 1.0 / d)
+    return diag[:n]
 
 
 # -- harmonic layer ---------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from steklov_trees import BoundaryTree, build_tree, gen_ball, gen_path, gen_random_tree
 
@@ -59,3 +60,38 @@ def zoo() -> list[BoundaryTree]:
         gen_random_tree(24, 4, 12345),
         gen_random_tree(40, 6, 999),
     ]
+
+
+# -- tree shapes for the bit-identity tests of the level schedules -----------------
+
+def _caterpillar(legs: list[int]) -> BoundaryTree:
+    """A spine ``0..len(legs)-1`` with ``legs[i]`` leaves hung on spine vertex ``i``."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    nxt = len(legs)
+    for i, k in enumerate(legs):
+        edges += [(i, nxt + j) for j in range(k)]
+        nxt += k
+    return build_tree(edges)
+
+
+def _spider(lengths: list[int]) -> BoundaryTree:
+    """Legs of the given lengths from a hub: many siblings on one level."""
+    edges = []
+    nxt = 1
+    for k in lengths:
+        prev = 0
+        for _ in range(k):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return build_tree(edges)
+
+
+shapes = st.one_of(
+    st.builds(gen_random_tree, st.integers(4, 60), st.integers(2, 7),
+              st.integers(0, 2**32)),
+    st.builds(gen_path, st.integers(2, 80)),
+    st.builds(gen_ball, st.integers(3, 60), st.just(1)),
+    st.builds(gen_ball, st.integers(3, 5), st.integers(2, 3)),
+    st.builds(_caterpillar, st.lists(st.integers(0, 30), min_size=3, max_size=12)),
+    st.builds(_spider, st.lists(st.integers(1, 4), min_size=3, max_size=30)),
+)

@@ -143,6 +143,13 @@ def test_bounds_tol_flag(capsys):
     assert code == 0
     code, _, err = run(capsys, "bounds", "--family", BALL32, "--tol", "-1")
     assert code == 2
+    # a non-finite slack is a usage error, not a report of all-false or
+    # all-true bounds (or a NaN in the JSON)
+    for bad in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "bounds", "--family", BALL32, f"--tol={bad}")
+        assert (code, out) == (2, "") and "--tol must be finite and positive" in err
+        code, out, err = run(capsys, "verify", "--trials", "2", "--max-n", "10", f"--tol={bad}")
+        assert (code, out) == (2, "") and "--tol must be finite and positive" in err
 
 
 def test_tol_env_override(capsys, monkeypatch):
@@ -152,6 +159,11 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STEKLOV_TOL", "banana")
     code, _, err = run(capsys, "bounds", "--family", BALL32)
     assert code == 2
+    for bad in ("nan", "inf", "0", "-1e-8"):
+        monkeypatch.setenv("STEKLOV_TOL", bad)
+        code, out, err = run(capsys, "bounds", "--family", BALL32)
+        assert (code, out) == (2, "")
+        assert "STEKLOV_TOL must be finite and positive" in err
 
 
 def test_repeated_calls_share_one_parser(capsys, monkeypatch):
@@ -291,6 +303,10 @@ def test_sweep_range_validation(capsys):
     code, _, _ = run(capsys, "sweep", "--family",
                      '{"family":"BALL","D":[3,4],"r":[1,2]}')
     assert code == 2
+    for bad in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "sweep", "--family", '{"family":"PATH","L":[2,8]}',
+                             f"--threshold={bad}")
+        assert (code, out) == (2, "") and "--threshold must be finite" in err
 
 
 def test_sweep_extremal_middle_ranges_even_lengths(capsys):

@@ -12,13 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from steklov_trees import (
     BoundaryFunction,
-    BoundaryTree,
     InvariantViolationError,
     VertexFunction,
-    build_tree,
     dtn_matrix,
     gen_ball,
-    gen_path,
     gen_random_tree,
     harmonic_extension,
     laplacian_apply,
@@ -36,9 +33,11 @@ from _oracle import (
     dtn_brute,
     extend_columns_oracle,
     harmonic_extension_brute,
+    interior_solver_oracle,
     laplacian_apply_matrix_oracle,
     laplacian_brute,
 )
+from conftest import shapes
 
 RTOL = 1e-12
 
@@ -210,39 +209,6 @@ def test_interior_elimination_check_raises_on_a_cycle(ball32):
 
 # -- level schedule against the one-vertex-at-a-time elimination -----------------------
 
-def _caterpillar(legs: list[int]) -> BoundaryTree:
-    """A spine ``0..len(legs)-1`` with ``legs[i]`` leaves hung on spine vertex ``i``."""
-    edges = [(i, i + 1) for i in range(len(legs) - 1)]
-    nxt = len(legs)
-    for i, k in enumerate(legs):
-        edges += [(i, nxt + j) for j in range(k)]
-        nxt += k
-    return build_tree(edges)
-
-
-def _spider(lengths: list[int]) -> BoundaryTree:
-    """Legs of the given lengths from a hub: many siblings on one level."""
-    edges = []
-    nxt = 1
-    for k in lengths:
-        prev = 0
-        for _ in range(k):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    return build_tree(edges)
-
-
-shapes = st.one_of(
-    st.builds(gen_random_tree, st.integers(4, 60), st.integers(2, 7),
-              st.integers(0, 2**32)),
-    st.builds(gen_path, st.integers(2, 80)),
-    st.builds(gen_ball, st.integers(3, 60), st.just(1)),
-    st.builds(gen_ball, st.integers(3, 5), st.integers(2, 3)),
-    st.builds(_caterpillar, st.lists(st.integers(0, 30), min_size=3, max_size=12)),
-    st.builds(_spider, st.lists(st.integers(1, 4), min_size=3, max_size=30)),
-)
-
-
 def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
     # tobytes, not array_equal: -0.0 == 0.0, but their bits differ
     assert got.shape == want.shape
@@ -266,6 +232,14 @@ def test_extension_and_laplacian_bytes_match_the_scalar_elimination(t, seed, k):
     lap = laplacian_apply_matrix_oracle(t, want[:, None])[:, 0]
     _same_bytes(laplacian_apply(f).values, lap)
     _same_bytes(normal_derivative(f).values, lap[list(t.boundary)])
+
+
+@given(t=shapes)
+def test_interior_order_and_pivot_bytes_match_the_scalar_elimination(t):
+    sol = _interior_solver(t)
+    want = interior_solver_oracle(t)
+    _same_bytes(sol.vertices, want.order)
+    _same_bytes(sol.inv_piv[:, 0], want.inv_piv[want.order])
 
 
 def test_interior_height_order_check_raises_without_assert(ball32):

@@ -124,6 +124,27 @@ def test_certificate_validate_catches_tampering(ball32):
     )
     with pytest.raises(InvariantViolationError, match="does not cut"):
         uncut.validate()
+    # a disconnected part, {4, 6}: cut off by (1, 4), with its true fraction
+    # 2/6 inside the interval, it fails only the connectivity re-derivation
+    disconnected = PartitionCertificate(
+        tree=ball32,
+        removed_edges=((1, 4),),
+        parts=(SubtreeRef(ball32, frozenset({4, 6}), (4, 6)),),
+        fractions=(Fraction(1, 3),),
+        interval=good.interval,
+    )
+    with pytest.raises(InvariantViolationError, match="connected"):
+        disconnected.validate()
+    # a part naming a vertex the tree does not have
+    outside = PartitionCertificate(
+        tree=ball32,
+        removed_edges=((1, 4),),
+        parts=(SubtreeRef(ball32, frozenset({4, 10}), (4,)),),
+        fractions=(Fraction(1, 6),),
+        interval=(Fraction(1, 6), Fraction(1, 2)),
+    )
+    with pytest.raises(InvariantViolationError, match="outside"):
+        outside.validate()
 
 
 @given(n=st.integers(4, 50), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
@@ -237,26 +258,30 @@ def _mask(t, vertices):
     return out
 
 
+def _descend(t, vertices, tau, **kw):
+    """``partitions._descend`` inside ``vertices``, its part as a set like ``descend_brute``'s."""
+    part, frac, edge = partitions._descend(t, _mask(t, vertices), tau, **kw)
+    return frozenset(part.tolist()), frac, edge
+
+
 @given(t=_DESCENT_TREES)
 def test_descent_matches_brute_force(t):
     half = Fraction(1, 2)
     everything = frozenset(range(t.n))
-    assert partitions._descend(t, _mask(t, everything), half, enter_at_equal=False) == \
+    assert _descend(t, everything, half, enter_at_equal=False) == \
         descend_brute(t, everything, half, enter_at_equal=False)
     for k in range(3, min(6, t.n_boundary) + 1):
         tau = Fraction(1, k - 1)
         remaining, ports = everything, frozenset()
         for _ in range(k - 1):
-            got = partitions._descend(t, _mask(t, remaining), tau, enter_at_equal=True,
-                                      ports=ports)
+            got = _descend(t, remaining, tau, enter_at_equal=True, ports=ports)
             assert got == descend_brute(t, remaining, tau, enter_at_equal=True, ports=ports)
             part, _, edge = got
             # the sub-split of a certified part against its own boundary, as
             # multiway_test_functions runs it (only on parts with two or more)
             total = sum(1 for v in t.boundary if v in part)
             if total >= 2:
-                assert partitions._descend(t, _mask(t, part), half, enter_at_equal=False,
-                                           total=total) \
+                assert _descend(t, part, half, enter_at_equal=False, total=total) \
                     == descend_brute(t, part, half, enter_at_equal=False, total=total)
             remaining -= part
             ports |= {edge[0], edge[1]} & remaining

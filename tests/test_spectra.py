@@ -37,7 +37,14 @@ from steklov_trees import (
 )
 from steklov_trees import spectra
 
-from _oracle import count_below_brute, laplacian_brute, steklov_eigs_brute
+from _oracle import (
+    count_below_brute,
+    laplacian_brute,
+    peel_levels_oracle,
+    pencil_pivots_oracle,
+    steklov_eigs_brute,
+)
+from conftest import shapes
 
 # trees on which an unpivoted dense LDL^T inertia count broke down
 # mid-bisection (a probe landing on an eigenvalue of a leading minor)
@@ -280,6 +287,35 @@ def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
         for shift in (np.nextafter(lam, -1.0), lam, np.nextafter(lam, 2.0)):
             want = count_below_brute(t.n, t.edges, shift)
             assert spectra._steklov_count_below(t, shift) == want
+
+
+@given(t=shapes)
+def test_peel_schedule_matches_the_whole_tree_peel(t):
+    degrees, boundary, levels = spectra._peel_levels(t)
+    want_degrees, want_boundary, want_levels = peel_levels_oracle(t)
+    assert degrees.tobytes() == want_degrees.tobytes()
+    assert boundary.tobytes() == want_boundary.tobytes()
+    assert len(levels) == len(want_levels)
+    for (a, b, ps, distinct), (wa, wb, wps, wdistinct) in zip(levels, want_levels):
+        assert (a, b, distinct) == (wa, wb, wdistinct)
+        assert ps.tobytes() == wps.tobytes()
+
+
+@given(t=shapes, seed=st.integers(0, 2**31))
+def test_pencil_pivot_bytes_match_the_whole_tree_peel(t, seed):
+    # every pivot bit, not just the count: at random shifts, and at and
+    # next to LAPACK eigenvalues, where pivots come within rounding of zero
+    rng = np.random.default_rng(seed)
+    lam = np.linalg.eigvalsh(dtn_matrix(t).entries)
+    shifts = list(rng.uniform(-0.5, 1.5, 3))
+    for x in lam[[1, rng.integers(len(lam)), -1]]:
+        shifts += [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
+    for shift in shifts:
+        for clamp in (False, True):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                got = spectra._pencil_pivots(t, shift, clamp)
+                want = pencil_pivots_oracle(t, shift, clamp)
+            assert got.tobytes() == want.tobytes()
 
 
 @given(n=st.integers(3, 40), cap=st.integers(2, 6), seed=st.integers(0, 2**32),
