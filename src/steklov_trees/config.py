@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class Tolerances:
     # tolerance record stays a stable contract
     jacobi_off: float = 1e-12      # off-diagonal Frobenius target, relative
     bisect_abs: float = 1e-10      # bisection oracle absolute tolerance
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value}")
 
 
 DEFAULT_TOL = Tolerances()

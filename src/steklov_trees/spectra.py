@@ -25,6 +25,16 @@ arithmetic in the scalar order, so counts are bit-identical to it.
 Counts are memoized per tree on their shift, the bisection's only memo:
 a repeated bisection walks its memoized probes again to the same float.
 
+The bisection returns the float of the plain halving loop, but counts
+few of its midpoints.  The float count does not decrease as the shift
+grows (the lemma at :func:`steklov_eigenvalue_bisect`), so a midpoint at
+or below a shift counted below ``k``, or at or above one counted at
+``k`` or more, is decided without a count.  Laguerre steps on
+``log|det(L - s B)|``, whose two derivatives one more pass over the same
+levels reads off a count's pivots, find such a bracket a few ``abs_tol``
+wide in a handful of counts; the replay of the loop then counts only the
+midpoints inside it.
+
 The Rayleigh tools check a trial family against ``lambda_k`` by the
 min-max principle: :func:`variational_upper_check` takes the exact
 maximum of the Rayleigh quotient over the family's span, the top
@@ -32,13 +42,16 @@ eigenvalue of a ``(k-1) x (k-1)`` pencil, rather than a sample of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     BadIndexError,
+    BadParamsError,
     DimensionMismatchError,
     InvariantViolationError,
     NotOrthogonalError,
@@ -105,22 +118,30 @@ def eigenvalue_oracle(m: np.ndarray, k: int) -> float:
 # perturbs one diagonal entry by ~1e-280 and cannot overflow (no
 # outer-product growth here, unlike a dense triangular factorization)
 _TINY = 1e-280
+# estimator probes per bisection; past this the replay counts what is left
+_MAX_PROBES = 64
 
 
 @per_tree_cache
-def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
-    """The whole tree's elimination levels, with degrees and boundary mask by slot."""
+def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
+    """The whole tree's elimination levels, with degrees by slot.
+
+    The elimination seeds its queue with the tree's leaves ascending, which
+    are its boundary, so the boundary fills slots ``[0, m)`` (checked).
+    """
     peel, _, levels = _eliminate(t, np.zeros(t.n, dtype=bool), t.degrees)
-    return t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0, levels
+    if peel[:t.n_boundary].tolist() != list(t.boundary):
+        raise InvariantViolationError("the elimination does not peel the boundary first")
+    return t.degrees[peel].astype(np.float64), levels
 
 
 def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
     """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
-    degrees, boundary, levels = _peel_levels(t)
+    degrees, levels = _peel_levels(t)
     n = t.n
     diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
     diag[:n] = degrees
-    diag[:n][boundary] -= shift
+    diag[:t.n_boundary] = 1.0 - shift  # boundary vertices have degree 1
     for start, stop, ps, distinct in levels:
         # only children update a vertex, so its slot holds its pivot by now
         d = diag[start:stop]
@@ -137,6 +158,25 @@ def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
     return diag[:n]
 
 
+@dataclass(eq=False)
+class _Counts:
+    """Pencil counts of one tree by shift, and the pivots of its latest counts."""
+
+    by_shift: dict[float, int] = field(default_factory=dict)
+    pivots: dict[float, np.ndarray] = field(default_factory=dict)
+
+
+@per_tree_cache
+def _counts(t: BoundaryTree) -> _Counts:
+    """The tree's count memo, the bisection's only memo.
+
+    Bisections for different ``k`` share their probes, and each shift is
+    counted once; a repeated bisection walks its memoized probes again to
+    the same float.
+    """
+    return _Counts()
+
+
 def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     """Number of Steklov eigenvalues below ``shift``.
 
@@ -151,24 +191,157 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     1/2), so the sweep first runs without the clamp.  If some pivot came
     out below ``_TINY`` (every later value may then be inf or nan), it
     runs again with the clamp; otherwise the clamp would not have changed
-    a bit.
+    a bit.  The pivots of the tree's last two counts stay in its memo for
+    :func:`_log_det_derivatives`.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pencil_pivots(t, shift, clamp=False)
         vanished = bool(np.any(np.abs(pivots) < _TINY))
     if vanished:
         pivots = _pencil_pivots(t, shift, clamp=True)
+    recent = _counts(t).pivots
+    recent[shift] = pivots
+    if len(recent) > 2:
+        del recent[next(iter(recent))]
     return int(np.count_nonzero(pivots < 0.0))
 
 
 @per_tree_cache
-def _count_memo(t: BoundaryTree) -> dict[float, int]:
-    """Pencil counts for one tree, keyed on the shift.
+def _boundary_children(t: BoundaryTree) -> np.ndarray:
+    """How many boundary vertices hang from each slot (the sink included)."""
+    _, levels = _peel_levels(t)
+    return np.bincount(levels[0][2], minlength=t.n + 1).astype(np.float64)
 
-    Bisections for different ``k`` start from the same bracket, so they
-    probe the same first midpoints; each shift is counted once.
+
+def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, float]:
+    """``G = F'`` and ``H = -F''`` for ``F(s) = log|det(L - s B)|``, from one count's pivots.
+
+    ``det(L - s B)`` is ``det(L_II)`` times the product of ``lambda_j - s``
+    over the Steklov eigenvalues, so ``G`` is the sum of ``1/(s - lambda_j)``
+    and ``H`` the sum of their squares.  ``F`` is also the sum of the
+    log-pivots ``log|d_i|``: with ``d' = -1`` and ``d'' = 0`` at a leaf
+    and, above it, ``d_p' = sum of d_c' / d_c**2`` and
+    ``d_p'' = sum of (d_c'' - 2 d_c'**2 / d_c) / d_c**2`` over the children,
+    ``G`` is the sum of ``d'/d`` and ``H`` that of ``(d'/d)**2 - d''/d``.
+    Every leaf is a boundary vertex with pivot ``1 - s``, so the first
+    level goes in bulk; one pass over the other levels reads the pivots
+    the count made.  Only the estimator reads these, so neither their
+    rounding nor the order of their sums matters; they are non-finite
+    near a vanished pivot.
     """
-    return {}
+    _, levels = _peel_levels(t)
+    n, m = t.n, t.n_boundary
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / pivots
+        inv2 = inv * inv
+        r = float(inv[0])
+        leaves = _boundary_children(t)
+        d1 = leaves * (-r * r)
+        d2 = leaves * (-2.0 * r * r * r)
+        for start, stop, ps, distinct in levels[1:]:
+            c1 = d1[start:stop]
+            c2 = d2[start:stop] - 2.0 * c1 * c1 * inv[start:stop]
+            w = inv2[start:stop]
+            if distinct:
+                d1[ps] += c1 * w
+                d2[ps] += c2 * w
+            else:
+                np.add.at(d1, ps, c1 * w)
+                np.add.at(d2, ps, c2 * w)
+        g = d1[m:n] * inv[m:]
+        return (float(g.sum()) - m * r,
+                float(g @ g) + m * r * r - float(d2[m:n] @ inv[m:]))
+
+
+def _laguerre(t: BoundaryTree, s: float, pivots: np.ndarray, up: bool, mu: int) -> float:
+    """Laguerre's estimate, from ``s``, of the nearest eigenvalue above or below it.
+
+    For a polynomial with real roots, Laguerre's point lies between ``s``
+    and the nearest root on its side, and converges to it cubically
+    (Li and Zeng, *SIAM J. Sci. Comput.* 15 (1994), for the tridiagonal
+    eigenproblem).  The multiplicity ``nu = G**2 / H``, rounded and held
+    to ``1..mu``, keeps the rate on a multiple eigenvalue.  NaN when the
+    derivatives are not finite.
+    """
+    g, h = _log_det_derivatives(t, pivots)
+    if not (math.isfinite(g) and math.isfinite(h) and h > 0.0) or (g < 0.0) != up:
+        # an eigenvalue on the other side is nearer: no estimate
+        return math.nan
+    m = t.n_boundary
+    nu = min(max(round(g * g / h), 1), mu)
+    root = math.sqrt(max(0.0, (m - nu) / nu * (m * h - g * g)))
+    return s - m / (g - root if up else g + root)
+
+
+def _narrow(
+    t: BoundaryTree, k: int, abs_tol: float, count: Callable[[float], int],
+    a: float, ca: int, b: float, cb: int,
+) -> tuple[float, float]:
+    """Narrow a certified bracket ``a < lambda_k <= b`` by estimates.
+
+    ``count(a) < k <= count(b)`` holds throughout, since every probe is
+    counted.  Laguerre steps start from an end whose nearest eigenvalue
+    inward is ``lambda_k`` (``count(a) = k - 1`` or ``count(b) = k``), or
+    from either end once the bracket is narrower than a quarter of ``b``
+    (a cluster).  Otherwise a probe splits the bracket where the counts
+    put ``lambda_k``: the count grows about linearly from 0, and as a
+    power of the shift between two probes.  When a step moves less than
+    ``1e-4`` of its point ``x`` (Laguerre converges cubically), ``x`` is
+    certified by counts at ``x -+ delta``, with ``delta = abs_tol/8``,
+    growing fourfold while ``x`` proves to sit on the wrong side of
+    ``lambda_k``, and dropped once past ``abs_tol``.  Stops at width
+    ``2 abs_tol`` or after ``_MAX_PROBES`` counts: a poor estimate costs
+    counts, never bits.
+    """
+    recent = _counts(t).pivots
+    x = None  # a converged estimate under certification
+    delta = 0.125 * abs_tol
+    for _ in range(_MAX_PROBES):
+        if b - a <= 2.0 * abs_tol:
+            break
+        p = None
+        if x is not None and delta <= abs_tol:
+            if a < x - delta:
+                p = x - delta
+            elif x + delta < b:
+                p = x + delta
+        x = x if p is not None else None
+        cluster = b - a <= 0.25 * b
+        if p is None:
+            for s, up in ((a, True), (b, False)):
+                if s in recent and (cluster or (ca == k - 1 if up else cb == k)):
+                    q = _laguerre(t, s, recent[s], up, cb - ca)
+                    if math.isnan(q):
+                        continue
+                    # past the far end, the estimate puts lambda_k at it
+                    q = min(q, b) if up else max(q, a)
+                    if abs(q - s) <= max(0.0625 * abs_tol, 1e-4 * abs(q)) or q in (a, b):
+                        x, delta = q, 0.125 * abs_tol
+                    else:
+                        p = q
+                    break
+        if x is not None and p is None:
+            continue
+        if p is None:
+            if a <= 0.0:
+                p = b * min(max((k - 0.5) / cb, 1 / 64), 0.5)
+            elif cluster or ca == 0:
+                p = 0.5 * (a + b)
+            else:
+                theta = math.log((k - 0.5) / ca) / math.log(cb / ca)
+                p = a * (b / a) ** min(max(theta, 0.25), 0.75)
+            if not a < p < b:
+                p = 0.5 * (a + b)
+        c = count(p)
+        if c < k:
+            a, ca = p, c
+            if x is not None and p > x:
+                delta *= 4.0
+        else:
+            b, cb = p, c
+            if x is not None and p < x:
+                delta *= 4.0
+    return a, b
 
 
 def steklov_eigenvalue_bisect(
@@ -182,13 +355,47 @@ def steklov_eigenvalue_bisect(
     Inertia bisection on the pencil ``L - t B``; each inertia count is a
     single O(n) pass, so this handles trees whose boundary is far beyond
     dense reach.  The spectrum lies in [0, 1], which brackets the search.
+    The result is, bit for bit, the float of the plain loop: halve
+    ``[lo, hi]`` at ``mid = (lo + hi)/2`` while ``hi - lo > abs_tol``,
+    moving ``hi`` to ``mid`` when ``count(mid) >= k`` and ``lo``
+    otherwise.  First :func:`_narrow` finds a bracket ``a < lambda_k <= b``
+    with ``count(a) < k <= count(b)``, where ``a`` is a counted shift and
+    so is ``b``, unless it is still ``hi``, which no midpoint reaches; then
+    the loop is replayed, and a midpoint ``<= a`` moves ``lo``, one
+    ``>= b`` moves ``hi``, and only one inside ``(a, b)`` is counted.  The replay also
+    ends when a midpoint equals ``lo`` or ``hi``: below the float spacing
+    the plain loop would spin forever.  :class:`BadParamsError` unless
+    ``abs_tol`` is finite and positive.
+
+    *The count does not decrease as the shift grows*, bit for bit, which
+    makes the replay's decisions those of the loop (the argument Demmel,
+    Dhillon and Ren give for Sturm counts, *ETNA* 3 (1995)).  Work in the
+    clamped elimination: it has no zero pivot, and it agrees bit for bit
+    with the unclamped one whenever no pivot vanished, which is when the
+    count reads the latter.  Take shifts ``s1 < s2``.  By induction up the
+    levels, a subtree's negative count grows, or it stays equal and
+    either its root pivot keeps its sign and does not increase, or the
+    pivot goes from negative to non-negative.  At a leaf the pivot
+    ``fl(1 - s)`` does not increase, and the count grows if it turns
+    negative.  At a parent, if a child's count grew, the parent's cannot
+    fall: it stays equal only when the children's grew by exactly one and
+    the parent's own pivot went from negative to non-negative, the second
+    case.  Otherwise each child is in one of the two cases, so each
+    reciprocal ``fl(1/d_c)`` does not decrease, and the parent's pivot,
+    ``fl(deg - sum of fl(1/d_c))`` subtracted in a fixed order, does not
+    increase, since IEEE rounding and the clamp are monotone; the count
+    grows if that pivot turns negative.
+
     Counts are memoized per tree on their shift, so bisections for
-    several ``k`` share their probes and a repeated one counts nothing.
+    several ``k`` share their probes, a repeated one counts nothing, and
+    the memo's tightest bracket for ``k`` is where the estimator starts.
     """
     m = t.n_boundary
     if not 1 <= k <= m:
         raise BadIndexError(f"index {k} outside 1..{m}")
-    counts = _count_memo(t)
+    if not 0.0 < abs_tol < math.inf:
+        raise BadParamsError(f"abs_tol must be finite and positive, got {abs_tol}")
+    counts = _counts(t).by_shift
 
     def count(shift: float) -> int:
         try:
@@ -201,12 +408,23 @@ def steklov_eigenvalue_bisect(
     hi = 1.0 + 1e-9
     if count(lo) != 0:
         raise InvariantViolationError("pencil count below 0 is not zero")
+    # the tightest bracket the memo already certifies
+    a, ca, b, cb = lo, 0, hi, m
+    for s, c in counts.items():
+        if c < k:
+            if s > a:
+                a, ca = s, c
+        elif s < b:
+            b, cb = s, c
+    a, b = _narrow(t, k, abs_tol, count, a, ca, b, cb)
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
-        if count(mid) >= k:
-            hi = mid
-        else:
+        if mid == lo or mid == hi:
+            break
+        if mid <= a or (mid < b and count(mid) < k):
             lo = mid
+        else:
+            hi = mid
     return max(0.0, 0.5 * (lo + hi))
 
 

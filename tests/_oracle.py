@@ -30,6 +30,9 @@ function bytes.
 The stack-based depth-first search as it stood before the preorder was
 read off the rooted index is the reference for ``order``, ``tin``,
 ``tout`` and the parents of the shared preorder.
+The plain inertia bisection as it stood before the replay from
+count-certified brackets is the reference for every bit of
+``steklov_eigenvalue_bisect``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from typing import Iterable
 import numpy as np
 
 from steklov_trees.config import DEFAULT_TOL, Tolerances
+from steklov_trees import spectra
 from steklov_trees.errors import (
+    BadIndexError,
     BadVertexError,
     InfeasibleKError,
     InvariantViolationError,
@@ -528,6 +533,39 @@ def pencil_pivots_oracle(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarr
             # its children's updates in peel order, as a scalar sweep would
             np.subtract.at(diag, ps, 1.0 / d)
     return diag[:n]
+
+
+# -- pencil bisection -------------------------------------------------------------
+# the bisection loop as it stood before the replay from count-certified
+# brackets, verbatim apart from its name and a count memo of its own; it
+# counts with the package's pencil count, which the scalar reference
+# above checks
+
+def bisect_oracle(t: BoundaryTree, k: int, *, abs_tol: float = 1e-12) -> float:
+    """The k-th smallest Steklov eigenvalue by plain inertia bisection."""
+    m = t.n_boundary
+    if not 1 <= k <= m:
+        raise BadIndexError(f"index {k} outside 1..{m}")
+    counts: dict[float, int] = {}
+
+    def count(shift: float) -> int:
+        try:
+            return counts[shift]
+        except KeyError:
+            c = counts[shift] = spectra._steklov_count_below(t, shift)
+            return c
+
+    lo = -1e-9
+    hi = 1.0 + 1e-9
+    if count(lo) != 0:
+        raise InvariantViolationError("pencil count below 0 is not zero")
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        if count(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return max(0.0, 0.5 * (lo + hi))
 
 
 # -- harmonic layer ---------------------------------------------------------------

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
+import os
 
-from steklov_trees import BoundaryTree, build_tree, gen_ball, gen_path, gen_random_tree
+# eigh's rounding depends on the number of BLAS threads, and the pinned
+# dense-route report digests were recorded under two; this must run
+# before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "2"
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from steklov_trees import BoundaryTree, build_tree, gen_ball, gen_path, gen_random_tree  # noqa: E402
 
 settings.register_profile(
     "suite",

@@ -21,6 +21,13 @@ PENCIL_REPORT_DIGESTS = [
      "eace55bf1dbbac7e55ae8590d3e8388e867b232137a274cbb6ec39056096b46a"),
     (["sweep", "--family", '{"family":"BALL","D":3,"r":[1,8]}', "--format", "json"],
      "de0e8687d4d5b25482f4f29696f699fe334201fda2613856291f071a1bbcfe64"),
+    # recorded with the plain bisection loop, before the replay from
+    # count-certified brackets: lambda_1 = 0 and the ball's multiple
+    # eigenvalues (m = 384, k = 1..12), and lambda_2 of 199 paths
+    (["spectrum", "--family", '{"family":"BALL","D":3,"r":8}'],
+     "a7c9568895b4bc54b23c2950142d76d533ceb91a0c238d8f34ce9808949493d0"),
+    (["sweep", "--family", '{"family":"PATH","L":[2,200]}'],
+     "98e60365f0e5fb0af6921e527441c712dc8eae138e29b895753e4f73fbae1303"),
 ]
 
 # sha256 of dense-route reports (boundary sizes 108, 151, 199 and 24),
@@ -357,7 +364,8 @@ def test_help_exits_zero(capsys):
 # -- report bytes on the pencil route -----------------------------------------------
 
 @pytest.mark.parametrize("argv,digest", PENCIL_REPORT_DIGESTS,
-                         ids=["bounds-ball38", "bounds-interior3-m402", "sweep-ball3"])
+                         ids=["bounds-ball38", "bounds-interior3-m402", "sweep-ball3",
+                              "spectrum-ball38", "sweep-path"])
 def test_pencil_route_report_bytes_match_recorded_digests(argv, digest, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
 import random
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from steklov_trees import (
 from steklov_trees import spectra
 
 from _oracle import (
+    bisect_oracle,
     count_below_brute,
     laplacian_brute,
     peel_levels_oracle,
@@ -291,10 +296,11 @@ def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
 
 @given(t=shapes)
 def test_peel_schedule_matches_the_whole_tree_peel(t):
-    degrees, boundary, levels = spectra._peel_levels(t)
+    degrees, levels = spectra._peel_levels(t)
     want_degrees, want_boundary, want_levels = peel_levels_oracle(t)
     assert degrees.tobytes() == want_degrees.tobytes()
-    assert boundary.tobytes() == want_boundary.tobytes()
+    # the boundary fills the first m slots, so the sweep needs no mask
+    assert want_boundary.tobytes() == (np.arange(t.n) < t.n_boundary).tobytes()
     assert len(levels) == len(want_levels)
     for (a, b, ps, distinct), (wa, wb, wps, wdistinct) in zip(levels, want_levels):
         assert (a, b, distinct) == (wa, wb, wdistinct)
@@ -395,6 +401,121 @@ def test_peel_check_raises_on_a_cycle(ball32):
         boundary_pos=np.full(3, -1))
     with pytest.raises(InvariantViolationError):
         spectra._steklov_count_below(cyc, 0.5)
+
+
+def test_peel_check_raises_when_the_boundary_is_not_peeled_first(ball32):
+    # the sweep writes the boundary's diagonal as the first m slots: a
+    # boundary out of step with the elimination is refused, not misread
+    shuffled = dataclasses.replace(ball32, boundary=tuple(reversed(ball32.boundary)))
+    with pytest.raises(InvariantViolationError):
+        spectra._steklov_count_below(shuffled, 0.5)
+
+
+# -- the replay from count-certified brackets ------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _relabelled(t, seed: int):
+    """``t`` with its vertex ids permuted: the same tree, another peel order."""
+    perm = np.random.default_rng(seed).permutation(t.n)
+    return build_tree([(int(perm[u]), int(perm[v])) for u, v in t.edges])
+
+
+relabelled = st.builds(
+    _relabelled,
+    st.one_of(st.builds(gen_ball, st.integers(3, 5), st.integers(1, 3)),
+              st.builds(gen_path, st.integers(2, 40))),
+    st.integers(0, 2**32 - 1))
+
+
+def _sampled_ks(m: int) -> list[int]:
+    return list(range(1, m + 1)) if m <= 12 else sorted({1, 2, 3, m // 3, m // 2, m - 1, m})
+
+
+def _assert_replay_matches_the_plain_loop(t, ks) -> None:
+    # both tolerances and every k share the tree's one count memo
+    for abs_tol in (1e-12, 1e-10):
+        for k in ks:
+            got = steklov_eigenvalue_bisect(t, k, abs_tol=abs_tol)
+            assert got.hex() == bisect_oracle(t, k, abs_tol=abs_tol).hex(), (k, abs_tol)
+
+
+@given(t=st.one_of(shapes, relabelled), descending=st.booleans())
+def test_replay_returns_the_plain_bisection_bits(t, descending):
+    ks = _sampled_ks(t.n_boundary)
+    _assert_replay_matches_the_plain_loop(t, ks[::-1] if descending else ks)
+
+
+# shifts of the plain loop land on eigenvalues of subtrees here, where pivots
+# vanish: path(4) at 1/2, and stars and ball32 at 1
+@pytest.mark.parametrize("name", ["path4", "star5", "k13", "ball32", "caterpillar"])
+@pytest.mark.parametrize("descending", [False, True])
+def test_replay_matches_where_pivots_vanish(name, descending, request):
+    t = request.getfixturevalue(name)
+    ks = list(range(1, t.n_boundary + 1))
+    _assert_replay_matches_the_plain_loop(t, ks[::-1] if descending else ks)
+
+
+@pytest.mark.parametrize("legs", [2, 3, 7, 12])
+def test_replay_matches_on_stars_and_paths(legs):
+    for t in (build_tree([(0, i) for i in range(1, legs + 1)]), gen_path(legs + 1)):
+        _assert_replay_matches_the_plain_loop(t, range(1, t.n_boundary + 1))
+
+
+@given(t=shapes)
+def test_count_is_monotone_in_the_shift(t):
+    # the replay's premise: a shift above one counted at >= k also counts
+    # >= k, bit for bit, also at and next to eigenvalues, where pivots vanish
+    lam = np.linalg.eigvalsh(dtn_matrix(t).entries)
+    grid = {float(x) for x in np.linspace(-0.25, 1.25, 31)}
+    for x in lam:
+        grid |= {float(np.nextafter(x, -1.0)), float(x), float(np.nextafter(x, 2.0))}
+    counts = [spectra._steklov_count_below(t, s) for s in sorted(grid)]
+    assert counts == sorted(counts)
+
+
+def test_replay_counts_a_fraction_of_the_plain_loop(monkeypatch):
+    # counts, not times, so the check is deterministic: 13 against 74 at
+    # the time of writing
+    t = gen_ball(3, 8)
+    passes = []
+    count = spectra._steklov_count_below
+    monkeypatch.setattr(spectra, "_steklov_count_below",
+                        lambda t, shift: passes.append(shift) or count(t, shift))
+    for k in (2, 3, 5):
+        bisect_oracle(t, k)
+    plain = len(set(passes))
+    passes.clear()
+    for k in (2, 3, 5):
+        steklov_eigenvalue_bisect(t, k)
+    assert len(passes) <= plain // 4
+
+
+def _bisect_in_child(abs_tol: str) -> subprocess.CompletedProcess:
+    # a child process, so that a bisection that never ends fails on the
+    # timeout instead of hanging the suite
+    code = ("from steklov_trees import BadParamsError, gen_ball, steklov_eigenvalue_bisect\n"
+            "try:\n"
+            f"    print(steklov_eigenvalue_bisect(gen_ball(3, 2), 2, abs_tol={abs_tol}).hex())\n"
+            "except BadParamsError as exc:\n"
+            "    print('BadParamsError', exc)\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("abs_tol", ["0.0", "-1.0", "float('nan')", "float('inf')"])
+def test_bisect_rejects_a_tolerance_that_is_not_finite_and_positive(abs_tol):
+    out = _bisect_in_child(abs_tol)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("BadParamsError abs_tol must be finite and positive")
+
+
+def test_bisect_below_float_spacing_ends_at_adjacent_floats():
+    out = _bisect_in_child("1e-300")
+    assert out.returncode == 0, out.stderr
+    got = float.fromhex(out.stdout.strip())
+    assert abs(got - 1 / 3) <= 2 * np.spacing(1 / 3)
 
 
 # -- assembled spectra -----------------------------------------------------------------
