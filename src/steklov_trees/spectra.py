@@ -253,24 +253,26 @@ def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, fl
                 float(g @ g) + m * r * r - float(d2[m:n] @ inv[m:]))
 
 
-def _laguerre(t: BoundaryTree, s: float, pivots: np.ndarray, up: bool, mu: int) -> float:
+def _laguerre(
+    t: BoundaryTree, s: float, pivots: np.ndarray, up: bool, mu: int,
+) -> tuple[float, int]:
     """Laguerre's estimate, from ``s``, of the nearest eigenvalue above or below it.
 
     For a polynomial with real roots, Laguerre's point lies between ``s``
     and the nearest root on its side, and converges to it cubically
     (Li and Zeng, *SIAM J. Sci. Comput.* 15 (1994), for the tridiagonal
     eigenproblem).  The multiplicity ``nu = G**2 / H``, rounded and held
-    to ``1..mu``, keeps the rate on a multiple eigenvalue.  NaN when the
-    derivatives are not finite.
+    to ``1..mu``, keeps the rate on a multiple eigenvalue; it is returned
+    with the point.  ``(nan, 0)`` when the derivatives are not finite or
+    an eigenvalue on the other side is nearer.
     """
     g, h = _log_det_derivatives(t, pivots)
     if not (math.isfinite(g) and math.isfinite(h) and h > 0.0) or (g < 0.0) != up:
-        # an eigenvalue on the other side is nearer: no estimate
-        return math.nan
+        return math.nan, 0
     m = t.n_boundary
     nu = min(max(round(g * g / h), 1), mu)
     root = math.sqrt(max(0.0, (m - nu) / nu * (m * h - g * g)))
-    return s - m / (g - root if up else g + root)
+    return s - m / (g - root if up else g + root), nu
 
 
 def _narrow(
@@ -280,22 +282,25 @@ def _narrow(
     """Narrow a certified bracket ``a < lambda_k <= b`` by estimates.
 
     ``count(a) < k <= count(b)`` holds throughout, since every probe is
-    counted.  Laguerre steps start from an end whose nearest eigenvalue
-    inward is ``lambda_k`` (``count(a) = k - 1`` or ``count(b) = k``), or
-    from either end once the bracket is narrower than a quarter of ``b``
-    (a cluster).  Otherwise a probe splits the bracket where the counts
-    put ``lambda_k``: the count grows about linearly from 0, and as a
-    power of the shift between two probes.  When a step moves less than
-    ``1e-4`` of its point ``x`` (Laguerre converges cubically), ``x`` is
-    certified by counts at ``x -+ delta``, with ``delta = abs_tol/8``,
-    growing fourfold while ``x`` proves to sit on the wrong side of
-    ``lambda_k``, and dropped once past ``abs_tol``.  Stops at width
-    ``2 abs_tol`` or after ``_MAX_PROBES`` counts: a poor estimate costs
-    counts, never bits.
+    counted.  A Laguerre step starts from an end with fresh pivots when
+    ``lambda_k`` is that end's nearest eigenvalue inward
+    (``count(a) = k - 1`` or ``count(b) = k``), or, once the bracket is
+    narrower than a quarter of ``b`` and the last probe left its end's
+    count unchanged (a cluster, perhaps), when the cluster of ``nu``
+    eigenvalues it aims at holds ``lambda_k``.  Otherwise a probe splits
+    the bracket where the counts put ``lambda_k``: the count grows about
+    linearly from 0 and across a narrow bracket, and as a power of the
+    shift across a wide one.  When a step moves less than ``1e-4`` of its
+    point ``x`` (Laguerre converges cubically), ``x`` is certified by
+    counts at ``x -+ delta``, with ``delta = abs_tol/8``, growing fourfold
+    while ``x`` proves to sit on the wrong side of ``lambda_k``, and
+    dropped once past ``abs_tol``.  Stops at width ``2 abs_tol`` or after
+    ``_MAX_PROBES`` counts: a poor estimate costs counts, never bits.
     """
     recent = _counts(t).pivots
     x = None  # a converged estimate under certification
     delta = 0.125 * abs_tol
+    stalled = False  # the last probe's count equalled its end's
     for _ in range(_MAX_PROBES):
         if b - a <= 2.0 * abs_tol:
             break
@@ -306,33 +311,39 @@ def _narrow(
             elif x + delta < b:
                 p = x + delta
         x = x if p is not None else None
-        cluster = b - a <= 0.25 * b
+        narrow = b - a <= 0.25 * b
         if p is None:
             for s, up in ((a, True), (b, False)):
-                if s in recent and (cluster or (ca == k - 1 if up else cb == k)):
-                    q = _laguerre(t, s, recent[s], up, cb - ca)
-                    if math.isnan(q):
-                        continue
-                    # past the far end, the estimate puts lambda_k at it
-                    q = min(q, b) if up else max(q, a)
-                    if abs(q - s) <= max(0.0625 * abs_tol, 1e-4 * abs(q)) or q in (a, b):
-                        x, delta = q, 0.125 * abs_tol
-                    else:
-                        p = q
-                    break
+                near = ca == k - 1 if up else cb == k
+                if s not in recent or not (near or narrow and stalled):
+                    continue
+                q, nu = _laguerre(t, s, recent[s], up, cb - ca)
+                # the step aims at a cluster of nu eigenvalues, which must
+                # hold lambda_k
+                if math.isnan(q) or (ca + nu < k if up else cb - nu >= k):
+                    continue
+                # past the far end, the estimate puts lambda_k at it
+                q = min(q, b) if up else max(q, a)
+                if abs(q - s) <= max(0.0625 * abs_tol, 1e-4 * abs(q)) or q in (a, b):
+                    x, delta = q, 0.125 * abs_tol
+                else:
+                    p = q
+                break
         if x is not None and p is None:
             continue
         if p is None:
             if a <= 0.0:
                 p = b * min(max((k - 0.5) / cb, 1 / 64), 0.5)
-            elif cluster or ca == 0:
-                p = 0.5 * (a + b)
+            elif narrow or ca == 0:
+                theta = (k - 0.5 - ca) / (cb - ca)
+                p = a + (b - a) * min(max(theta, 0.25), 0.75)
             else:
                 theta = math.log((k - 0.5) / ca) / math.log(cb / ca)
                 p = a * (b / a) ** min(max(theta, 0.25), 0.75)
             if not a < p < b:
                 p = 0.5 * (a + b)
         c = count(p)
+        stalled = c == (ca if c < k else cb)
         if c < k:
             a, ca = p, c
             if x is not None and p > x:
