@@ -310,9 +310,9 @@ def _narrow(
                 p = x - delta
             elif x + delta < b:
                 p = x + delta
-        x = x if p is not None else None
         narrow = b - a <= 0.25 * b
         if p is None:
+            x = None
             for s, up in ((a, True), (b, False)):
                 near = ca == k - 1 if up else cb == k
                 if s not in recent or not (near or narrow and stalled):
@@ -329,8 +329,8 @@ def _narrow(
                 else:
                     p = q
                 break
-        if x is not None and p is None:
-            continue
+            if x is not None:
+                continue
         if p is None:
             if a <= 0.0:
                 p = b * min(max((k - 0.5) / cb, 1 / 64), 0.5)
@@ -371,12 +371,12 @@ def steklov_eigenvalue_bisect(
     moving ``hi`` to ``mid`` when ``count(mid) >= k`` and ``lo``
     otherwise.  First :func:`_narrow` finds a bracket ``a < lambda_k <= b``
     with ``count(a) < k <= count(b)``, where ``a`` is a counted shift and
-    so is ``b``, unless it is still ``hi``, which no midpoint reaches; then
-    the loop is replayed, and a midpoint ``<= a`` moves ``lo``, one
-    ``>= b`` moves ``hi``, and only one inside ``(a, b)`` is counted.  The replay also
-    ends when a midpoint equals ``lo`` or ``hi``: below the float spacing
-    the plain loop would spin forever.  :class:`BadParamsError` unless
-    ``abs_tol`` is finite and positive.
+    so is ``b``, unless it is still ``hi``, which no midpoint reaches;
+    then the loop is replayed, and a midpoint ``<= a`` moves ``lo``, one
+    ``>= b`` moves ``hi``, and only one inside ``(a, b)`` is counted.
+    The replay also ends when a midpoint equals ``lo`` or ``hi``: below
+    the float spacing the plain loop would spin forever.
+    :class:`BadParamsError` unless ``abs_tol`` is finite and positive.
 
     *The count does not decrease as the shift grows*, bit for bit, which
     makes the replay's decisions those of the loop (the argument Demmel,
