@@ -49,7 +49,14 @@ from _oracle import (
     pencil_pivots_oracle,
     steklov_eigs_brute,
 )
-from conftest import shapes
+from conftest import (
+    BALL32_EDGES,
+    CATERPILLAR_EDGES,
+    K13_EDGES,
+    PATH4_EDGES,
+    STAR5_EDGES,
+    shapes,
+)
 
 # trees on which an unpivoted dense LDL^T inertia count broke down
 # mid-bisection (a probe landing on an eigenvalue of a leading minor)
@@ -447,20 +454,26 @@ def test_replay_returns_the_plain_bisection_bits(t, descending):
     _assert_replay_matches_the_plain_loop(t, ks[::-1] if descending else ks)
 
 
-# shifts of the plain loop land on eigenvalues of subtrees here, where pivots
-# vanish: path(4) at 1/2, and stars and ball32 at 1
-@pytest.mark.parametrize("name", ["path4", "star5", "k13", "ball32", "caterpillar"])
+def _star(legs: int) -> tuple:
+    return tuple((0, i) for i in range(1, legs + 1))
+
+
+def _path(length: int) -> tuple:
+    return tuple((i, i + 1) for i in range(length))
+
+
+# shifts of the plain loop land on eigenvalues of subtrees of these trees,
+# where pivots vanish: path(4) at 1/2, and stars and ball32 at 1
+VANISHING_PIVOT_EDGES = [PATH4_EDGES, STAR5_EDGES, K13_EDGES, BALL32_EDGES, CATERPILLAR_EDGES,
+                         *(_star(j) for j in (2, 7, 12)), *(_path(j) for j in (3, 8, 13))]
+
+
+@pytest.mark.parametrize("edges", VANISHING_PIVOT_EDGES)
 @pytest.mark.parametrize("descending", [False, True])
-def test_replay_matches_where_pivots_vanish(name, descending, request):
-    t = request.getfixturevalue(name)
+def test_replay_matches_where_pivots_vanish(edges, descending):
+    t = build_tree(edges)
     ks = list(range(1, t.n_boundary + 1))
     _assert_replay_matches_the_plain_loop(t, ks[::-1] if descending else ks)
-
-
-@pytest.mark.parametrize("legs", [2, 3, 7, 12])
-def test_replay_matches_on_stars_and_paths(legs):
-    for t in (build_tree([(0, i) for i in range(1, legs + 1)]), gen_path(legs + 1)):
-        _assert_replay_matches_the_plain_loop(t, range(1, t.n_boundary + 1))
 
 
 @given(t=shapes)
