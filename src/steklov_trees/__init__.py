@@ -10,6 +10,7 @@ harness that re-verifies the whole chain on random trees.
 
 from .bounds import (
     BOUND_IDS,
+    BOUND_VALUES,
     LAM2_BOUNDARY,
     LAM2_DIAMETER,
     LAM2_VOLUME,
@@ -26,6 +27,7 @@ from .bounds import (
     bound_lam2_volume,
     bound_lamk_boundary,
     bound_lamk_volume,
+    bound_value,
     lemma_dv_check,
     prop_l_check,
 )

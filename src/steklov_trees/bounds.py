@@ -6,6 +6,12 @@ holds within a single slack, and (where a proof constructs one) the test
 function or partition certificate acting as witness.  Inapplicable
 preconditions are reported, never silently skipped, so a harness can
 tell "holds" from "vacuous".
+
+The right-hand side of each of the five upper bounds is written once,
+in :data:`BOUND_VALUES`, and read through :func:`bound_value` by the
+reports here, by the witness chains of :mod:`.verify` and by the
+``sweep`` columns, so every caller compares against the same exact
+``Fraction``.
 """
 from __future__ import annotations
 
@@ -43,6 +49,22 @@ PROP_L = "PROP_L"
 
 BOUND_IDS = (LAM2_BOUNDARY, LAM2_VOLUME, LAM2_DIAMETER, LAMK_BOUNDARY,
              LAMK_VOLUME, LEMMA_DV, PROP_L)
+
+# the exact right-hand side of each upper bound, for lambda_k on tree t
+# (the lambda_2 bounds ignore k)
+BOUND_VALUES = {
+    LAM2_BOUNDARY: lambda t, k: Fraction(4 * (t.max_degree - 1), t.n_boundary),
+    LAM2_VOLUME: lambda t, k: Fraction(8 * (t.max_degree - 1), t.n + 2),
+    LAM2_DIAMETER: lambda t, k: Fraction(2, diameter(t).length),
+    LAMK_BOUNDARY: lambda t, k: Fraction(8 * (t.max_degree - 1) ** 2 * (k - 1),
+                                         t.n_boundary),
+    LAMK_VOLUME: lambda t, k: Fraction(16 * (t.max_degree - 1) ** 2 * (k - 1), t.n + 2),
+}
+
+
+def bound_value(bound_id: str, t: BoundaryTree, k: int = 2) -> Fraction:
+    """The exact value of upper bound ``bound_id`` for ``lambda_k`` on ``t``."""
+    return BOUND_VALUES[bound_id](t, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +115,18 @@ def _interior_degrees_ok(t: BoundaryTree) -> bool:
 
 def _upper_report(
     bound_id: str,
-    bound: Fraction,
-    measured: float,
+    t: BoundaryTree,
+    k: int,
+    spectrum: SteklovSpectrum | None,
     *,
     preconditions_met: bool = True,
     witness: object | None = None,
     note: str = "",
     tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
-    bv = float(bound)
+    """lambda_k against upper bound ``bound_id``."""
+    bv = float(bound_value(bound_id, t, k))
+    measured = steklov_lambda(t, k, spectrum=spectrum)
     holds = (measured <= bv + tol.bound_slack) if preconditions_met else None
     return BoundReport(
         bound_id=bound_id,
@@ -123,12 +148,10 @@ def bound_lam2_boundary(
     with_witness: bool = True,
 ) -> BoundReport:
     """lambda_2 <= 4(D-1)/|boundary|, witnessed by the two-level function."""
-    bound = Fraction(4 * (t.max_degree - 1), t.n_boundary)
     witness = None
     if with_witness:
         witness = two_level_test_function(t, partition_two(t), tol)
-    return _upper_report(LAM2_BOUNDARY, bound, steklov_lambda(t, 2, spectrum=spectrum),
-                         witness=witness, tol=tol)
+    return _upper_report(LAM2_BOUNDARY, t, 2, spectrum, witness=witness, tol=tol)
 
 
 def bound_lam2_volume(
@@ -139,9 +162,7 @@ def bound_lam2_volume(
 ) -> BoundReport:
     """lambda_2 <= 8(D-1)/(|V|+2), valid when interior degrees are >= 3."""
     pre = _interior_degrees_ok(t)
-    bound = Fraction(8 * (t.max_degree - 1), t.n + 2)
-    return _upper_report(LAM2_VOLUME, bound, steklov_lambda(t, 2, spectrum=spectrum),
-                         preconditions_met=pre,
+    return _upper_report(LAM2_VOLUME, t, 2, spectrum, preconditions_met=pre,
                          note="" if pre else "an interior vertex has degree < 3",
                          tol=tol)
 
@@ -154,18 +175,14 @@ def bound_lam2_diameter(
     with_witness: bool = True,
 ) -> BoundReport:
     """lambda_2 <= 2/L, witnessed by the spine test function."""
-    dia = diameter(t)
-    bound = Fraction(2, dia.length)
     witness = diameter_test_function(t) if with_witness else None
-    return _upper_report(LAM2_DIAMETER, bound, steklov_lambda(t, 2, spectrum=spectrum),
-                         witness=witness, tol=tol)
+    return _upper_report(LAM2_DIAMETER, t, 2, spectrum, witness=witness, tol=tol)
 
 
 def _lamk_report(
     bound_id: str,
     t: BoundaryTree,
     k: int,
-    bound: Fraction,
     extra_pre: bool,
     extra_note: str,
     spectrum: SteklovSpectrum | None,
@@ -175,8 +192,9 @@ def _lamk_report(
     m = t.n_boundary
     if not 3 <= k <= m:
         return BoundReport(
-            bound_id=bound_id, bound_value=float(bound), measured=float("nan"),
-            tightness=float("nan"), holds=None, preconditions_met=False,
+            bound_id=bound_id, bound_value=float(bound_value(bound_id, t, k)),
+            measured=float("nan"), tightness=float("nan"), holds=None,
+            preconditions_met=False,
             note=f"k={k} outside 3..{m}")
     witness = None
     note = extra_note
@@ -186,9 +204,8 @@ def _lamk_report(
         except PartTooSmallError:
             note = (note + "; " if note else "") + \
                 "no multiway witness: a peeled part holds one boundary vertex"
-    return _upper_report(bound_id, bound, steklov_lambda(t, k, spectrum=spectrum),
-                         preconditions_met=extra_pre, witness=witness,
-                         note=note, tol=tol)
+    return _upper_report(bound_id, t, k, spectrum, preconditions_met=extra_pre,
+                         witness=witness, note=note, tol=tol)
 
 
 def bound_lamk_boundary(
@@ -200,10 +217,7 @@ def bound_lamk_boundary(
     with_witness: bool = True,
 ) -> BoundReport:
     """lambda_k <= 8(D-1)^2 (k-1)/|boundary| for 3 <= k <= |boundary|."""
-    d = t.max_degree
-    bound = Fraction(8 * (d - 1) * (d - 1) * (k - 1), t.n_boundary)
-    return _lamk_report(LAMK_BOUNDARY, t, k, bound, True, "",
-                        spectrum, tol, with_witness)
+    return _lamk_report(LAMK_BOUNDARY, t, k, True, "", spectrum, tol, with_witness)
 
 
 def bound_lamk_volume(
@@ -214,10 +228,8 @@ def bound_lamk_volume(
     tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """lambda_k <= 16(D-1)^2 (k-1)/(|V|+2) when interior degrees are >= 3."""
-    d = t.max_degree
     pre = _interior_degrees_ok(t)
-    bound = Fraction(16 * (d - 1) * (d - 1) * (k - 1), t.n + 2)
-    return _lamk_report(LAMK_VOLUME, t, k, bound, pre,
+    return _lamk_report(LAMK_VOLUME, t, k, pre,
                         "" if pre else "an interior vertex has degree < 3",
                         spectrum, tol, with_witness=False)
 
@@ -345,14 +357,13 @@ def asymptotic_decay_check(
     rows = []
     lams = []
     for t in family:
-        dia = diameter(t)
         # only lambda_2 is needed, so the sparse pencil route wins at any size
         lam2 = steklov_eigenvalue_bisect(t, 2)
         lams.append(lam2)
+        bound = float(bound_value(LAM2_DIAMETER, t))
         rows.append(DecayRow(
-            n=t.n, n_boundary=t.n_boundary, diameter=dia.length, lam2=lam2,
-            diameter_bound=2.0 / dia.length,
-            within_bound=lam2 <= 2.0 / dia.length + tol.bound_slack,
+            n=t.n, n_boundary=t.n_boundary, diameter=diameter(t).length, lam2=lam2,
+            diameter_bound=bound, within_bound=lam2 <= bound + tol.bound_slack,
         ))
     decreasing = all(b < a for a, b in zip(lams, lams[1:]))
     tail_below = lams[-1] <= threshold + tol.bound_slack

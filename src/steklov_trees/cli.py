@@ -180,8 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         tol=tol,
     )
-    cfg.validate()
-    rep = run_verification(cfg)
+    rep = run_verification(cfg)  # validates the config first
     if args.format == "csv":
         # a crashed column only when some check crashed, as in the JSON report
         crashed = any(c.crashed for c in rep.counters.values())
@@ -202,8 +201,8 @@ def _expand_family_range(spec: dict) -> list[dict]:
         raise BadParamsError("sweep needs exactly one parameter given as [lo, hi]")
     key = ranged[0]
     lo_hi = spec[key]
-    if (len(lo_hi) != 2 or not all(isinstance(x, int) for x in lo_hi)
-            or lo_hi[0] > lo_hi[1]):
+    ints = all(isinstance(x, int) and not isinstance(x, bool) for x in lo_hi)
+    if len(lo_hi) != 2 or not ints or lo_hi[0] > lo_hi[1]:
         raise BadParamsError(f"range for {key} must be [lo, hi] with lo <= hi")
     values = range(lo_hi[0], lo_hi[1] + 1)
     if spec.get("family") == "EXTREMAL_MIDDLE" and key == "L":
@@ -232,12 +231,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["tree_id,n,boundary,D,L,lambda2,bound_boundary,tightness_boundary,"
              "bound_volume,tightness_volume,bound_diameter,tightness_diameter"]
     for s, t, row in zip(specs, trees, report.rows):
-        d = t.max_degree
-        bb = 4 * (d - 1) / row.n_boundary
+        bb = float(bnd.bound_value(bnd.LAM2_BOUNDARY, t))
+        bv = float(bnd.bound_value(bnd.LAM2_VOLUME, t))
         volume_ok = bnd._interior_degrees_ok(t)
-        bv = 8 * (d - 1) / (t.n + 2)
         lines.append(",".join([
-            family_label(s), str(row.n), str(row.n_boundary), str(d),
+            family_label(s), str(row.n), str(row.n_boundary), str(t.max_degree),
             str(row.diameter), _fmt(row.lam2),
             _fmt(bb), _fmt(row.lam2 / bb),
             _fmt(bv) if volume_ok else "", _fmt(row.lam2 / bv) if volume_ok else "",

@@ -22,15 +22,12 @@ from .spectra import steklov_eigenvalue_bisect
 Edge = tuple[int, int]
 
 
-def gen_ball(d: int, r: int) -> BoundaryTree:
-    """Ball of radius ``r`` in the degree-``d`` homogeneous tree.
+def _ball_edges(d: int, r: int) -> list[Edge]:
+    """Edges of the radius-``r`` ball in the degree-``d`` tree, breadth-first.
 
-    Vertex ids are breadth-first from the center (id 0): the center has
-    ``d`` children, every other internal vertex ``d - 1``.  The boundary
-    is the depth-``r`` level, of size ``d (d-1)^{r-1}``.
+    Each edge is ``(parent, child)``; ids are breadth-first from the
+    center (id 0), so a parent always precedes its children.
     """
-    if d < 3 or r < 1:
-        raise BadParamsError(f"ball needs degree >= 3 and radius >= 1, got ({d}, {r})")
     edges: list[Edge] = []
     level = [0]
     nxt = 1
@@ -43,7 +40,19 @@ def gen_ball(d: int, r: int) -> BoundaryTree:
                 new_level.append(nxt)
                 nxt += 1
         level = new_level
-    return build_tree(edges)
+    return edges
+
+
+def gen_ball(d: int, r: int) -> BoundaryTree:
+    """Ball of radius ``r`` in the degree-``d`` homogeneous tree.
+
+    Vertex ids are breadth-first from the center (id 0): the center has
+    ``d`` children, every other internal vertex ``d - 1``.  The boundary
+    is the depth-``r`` level, of size ``d (d-1)^{r-1}``.
+    """
+    if d < 3 or r < 1:
+        raise BadParamsError(f"ball needs degree >= 3 and radius >= 1, got ({d}, {r})")
+    return build_tree(_ball_edges(d, r))
 
 
 def gen_refined(l: int) -> BoundaryTree:
@@ -56,26 +65,14 @@ def gen_refined(l: int) -> BoundaryTree:
     """
     if l < 2:
         raise BadParamsError(f"refined ball needs radius >= 2, got {l}")
-    ball_edges: list[tuple[int, int, int]] = []  # (parent, child, child depth)
-    level = [0]
-    nxt = 1
-    for depth in range(l):
-        new_level = []
-        for v in level:
-            fanout = 3 if depth == 0 else 2
-            for _ in range(fanout):
-                ball_edges.append((v, nxt, depth + 1))
-                new_level.append(nxt)
-                nxt += 1
-        level = new_level
-
+    ball = _ball_edges(3, l)
+    nxt = len(ball) + 1
+    depth = [0] * nxt
     edges: list[Edge] = []
-    for parent, child, child_depth in ball_edges:
-        k = child_depth - 1
-        if k == 0:
-            edges.append((parent, child))
-            continue
-        chain = [parent] + [nxt + i for i in range(k)] + [child]
+    for parent, child in ball:
+        k = depth[parent]  # the edge down from depth k gets k extra vertices
+        depth[child] = k + 1
+        chain = [parent, *range(nxt, nxt + k), child]
         nxt += k
         edges.extend(zip(chain, chain[1:]))
     return build_tree(edges)
@@ -292,7 +289,9 @@ def generate_family(spec: dict) -> BoundaryTree:
                 f"{fam} takes {required}{' + optional ' + str(optional) if optional else ''};"
                 f" missing {missing}, unexpected {extra}")
         for k, v in args.items():
-            if not isinstance(v, int) and not (k == "variant" and isinstance(v, str)):
+            # bool is an int subclass, but JSON true/false is no parameter value
+            is_int = isinstance(v, int) and not isinstance(v, bool)
+            if not is_int and not (k == "variant" and isinstance(v, str)):
                 raise BadParamsError(f"parameter {k}={v!r} must be an integer")
         return args
 

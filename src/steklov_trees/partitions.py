@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
+    DimensionMismatchError,
     InfeasibleKError,
     InvariantViolationError,
     PartTooSmallError,
@@ -41,6 +42,7 @@ from .errors import (
 from .graph_core import (
     BoundaryTree,
     SubtreeRef,
+    _bfs,
     _is_edge,
     _preorder,
     branch_components,
@@ -49,6 +51,7 @@ from .graph_core import (
     make_subtree,
 )
 from .harmonic import VertexFunction
+from .spectra import rayleigh_quotient
 
 Edge = tuple[int, int]
 
@@ -274,14 +277,7 @@ def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
     minimum id).  One BFS from vertex 0 gives every subtree's boundary
     count, so each edge costs O(1) and the scan O(n).
     """
-    parent = [-1] * t.n
-    parent[0] = 0
-    order = [0]
-    for x in order:
-        for y in t.neighbors[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
+    order, parent = _bfs(t.neighbors, 0)
     below = (t.boundary_pos >= 0).astype(np.int64).tolist()
     for x in reversed(order[1:]):
         below[parent[x]] += below[x]
@@ -434,21 +430,18 @@ def gradient_supports_disjoint(fns: list[VertexFunction]) -> bool:
     The combination inequality ``R(Σ b_j f_j) <= max R(f_j)`` needs this;
     it usually holds for peeled parts but an extraction can be forced to
     absorb the port vertex of an earlier cut, so it is checked, not
-    assumed.
+    assumed.  The functions must live on one tree
+    (:class:`DimensionMismatchError` otherwise).  One pass counts, per
+    edge, the functions with a nonzero gradient there.
     """
     if not fns:
         return True
     t = fns[0].tree
-    supports = []
-    for f in fns:
-        d = f.values[t.edge_u] - f.values[t.edge_v]
-        supports.append(np.nonzero(d != 0.0)[0])
-    for i in range(len(supports)):
-        si = set(supports[i].tolist())
-        for j in range(i + 1, len(supports)):
-            if si & set(supports[j].tolist()):
-                return False
-    return True
+    if any(f.tree is not t for f in fns):
+        raise DimensionMismatchError("trial function on a different tree")
+    vals = np.array([f.values for f in fns])
+    grads = vals[:, t.edge_u] - vals[:, t.edge_v]
+    return bool(np.count_nonzero(grads != 0.0, axis=0).max(initial=0) <= 1)
 
 
 # -- diameter test function ----------------------------------------------------------
@@ -533,12 +526,8 @@ def diameter_test_function(t: BoundaryTree) -> VertexFunction:
     bsum = float(f.boundary_values().sum())
     if abs(bsum) > 1e-9 * scale * t.n_boundary:
         raise InvariantViolationError(f"boundary sum {bsum:.3e} not ~0")
-    diffs = vals[t.edge_u] - vals[t.edge_v]
-    num = float(diffs @ diffs)
-    den = float(f.boundary_values() @ f.boundary_values())
+    r = rayleigh_quotient(f)  # +inf when the boundary values vanish
     # construction guarantees 2/L up to roundoff, independent of bound_slack
-    if den <= 0.0 or num / den > 2.0 / L + 1e-9:
-        raise InvariantViolationError(
-            f"diameter quotient {num / den if den else float('inf'):.6g} "
-            f"exceeds 2/{L}")
+    if r > 2.0 / L + 1e-9:
+        raise InvariantViolationError(f"diameter quotient {r:.6g} exceeds 2/{L}")
     return f

@@ -5,9 +5,15 @@ re-derives the whole chain of guarantees: structural invariants, the
 boundary response matrix, spectra from independent routes, partition
 certificates in exact arithmetic, the three test-function constructions,
 and every bound report.  The result is a deterministic report object:
-same config, same counters, byte for byte.  A check that raises
-``InvariantViolationError`` or ``AssertionError`` failed; one that
-raises anything else crashed, and its failure entry names the exception.
+same config, same counters, byte for byte.
+
+Every check on a tree goes through one runner, which counts it under its
+name and hands its value to the checks that need it.  A check that
+raises ``InvariantViolationError`` or ``AssertionError`` failed; one
+that raises anything else crashed, and its failure entry names the
+exception.  The witness chains compare each Rayleigh quotient with the
+exact bound value from :func:`.bounds.bound_value`, the same value the
+bound reports certify.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from . import bounds as bnd
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadParamsError, InvariantViolationError, PartTooSmallError
 from .generators import gen_random_interior3, gen_random_tree
-from .graph_core import BoundaryTree, diameter
+from .graph_core import BoundaryTree
 from .harmonic import dtn_matrix
 from .partitions import (
     diameter_test_function,
@@ -112,6 +118,33 @@ def _k_values(m: int) -> tuple[int, ...]:
     return tuple(sorted({3, min(5, m)}))
 
 
+class _BoundMissed(AssertionError):
+    """A bound report that does not hold; its failure detail is the message alone."""
+
+
+# returned by a check that does not apply to the tree, and by ``run`` for a
+# check that did not apply, failed or crashed
+_MISSING = object()
+
+
+def _expect(cond: bool, msg: str) -> None:
+    if not cond:
+        raise AssertionError(msg)
+
+
+def _structure(t: BoundaryTree) -> None:
+    leaves = {v for v in range(t.n) if t.degrees[v] == 1}
+    _expect(set(t.boundary) == leaves, "boundary is not the degree-1 set")
+    _expect(len(t.interior) + len(t.boundary) == t.n, "interior misses vertices")
+
+
+def _bound_verdict(r: bnd.BoundReport) -> object:
+    if not r.preconditions_met:
+        return _MISSING
+    if not r.holds:
+        raise _BoundMissed(f"bound {r.bound_value!r} measured {r.measured!r}")
+
+
 def _check_tree(
     t: BoundaryTree,
     label: str,
@@ -122,166 +155,125 @@ def _check_tree(
 ) -> None:
     slack = tol.bound_slack
 
-    def record(name: str, exc: Exception, context: str = "") -> None:
-        """Count a check that raised: failed on a finding, crashed otherwise."""
-        entry = {"trial": label, "check": name,
-                 "detail": f"{context}{type(exc).__name__}: {exc}"}
-        if isinstance(exc, _FINDINGS):
-            rep.counter(name).failed += 1
-        else:
-            rep.counter(name).crashed += 1
-            entry["crashed"] = type(exc).__name__
-        rep.failures.append(entry)
+    def run(name: str, fn, context: str = "", *, counted: bool = True) -> object:
+        """Run one check, count its outcome under ``name`` and return its value.
 
-    def run(name: str, fn) -> bool:
+        Returns ``_MISSING`` for a check that did not apply (it returned
+        ``_MISSING``: skipped), failed (it raised a finding) or crashed
+        (it raised anything else).  ``counted=False`` records failures
+        and crashes only.
+        """
         try:
-            fn()
+            value = fn()
         except Exception as exc:  # recorded, and the harness goes on to the next check
-            record(name, exc)
-            return False
-        rep.counter(name).passed += 1
-        return True
+            kind = type(exc).__name__
+            detail = str(exc) if isinstance(exc, _BoundMissed) else f"{kind}: {exc}"
+            entry = {"trial": label, "check": name, "detail": context + detail}
+            if isinstance(exc, _FINDINGS):
+                rep.counter(name).failed += 1
+            else:
+                rep.counter(name).crashed += 1
+                entry["crashed"] = kind
+            rep.failures.append(entry)
+            return _MISSING
+        if counted:
+            c = rep.counter(name)
+            if value is _MISSING:
+                c.skipped += 1
+            else:
+                c.passed += 1
+        return value
 
-    def expect(cond: bool, msg: str) -> None:
-        if not cond:
-            raise AssertionError(msg)
-
-    def structure() -> None:
-        leaves = {v for v in range(t.n) if t.degrees[v] == 1}
-        expect(set(t.boundary) == leaves, "boundary is not the degree-1 set")
-        expect(len(t.interior) + len(t.boundary) == t.n, "interior misses vertices")
-
-    run("tree_structure", structure)
-
-    mat = None
-
-    def assemble() -> None:
-        nonlocal mat
-        mat = dtn_matrix(t, tol)  # validates the matrix before returning it
-
-    if not run("dtn_invariants", assemble):
+    run("tree_structure", lambda: _structure(t))
+    # both validate what they return before returning it
+    mat = run("dtn_invariants", lambda: dtn_matrix(t, tol))
+    if mat is _MISSING:
         return  # everything below needs the response matrix
-
-    spectrum = None
-
-    def spectral() -> None:
-        nonlocal spectrum
-        spectrum = _spectrum_from_matrix(mat, tol)  # the matrix assembled above
-
-    if not run("spectrum_invariants", spectral):
+    spectrum = run("spectrum_invariants", lambda: _spectrum_from_matrix(mat, tol))
+    if spectrum is _MISSING:
         return  # everything below needs eigenvalues
     m = t.n_boundary
     lam2 = spectrum.lambda2
     ks = _k_values(m)
 
-    if full_oracle:
-        def oracle() -> None:
-            if m <= 12:
-                idx = range(1, m + 1)
-            else:
-                idx = sorted({1, 2, m // 2, m, *ks})
-            for k in idx:
-                ref = steklov_eigenvalue_bisect(t, k, abs_tol=tol.bisect_abs)
-                expect(abs(spectrum.eigenvalue(k) - ref) <= tol.oracle_agreement,
-                       f"eigenvalue {k}: dense {spectrum.eigenvalue(k)!r}"
-                       f" vs pencil {ref!r}")
+    def oracle() -> object:
+        if not full_oracle:
+            return _MISSING
+        idx = range(1, m + 1) if m <= 12 else sorted({1, 2, m // 2, m, *ks})
+        for k in idx:
+            ref = steklov_eigenvalue_bisect(t, k, abs_tol=tol.bisect_abs)
+            _expect(abs(spectrum.eigenvalue(k) - ref) <= tol.oracle_agreement,
+                    f"eigenvalue {k}: dense {spectrum.eigenvalue(k)!r} vs pencil {ref!r}")
 
-        run("oracle_agreement", oracle)
-        run("bisect_agreement", lambda: expect(
-            abs(steklov_eigenvalue_bisect(t, 2) - lam2) <= tol.oracle_agreement,
-            "pencil bisection disagrees with dense lambda_2"))
-    else:
-        rep.counter("oracle_agreement").skipped += 1
-        rep.counter("bisect_agreement").skipped += 1
+    def bisect() -> object:
+        if not full_oracle:
+            return _MISSING
+        _expect(abs(steklov_eigenvalue_bisect(t, 2) - lam2) <= tol.oracle_agreement,
+                "pencil bisection disagrees with dense lambda_2")
 
-    cert2 = None
+    run("oracle_agreement", oracle)
+    run("bisect_agreement", bisect)
 
-    def p2() -> None:
-        nonlocal cert2
-        cert2 = partition_two(t)  # validates the certificate before returning it
-
-    if run("partition_two_cert", p2):
-        run("partition_two_optimal", lambda: expect(
-            partition_two_optimal(t).fractions[0] >= cert2.fractions[0],
-            "exhaustive split is worse than the descent"))
-
-        def chain2() -> None:
-            f = two_level_test_function(t, cert2, tol)
-            r = rayleigh_quotient(f)
-            exact = float(two_level_rayleigh_exact(cert2))
-            expect(abs(r - exact) <= slack * (1 + exact), "R(f) drifts from exact form")
-            cap = 4 * (t.max_degree - 1) / m
-            expect(lam2 <= r + slack, "lambda_2 above R(two-level f)")
-            expect(r <= cap + slack, "R(two-level f) above 4(D-1)/|boundary|")
-
-        run("two_level_chain", chain2)
+    def chain2(cert2) -> None:
+        f = two_level_test_function(t, cert2, tol)
+        r = rayleigh_quotient(f)
+        exact = float(two_level_rayleigh_exact(cert2))
+        _expect(abs(r - exact) <= slack * (1 + exact), "R(f) drifts from exact form")
+        _expect(lam2 <= r + slack, "lambda_2 above R(two-level f)")
+        _expect(r <= float(bnd.bound_value(bnd.LAM2_BOUNDARY, t)) + slack,
+                "R(two-level f) above 4(D-1)/|boundary|")
 
     def chain_dia() -> None:
-        f = diameter_test_function(t)
-        r = rayleigh_quotient(f)
-        ell = diameter(t).length
-        expect(lam2 <= r + slack, "lambda_2 above R(diameter f)")
-        expect(r <= 2.0 / ell + slack, "R(diameter f) above 2/L")
+        r = rayleigh_quotient(diameter_test_function(t))
+        _expect(lam2 <= r + slack, "lambda_2 above R(diameter f)")
+        _expect(r <= float(bnd.bound_value(bnd.LAM2_DIAMETER, t)) + slack,
+                "R(diameter f) above 2/L")
 
-    run("diameter_chain", chain_dia)
-
-    for k in ks:
-        certk = None
-
-        def pk() -> None:
-            nonlocal certk
-            certk = partition_k(t, k)  # validates the certificate before returning it
-
-        if not run("partition_k_cert", pk):
-            continue
-
-        def chain_k() -> None:
-            try:
-                fns = multiway_test_functions(t, certk, tol)
-            except PartTooSmallError:
-                rep.counter("multiway_chain").skipped += 1
-                return
-            d = t.max_degree
-            cap = 8 * (d - 1) ** 2 * (k - 1) / m
-            quotients = [rayleigh_quotient(f) for f in fns]
-            for r in quotients:
-                expect(lam2 <= r + slack, "lambda_2 above R(f_j)")
-                expect(r <= cap + slack, "R(f_j) above the multiway cap")
-            if gradient_supports_disjoint(fns):
-                expect(spectrum.eigenvalue(k) <= max(quotients) + slack,
-                       "lambda_k above max R(f_j) despite disjoint gradients")
-            # disjoint vertex supports make any multiway family independent,
-            # so min-max bounds lambda_k by the span maximum either way
-            expect(variational_upper_check(t, fns, k, tol=tol, spectrum=spectrum),
-                   "lambda_k above the exact maximum of R over the span")
-            rep.counter("multiway_chain").passed += 1
-
+    def chain_k(k: int, certk) -> object:
         try:
-            chain_k()
-        except Exception as exc:
-            record("multiway_chain", exc, f"k={k} ")
+            fns = multiway_test_functions(t, certk, tol)
+        except PartTooSmallError:
+            return _MISSING
+        cap = float(bnd.bound_value(bnd.LAMK_BOUNDARY, t, k))
+        quotients = [rayleigh_quotient(f) for f in fns]
+        for r in quotients:
+            _expect(lam2 <= r + slack, "lambda_2 above R(f_j)")
+            _expect(r <= cap + slack, "R(f_j) above the multiway cap")
+        if gradient_supports_disjoint(fns):
+            _expect(spectrum.eigenvalue(k) <= max(quotients) + slack,
+                    "lambda_k above max R(f_j) despite disjoint gradients")
+        # disjoint vertex supports make any multiway family independent,
+        # so min-max bounds lambda_k by the span maximum either way
+        _expect(variational_upper_check(t, fns, k, tol=tol, spectrum=spectrum),
+                "lambda_k above the exact maximum of R over the span")
 
-    def reports() -> None:
-        for r in bnd.audit(t, ks, tol=tol, spectrum=spectrum, with_witness=False):
-            name = f"bound_{r.bound_id}"
-            if not r.preconditions_met:
-                rep.counter(name).skipped += 1
-            elif r.holds:
-                rep.counter(name).passed += 1
-            else:
-                rep.counter(name).failed += 1
-                rep.failures.append(
-                    {"trial": label, "check": name,
-                     "detail": f"bound {r.bound_value!r} measured {r.measured!r}"})
+    # partition certificates are validated before they are returned
+    cert2 = run("partition_two_cert", lambda: partition_two(t))
+    if cert2 is not _MISSING:
+        run("partition_two_optimal", lambda: _expect(
+            partition_two_optimal(t).fractions[0] >= cert2.fractions[0],
+            "exhaustive split is worse than the descent"))
+        run("two_level_chain", lambda: chain2(cert2))
+    run("diameter_chain", chain_dia)
+    for k in ks:
+        certk = run("partition_k_cert", lambda: partition_k(t, k))
+        if certk is not _MISSING:
+            run("multiway_chain", lambda: chain_k(k, certk), f"k={k} ")
 
-    try:
-        reports()
-    except Exception as exc:
-        record("bound_reports", exc)
+    # the audit is not a check of its own: only its failures are recorded
+    reports = run("bound_reports", lambda: bnd.audit(
+        t, ks, tol=tol, spectrum=spectrum, with_witness=False), counted=False)
+    for r in () if reports is _MISSING else reports:
+        run(f"bound_{r.bound_id}", lambda: _bound_verdict(r))
 
 
 def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
-    """Run the full harness; deterministic for a fixed config."""
+    """Run the full harness; deterministic for a fixed config.
+
+    The random trees come first, then the interior-3 trees; each tree
+    draws its size, degree cap and seed from one master RNG, in that
+    order.
+    """
     cfg.validate()
     tol = cfg.tol
     rep = VerificationReport(config={
@@ -294,21 +286,14 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
         "bound_slack": tol.bound_slack,
     })
     master = random.Random(cfg.seed)
-    trial = 0
-    for i in range(cfg.trials):
+    families = (("random", 2, gen_random_tree, cfg.trials),
+                ("interior3", 3, gen_random_interior3, cfg.interior3_trials))
+    draws = ((name, i, min_cap, gen)
+             for name, min_cap, gen, count in families for i in range(count))
+    for trial, (name, i, min_cap, gen) in enumerate(draws):
         n = master.randint(5, cfg.max_n)
-        cap = master.randint(2, cfg.max_degree)
-        tree_seed = master.getrandbits(63)
-        t = gen_random_tree(n, cap, tree_seed)
-        _check_tree(t, f"random[{i}]", rep, tol,
+        cap = master.randint(min_cap, cfg.max_degree)
+        t = gen(n, cap, master.getrandbits(63))
+        _check_tree(t, f"{name}[{i}]", rep, tol,
                     full_oracle=trial % cfg.oracle_stride == 0)
-        trial += 1
-    for i in range(cfg.interior3_trials):
-        n = master.randint(5, cfg.max_n)
-        cap = master.randint(3, cfg.max_degree)
-        tree_seed = master.getrandbits(63)
-        t = gen_random_interior3(n, cap, tree_seed)
-        _check_tree(t, f"interior3[{i}]", rep, tol,
-                    full_oracle=trial % cfg.oracle_stride == 0)
-        trial += 1
     return rep

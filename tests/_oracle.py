@@ -33,6 +33,8 @@ read off the rooted index is the reference for ``order``, ``tin``,
 The plain inertia bisection as it stood before the replay from
 count-certified brackets is the reference for every bit of
 ``steklov_eigenvalue_bisect``.
+The pairwise set intersections of ``gradient_supports_disjoint`` as they
+stood before its one-pass edge count are the reference for its verdict.
 """
 
 from __future__ import annotations
@@ -848,3 +850,26 @@ def preorder_oracle(t: BoundaryTree) -> _Preorder:
     pre = np.array(order, dtype=np.int64)
     return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
                      t.boundary_pos[pre] >= 0)
+
+
+def gradient_supports_disjoint_oracle(fns: list[VertexFunction]) -> bool:
+    """Do the functions place nonzero gradients on pairwise disjoint edges?
+
+    The combination inequality ``R(Σ b_j f_j) <= max R(f_j)`` needs this;
+    it usually holds for peeled parts but an extraction can be forced to
+    absorb the port vertex of an earlier cut, so it is checked, not
+    assumed.
+    """
+    if not fns:
+        return True
+    t = fns[0].tree
+    supports = []
+    for f in fns:
+        d = f.values[t.edge_u] - f.values[t.edge_v]
+        supports.append(np.nonzero(d != 0.0)[0])
+    for i in range(len(supports)):
+        si = set(supports[i].tolist())
+        for j in range(i + 1, len(supports)):
+            if si & set(supports[j].tolist()):
+                return False
+    return True

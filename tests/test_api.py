@@ -3,10 +3,17 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
 import steklov_trees
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# per-function suffixes of the benchmark's per-layer metrics; the traced run
+# reads them off a span table keyed by "layer.function" or "layer.Class.method"
+_SPAN_SUFFIXES = ("calls", "busy_s", "self_s")
 
 # removed public names, with the module that used to define each one
 REMOVED = (
@@ -37,3 +44,36 @@ def test_removed_knobs_are_gone():
     assert "sym_tol" not in inspect.signature(
         steklov_trees.eigendecompose_symmetric).parameters
     assert not hasattr(steklov_trees.Tolerances, "scaled")
+
+
+def _traced_names() -> list[tuple[str, ...]]:
+    """(layer, function) and (layer, class, method) of every per-function metric."""
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    out = set()
+    for metric in metrics:
+        *path, suffix = metric["name"].split(".")
+        if suffix in _SPAN_SUFFIXES and len(path) >= 2:
+            out.add(tuple(path))
+    return sorted(out)
+
+
+def test_benchmark_names_some_functions():
+    assert ("spectra", "rayleigh_quotient") in _traced_names()
+    assert ("partitions", "PartitionCertificate", "validate") in _traced_names()
+
+
+@pytest.mark.parametrize("path", _traced_names(), ids=".".join)
+def test_every_function_the_benchmark_traces_resolves(path):
+    # the traced run wraps the public functions each layer module defines
+    # itself, and fails on a metric whose function is gone or has moved
+    layer, *attrs = path
+    module = importlib.import_module(f"steklov_trees.{layer}")
+    if len(attrs) == 1:
+        fn = getattr(module, attrs[0])
+        assert callable(fn) and not isinstance(fn, type)
+        assert fn.__module__ == module.__name__
+    else:
+        cls_name, method = attrs
+        cls = getattr(module, cls_name)
+        assert cls.__module__ == module.__name__
+        assert callable(cls.__dict__[method])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from steklov_trees import (
     BOUND_IDS,
+    BOUND_VALUES,
     LAM2_BOUNDARY,
     LAM2_DIAMETER,
     LAM2_VOLUME,
@@ -23,6 +26,8 @@ from steklov_trees import (
     bound_lam2_volume,
     bound_lamk_boundary,
     bound_lamk_volume,
+    bound_value,
+    diameter,
     gen_ball,
     gen_path,
     gen_random_interior3,
@@ -221,6 +226,47 @@ def test_decay_report_json():
     assert obj["passed"] is True
     assert [row["L"] for row in obj["rows"]] == [2, 4, 8]
     assert obj["rows"][-1]["lambda2"] == pytest.approx(0.25, abs=1e-10)
+
+
+# -- the bound table -------------------------------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _inline_bounds(t, k):
+    """Each bound as its callers wrote it before the table: floats and Fractions."""
+    d, m, n, ell = t.max_degree, t.n_boundary, t.n, diameter(t).length
+    return {
+        LAM2_BOUNDARY: (4 * (d - 1) / m, float(Fraction(4 * (d - 1), m))),
+        LAM2_VOLUME: (8 * (d - 1) / (n + 2), float(Fraction(8 * (d - 1), n + 2))),
+        LAM2_DIAMETER: (2.0 / ell, float(Fraction(2, ell))),
+        LAMK_BOUNDARY: (8 * (d - 1) ** 2 * (k - 1) / m,
+                        float(Fraction(8 * (d - 1) * (d - 1) * (k - 1), m))),
+        LAMK_VOLUME: (float(Fraction(16 * (d - 1) * (d - 1) * (k - 1), n + 2)),),
+    }
+
+
+@given(n=st.integers(3, 80), cap=st.integers(2, 7), seed=st.integers(0, 2**32),
+       k=st.integers(2, 9))
+def test_bound_table_matches_the_inline_expressions_bit_for_bit(n, cap, seed, k):
+    t = gen_random_tree(n, cap, seed)
+    inline = _inline_bounds(t, k)
+    assert set(inline) == set(BOUND_VALUES)
+    for bound_id, old in inline.items():
+        value = bound_value(bound_id, t, k)
+        assert isinstance(value, Fraction)
+        for x in old:
+            assert _bits(float(value)) == _bits(x), bound_id
+
+
+def test_bound_report_and_decay_check_read_the_table(ball32, monkeypatch):
+    monkeypatch.setitem(BOUND_VALUES, LAM2_DIAMETER, lambda t, k: Fraction(1, 1000))
+    rep = bound_lam2_diameter(ball32, with_witness=False)
+    assert rep.bound_value == 0.001 and rep.holds is False
+    decay = asymptotic_decay_check([gen_path(L) for L in (2, 4)], threshold=0.5)
+    assert [r.diameter_bound for r in decay.rows] == [0.001, 0.001]
+    assert not any(r.within_bound for r in decay.rows)
 
 
 # -- report serialization ------------------------------------------------------------------

@@ -316,6 +316,22 @@ def test_sweep_range_validation(capsys):
         assert (code, out) == (2, "") and "--threshold must be finite" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--family", '{"family":"PATH","L":40,"seed":false}'],
+     "parameter seed=False must be an integer"),
+    (["bounds", "--family", '{"family":"RANDOM","n":true,"max_degree":3,"seed":1}'],
+     "parameter n=True must be an integer"),
+    (["sweep", "--family", '{"family":"PATH","L":[2,8],"seed":true}'],
+     "parameter seed=True must be an integer"),
+    (["sweep", "--family", '{"family":"PATH","L":[true,8]}'], "range for L must be"),
+    (["sweep", "--family", '{"family":"PATH","L":[2,true]}'], "range for L must be"),
+])
+def test_family_booleans_are_usage_errors(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_sweep_extremal_middle_ranges_even_lengths(capsys):
     code, out, _ = run(capsys, "sweep", "--family",
                        '{"family":"EXTREMAL_MIDDLE","L":[4,12],"variant":"A"}',

@@ -208,6 +208,18 @@ def test_generate_family_rejects(spec):
         generate_family(spec)
 
 
+@pytest.mark.parametrize("spec,param", [
+    ({"family": "PATH", "L": 40, "seed": False}, "seed"),
+    ({"family": "RANDOM", "n": True, "max_degree": 3, "seed": 1}, "n"),
+    ({"family": "BALL", "D": 3, "r": True}, "r"),
+    ({"family": "EXTREMAL_MIDDLE", "L": 4, "variant": True}, "variant"),
+])
+def test_generate_family_rejects_booleans(spec, param):
+    # bool is an int subclass in Python; JSON true/false is still no integer
+    with pytest.raises(BadParamsError, match=f"parameter {param}=(True|False) must be an integer"):
+        generate_family(spec)
+
+
 def test_family_registry_and_label():
     assert FAMILIES == ("BALL", "REFINED", "PATH", "EXTREMAL_MIDDLE", "RANDOM",
                         "RANDOM_INTERIOR3")

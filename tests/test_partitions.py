@@ -12,11 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steklov_trees import (
+    DimensionMismatchError,
     InfeasibleKError,
     InvariantViolationError,
     PartitionCertificate,
     PartTooSmallError,
     SubtreeRef,
+    VertexFunction,
     build_tree,
     diameter,
     diameter_system,
@@ -42,6 +44,7 @@ from _oracle import (
     boundary_fraction_brute,
     branch_components_oracle,
     descend_brute,
+    gradient_supports_disjoint_oracle,
     multiway_test_functions_oracle,
     partition_k_oracle,
     partition_two_oracle,
@@ -451,12 +454,51 @@ def test_multiway_single_leaf_part_raises(star5):
 
 
 def test_gradient_overlap_detected(path4):
-    from steklov_trees import VertexFunction
-
     f1 = VertexFunction(path4, [1.0, 0.0, 0.0, 0.0, -1.0])
     f2 = VertexFunction(path4, [2.0, 0.0, 0.0, 0.0, -2.0])
     assert not gradient_supports_disjoint([f1, f2])
     assert gradient_supports_disjoint([])
+
+
+def test_gradient_supports_of_two_trees_are_rejected_in_either_order(path4, ball32):
+    on_path = VertexFunction(path4, [1.0, 0.0, 0.0, 0.0, -1.0])
+    on_ball = VertexFunction(ball32, np.arange(ball32.n, dtype=float))
+    for fns in ([on_path, on_ball], [on_ball, on_path]):
+        with pytest.raises(DimensionMismatchError, match="different tree"):
+            gradient_supports_disjoint(fns)
+
+
+# values a test function takes on its support: zero gradients, equal values on
+# neighbours, and differences down to the smallest subnormal
+_GRADIENT_VALUES = (0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e300)
+
+
+@given(n=st.integers(3, 30), cap=st.integers(2, 5), seed=st.integers(0, 2**32),
+       supports=st.lists(st.lists(st.tuples(st.integers(0, 10**6),
+                                            st.sampled_from(_GRADIENT_VALUES)),
+                                  max_size=4),
+                         max_size=5))
+def test_gradient_supports_disjoint_matches_pairwise_oracle(n, cap, seed, supports):
+    """Small random supports: disjoint, touching and overlapping families alike."""
+    t = gen_random_tree(n, cap, seed)
+    fns = []
+    for support in supports:
+        vals = np.zeros(t.n)
+        for v, x in support:
+            vals[v % t.n] = x
+        fns.append(VertexFunction(t, vals))
+    assert gradient_supports_disjoint(fns) == gradient_supports_disjoint_oracle(fns)
+
+
+@given(t=_DESCENT_TREES, k=st.integers(3, 6))
+def test_gradient_supports_of_multiway_functions_match_pairwise_oracle(t, k):
+    if t.n_boundary < k:
+        return
+    try:
+        fns = multiway_test_functions(t, partition_k(t, k))
+    except PartTooSmallError:
+        return
+    assert gradient_supports_disjoint(fns) == gradient_supports_disjoint_oracle(fns)
 
 
 @given(n=st.integers(6, 50), cap=st.integers(3, 6), seed=st.integers(0, 2**32),
@@ -526,6 +568,13 @@ def test_diameter_kernel_solves_system_exactly(n, cap, seed):
     for row in a:
         # the system's entries are integers, exact in float64
         assert sum(Fraction(int(c)) * x for c, x in zip(row, sol)) == 0
+
+
+def test_diameter_function_takes_its_quotient_from_spectra(path4, monkeypatch):
+    # the 2/L guard reads spectra.rayleigh_quotient, so a quotient above 2/L raises
+    monkeypatch.setattr(partitions, "rayleigh_quotient", lambda f: 0.5 + 1e-6)
+    with pytest.raises(InvariantViolationError, match="exceeds 2/4"):
+        diameter_test_function(path4)
 
 
 def test_diameter_witness_builds_branches_once(caterpillar, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from steklov_trees import (
     VerifyConfig,
     run_verification,
 )
-from steklov_trees import verify
+from steklov_trees import bounds, verify
 from steklov_trees.cli import main
 
 # sha256 of fixed-seed `verify` reports, recorded for the benchmark
@@ -164,3 +165,25 @@ def test_an_assembly_failure_is_recorded_and_the_next_tree_checked(monkeypatch):
     assert rep.counter("tree_structure").passed == 4
     assert rep.counter("spectrum_invariants").passed == 3
     assert rep.counter("diameter_chain").passed == 3
+
+
+def test_witness_chains_read_the_bound_table(monkeypatch):
+    # every bound at zero: each R(f) > 0 now sits above its cap
+    for bound_id in (bounds.LAM2_BOUNDARY, bounds.LAM2_DIAMETER, bounds.LAMK_BOUNDARY):
+        monkeypatch.setitem(bounds.BOUND_VALUES, bound_id, lambda t, k: Fraction(0))
+    rep = run_verification(small_config(trials=8, interior3_trials=2))
+    for check, cap in (("two_level_chain", "4(D-1)/|boundary|"),
+                       ("diameter_chain", "2/L"),
+                       ("multiway_chain", "the multiway cap")):
+        c = rep.counter(check)
+        assert c.passed == 0 and c.crashed == 0 and c.failed > 0, check
+        details = [f["detail"] for f in rep.failures if f["check"] == check]
+        assert len(details) == c.failed
+        assert all(d.endswith(f"above {cap}") for d in details), check
+    # the bound reports certify against the same table, with the detail they always had
+    c = rep.counter("bound_LAM2_BOUNDARY")
+    assert (c.passed, c.failed) == (0, 10)
+    details = [f["detail"] for f in rep.failures if f["check"] == "bound_LAM2_BOUNDARY"]
+    assert all(d.startswith("bound 0.0 measured ") for d in details)
+    # the table's other entries are untouched
+    assert rep.counter("bound_LAM2_VOLUME").failed == 0
