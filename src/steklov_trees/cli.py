@@ -220,12 +220,39 @@ def _expand_family_range(spec: dict) -> list[dict]:
     return out
 
 
+def _growing_members(specs: list[dict]) -> tuple[list[dict], list[BoundaryTree]]:
+    """The members of a sweep range whose vertex count grows, with their trees.
+
+    A member is kept when it has more vertices than the last member kept
+    (RANDOM_INTERIOR3 overshoots ``n_target``, so neighbouring targets can
+    give the same tree).  The skipped members are named on stderr, never
+    in the report.
+    """
+    kept: list[dict] = []
+    trees: list[BoundaryTree] = []
+    skipped: list[str] = []
+    for spec in specs:
+        t = generate_family(spec)
+        if trees and t.n <= trees[-1].n:
+            skipped.append(f"{family_label(spec)} (n={t.n})")
+        else:
+            kept.append(spec)
+            trees.append(t)
+    if skipped:
+        print(f"sweep: skipped {len(skipped)} member(s) whose vertex count does not"
+              f" grow: {', '.join(skipped)}", file=sys.stderr)
+    if skipped and len(trees) < 2:
+        raise BadParamsError(
+            f"sweep needs two members of growing vertex count; no member after"
+            f" {family_label(kept[0])} has more than its {trees[0].n} vertices")
+    return kept, trees
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     if not math.isfinite(args.threshold):
         raise BadParamsError(f"--threshold must be finite, got {args.threshold}")
-    specs = _expand_family_range(json.loads(args.family))
-    trees = [generate_family(s) for s in specs]
+    specs, trees = _growing_members(_expand_family_range(json.loads(args.family)))
     report = bnd.asymptotic_decay_check(trees, threshold=args.threshold, tol=tol)
 
     lines = ["tree_id,n,boundary,D,L,lambda2,bound_boundary,tightness_boundary,"

@@ -3,13 +3,18 @@ caterpillars, and seeded random trees for the verification harness.
 
 Every generator is deterministic: the random families draw from
 ``random.Random(seed)`` only, so a (family, parameters, seed) triple
-always reproduces the same edge list bit for bit.
+always reproduces the same edge list bit for bit.  The degree-capped
+random tree draws its Prüfer attempts a block at a time from the
+generator's word stream, and gives the tree that drawing one
+``randrange`` value at a time gives.
 """
 from __future__ import annotations
 
 import heapq
 import random
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BadParamsError,
@@ -193,17 +198,77 @@ def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
 
 
 _PRUFER_DRAW_CAP = 10 ** 6
+# Prüfer values drawn per block at most, and words skipped per call when
+# the fallback replays the stream
+_BLOCK_VALUES = 1 << 16
+_SKIP_WORDS = 1 << 20
+
+
+def _randrange_block(rng: random.Random, n: int, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values ``rng.randrange(n)`` would return from the next ``words`` words.
+
+    CPython's ``randrange(n)`` for ``n < 2**32`` keeps the top
+    ``n.bit_length()`` bits of one 32-bit Mersenne-Twister word and
+    draws again while they are ``>= n``; ``getrandbits(32 * words)``
+    returns that many consecutive words, least significant first.  Returns
+    the accepted values and the index of the word each came from.
+    """
+    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    top = np.frombuffer(raw, dtype="<u4") >> np.uint32(32 - n.bit_length())
+    at = np.flatnonzero(top < n)
+    return top[at].astype(np.intp), at
+
+
+def _prufer_draw(rng: random.Random, n: int, max_degree: int) -> tuple[list[int] | None, int]:
+    """The first Prüfer sequence within the cap, as one-by-one draws find it.
+
+    An attempt is ``n - 2`` values of ``rng.randrange(n)``; it fits when
+    no vertex occurs ``max_degree`` times or more.  Blocks of attempts
+    come from the word stream (:func:`_randrange_block`) and one
+    ``bincount`` checks all attempts of a block, so the first fitting
+    attempt is the one a loop of ``randrange`` calls would accept.
+    Returns ``(attempt, 0)``, or ``(None, words)`` when none of
+    ``_PRUFER_DRAW_CAP`` attempts fits, ``words`` being the number of
+    words those attempts took.
+    """
+    size = n - 2
+    most = max(1, _BLOCK_VALUES // size)
+    carry = np.empty(0, dtype=np.intp)  # the start of an attempt the block cut off
+    done = used = 0        # attempts checked, words drawn before this block
+    want = min(4, most)    # attempts the next block should hold
+    while True:
+        words = ((want * size - len(carry)) << n.bit_length()) // n + 8
+        vals, at = _randrange_block(rng, n, words)
+        stream = np.concatenate((carry, vals))
+        tries = min(len(stream) // size, _PRUFER_DRAW_CAP - done)
+        seqs = stream[:tries * size].reshape(tries, size)
+        counts = np.bincount((seqs + n * np.arange(tries)[:, None]).ravel(),
+                             minlength=tries * n).reshape(tries, n)
+        fits = np.flatnonzero(counts.max(axis=1, initial=0) < max_degree)
+        if len(fits):
+            return seqs[fits[0]].tolist(), 0
+        done += tries
+        if done == _PRUFER_DRAW_CAP:
+            # the last attempt ends on the word of its last value
+            return None, used + int(at[tries * size - len(carry) - 1]) + 1
+        used += words
+        carry = stream[tries * size:]
+        want = min(want * 2, most)
 
 
 def gen_random_tree(n: int, max_degree: int, seed: int) -> BoundaryTree:
     """Seeded uniform random tree, rejection-sampled to the degree cap.
 
     Uniform labelled trees come from random Prüfer sequences; a sequence
-    is rejected while some vertex would exceed ``max_degree``.  If the
-    cap is so tight that 10^6 draws all fail, falls back to sequential
-    attachment onto vertices with spare capacity (biased, but guaranteed
-    to terminate).  ``max_degree = 2`` forces a path, built directly as a
-    seeded random vertex order.
+    is rejected while some vertex would exceed ``max_degree``.  Attempts
+    are drawn and checked a block at a time, and the accepted one is
+    exactly the one that drawing by ``rng.randrange(n)`` one value at a
+    time would accept (:func:`_prufer_draw`).  If the cap is so tight
+    that 10^6 attempts all fail, falls back to sequential attachment
+    onto vertices with spare capacity (biased, but guaranteed to
+    terminate), drawing on from where those attempts left the stream.
+    ``max_degree = 2`` forces a path, built directly as a seeded random
+    vertex order.
     """
     if n < 3:
         raise BadParamsError(f"need n >= 3, got {n}")
@@ -216,14 +281,14 @@ def gen_random_tree(n: int, max_degree: int, seed: int) -> BoundaryTree:
         rng.shuffle(perm)
         return build_tree([(perm[i], perm[i + 1]) for i in range(n - 1)])
 
-    for _ in range(_PRUFER_DRAW_CAP):
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        counts = [1] * n
-        for s in seq:
-            counts[s] += 1
-        if max(counts) <= max_degree:
-            return build_tree(_prufer_decode(seq, n))
+    seq, words = _prufer_draw(rng, n, max_degree)
+    if seq is not None:
+        return build_tree(_prufer_decode(seq, n))
 
+    # every attempt failed: put the stream where the last one left it
+    rng.seed(seed)
+    for skip in range(0, words, _SKIP_WORDS):
+        rng.getrandbits(32 * min(_SKIP_WORDS, words - skip))
     edges: list[Edge] = []
     deg = [0] * n
     for v in range(1, n):

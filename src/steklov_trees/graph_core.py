@@ -24,8 +24,9 @@ O(|part|) from the parents, and :func:`diameter` reads its distances
 from vertex 0 off the order.  The DFS preorder from vertex 0, with each
 subtree's slice ``[tin, tout)``, is derived from the same BFS order and
 parents on first use, with no search of its own: the partition descents
-read their sides off it, and :func:`branch_components` takes each spine
-component as one preorder slice minus at most two nested slices.  The
+read their sides off it, and :func:`_spine_labels` gives every vertex
+its place along a diameter path from the preorder slices of the path's
+vertices, for the diameter witness and :func:`branch_components`.  The
 one leaf-first elimination, :func:`_eliminate`, runs on the whole tree
 for the spectral count and on the interior for the harmonic solver.
 """
@@ -163,7 +164,7 @@ def _preorder(t: BoundaryTree) -> _Preorder:
     ascending, so each child's subtree is the next block of its parent's
     preorder slice.  One reverse pass gives the subtree sizes, one
     forward pass the slice starts.  Built once per tree and shared by the
-    partition descents and :func:`branch_components`.
+    partition descents and :func:`_spine_labels`.
     """
     idx = _rooted_index(t)
     bfs, parent = idx.order, idx.parent
@@ -522,7 +523,13 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
 
 
 def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[int]:
-    """Vertices reachable from ``start`` without stepping onto ``blocked``."""
+    """Vertices reachable from ``start`` without stepping onto ``blocked``.
+
+    Raises:
+        BadVertexError: ``start`` or ``blocked`` is not a vertex of ``t``.
+    """
+    t.check_vertex(start)
+    t.check_vertex(blocked)
     seen = {start}
     dq = deque([start])
     while dq:
@@ -534,6 +541,44 @@ def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[i
     return frozenset(seen)
 
 
+def _spine_labels(t: BoundaryTree, path: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's spine index along a diameter path, and the boundary count per index.
+
+    Vertex ``v`` gets label ``k`` when it lies in the branch component
+    ``G_k`` of :func:`branch_components` (``1 <= k <= L-1``); the
+    endpoints ``x_0`` and ``x_L`` get ``0`` and ``L``.  Read off the
+    cached preorder: the spine vertex with the smallest preorder position
+    is the top of the path, every other spine vertex's subtree holds the
+    subtrees of the spine vertices further from the top, so labelling
+    everything ``top`` and then each spine vertex's preorder slice,
+    from the top outward, leaves each vertex with its own index.
+    Returns the labels by vertex and ``counts``, where ``counts[k]`` is
+    the number of boundary vertices labelled ``k``.
+
+    Raises:
+        InvariantViolationError: the labels do not split ``V`` into the
+            two endpoints and components, or the components do not hold
+            every boundary vertex but the endpoints.
+    """
+    idx = _preorder(t)
+    tin, tout = idx.tin, idx.tout
+    L = len(path) - 1
+    top = min(range(L + 1), key=lambda k: tin[path[k]])
+    at = np.full(len(idx.order), top, dtype=np.intp)  # labels, in preorder
+    for k in (*range(top - 1, -1, -1), *range(top + 1, L + 1)):
+        at[tin[path[k]]:tout[path[k]]] = k
+    labels = np.full(t.n, -1, dtype=np.intp)
+    labels[idx.pre] = at
+    sizes = np.bincount(at, minlength=L + 1)
+    if np.count_nonzero(labels < 0) or sizes[0] != 1 or sizes[L] != 1:
+        raise InvariantViolationError("branch components must partition V")
+    counts = np.bincount(at[idx.boundary], minlength=L + 1)
+    if int(counts[1:L].sum()) != t.n_boundary - 2:
+        raise InvariantViolationError(
+            "branch components must hold all boundary vertices but the endpoints")
+    return labels, counts
+
+
 def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     """Components hanging off the interior vertices of a diameter path.
 
@@ -542,12 +587,8 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     together with everything reachable from it after deleting the two
     spine edges at ``x_k``.  The components partition ``V`` minus the
     endpoints, and their relative boundary counts ``n_k`` add up to
-    ``|boundary| - 2``.
-
-    Each ``G_k`` is read off the tree's cached preorder: the subtree of
-    ``x_k`` (all of ``V`` when both spine neighbours are its children)
-    minus the subtrees of the spine neighbours below it, so one slice
-    minus at most two nested slices.
+    ``|boundary| - 2``.  Each ``G_k`` is the set of vertices with spine
+    label ``k`` (:func:`_spine_labels`).
 
     Returns a list of length ``L-1`` whose entry ``k-1`` is ``G_k``.
 
@@ -567,30 +608,11 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
     if L != diameter(t).length:
         raise NotAPathError("path does not realize the diameter")
 
-    idx = _preorder(t)
-    order, tin, tout = idx.order, idx.tin, idx.tout
-    out: list[SubtreeRef] = []
-    for k in range(1, L):
-        x = p[k]
-        below = sorted((tin[y], tout[y]) for y in (p[k - 1], p[k + 1])
-                       if idx.parent[y] == x)
-        lo, hi = (0, t.n) if len(below) == 2 else (tin[x], tout[x])
-        members: list[int] = []
-        for a, b in below:
-            members += order[lo:a]
-            lo = b
-        members += order[lo:hi]
-        out.append(make_subtree(t, frozenset(members)))
-
-    covered = set(p[0:1]) | set(p[-1:])
-    for ref in out:
-        covered |= ref.vertices
-    if len(covered) != t.n:
-        raise InvariantViolationError("branch components must partition V")
-    if sum(len(r.relative_boundary) for r in out) != t.n_boundary - 2:
-        raise InvariantViolationError(
-            "branch components must hold all boundary vertices but the endpoints")
-    return out
+    labels, _ = _spine_labels(t, p)
+    by_label = np.argsort(labels, kind="stable").tolist()
+    stops = np.cumsum(np.bincount(labels, minlength=L + 1)).tolist()
+    return [make_subtree(t, frozenset(by_label[stops[k - 1]:stops[k]]))
+            for k in range(1, L)]
 
 
 # -- serialization --------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Boundary-balanced tree partitions and the test functions built on them.
 
-Everything combinatorial here is carried in exact rational arithmetic
-(:class:`fractions.Fraction`); floats appear only when a finished
-construction is evaluated as a vertex function.  The guaranteed interval
-for every produced boundary fraction is part of the certificate and is
-checked exactly, never through floating point.
+Everything combinatorial here is exact: the descents compare boundary
+counts with their thresholds by cross-multiplying integers, the diameter
+kernel is computed in integers, and every fraction a certificate carries
+is a :class:`fractions.Fraction`; floats appear only when a finished
+construction is evaluated as a vertex function (each value one correctly
+rounded integer division).  The guaranteed interval for every produced
+boundary fraction is part of the certificate and is checked exactly,
+never through floating point.
 
 The balanced-part descents behind :func:`partition_two`,
 :func:`partition_k` and the sub-split of :func:`multiway_test_functions`
 run on the tree's DFS preorder, derived once per tree from the rooted
-index in :mod:`.graph_core` and shared with
-:func:`.graph_core.branch_components`:
+index in :mod:`.graph_core`:
 inside a connected vertex set, the side of any edge is one preorder
 slice or its complement, so a side's boundary count is a difference of
 prefix sums.  The vertex set a descent works in is a length-``n`` bool
@@ -18,7 +20,9 @@ mask; a descent returns its part as an index array, with which
 :func:`partition_k` clears the part from its remainder in place, and
 each certified part becomes a frozenset exactly once.  Each extraction
 takes O(n) numpy work and O(1) Python work per candidate side; the test
-functions write their values through index arrays.
+functions write their values through index arrays.  The diameter
+witness reads each vertex's place along the diameter path off the same
+preorder (:func:`.graph_core._spine_labels`) and builds no subtree.
 :func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
 share no code with the preorder, nor the validation with
 :func:`.graph_core.make_subtree`; they are the independent oracle and
@@ -45,7 +49,7 @@ from .graph_core import (
     _bfs,
     _is_edge,
     _preorder,
-    branch_components,
+    _spine_labels,
     component_avoiding,
     diameter,
     make_subtree,
@@ -142,8 +146,8 @@ class _Sides:
         self.mask = allowed[idx.pre]  # allowed, in preorder
         # below[i]: boundary vertices of allowed among the first i in preorder
         self.below = np.zeros(len(self.mask) + 1, dtype=np.int64)
-        np.cumsum(self.mask & idx.boundary, out=self.below[1:])
-        self.held = int(self.below[-1])
+        (self.mask & idx.boundary).cumsum(out=self.below[1:])
+        self.held = self.below.item(-1)
         self.port_pos = [idx.tin[p] for p in ports if allowed[p]]
 
     def _span(self, e: Edge) -> tuple[int, int, bool]:
@@ -153,11 +157,6 @@ class _Sides:
         if idx.parent[w] == v:
             return idx.tin[w], idx.tout[w], True
         return idx.tin[v], idx.tout[v], False
-
-    def count(self, e: Edge) -> int:
-        lo, hi, inside = self._span(e)
-        c = self.below.item(hi) - self.below.item(lo)
-        return c if inside else self.held - c
 
     def touches_port(self, e: Edge) -> bool:
         lo, hi, inside = self._span(e)
@@ -174,14 +173,25 @@ class _Sides:
 def _pick(sides: _Sides, candidates: list[Edge]) -> tuple[int, Edge]:
     """The side with the most boundary vertices, as ``(count, edge)``.
 
-    Ties prefer sides that avoid the ports (vertices incident to
-    previously removed edges: keeping a later part away from them keeps
-    the multiway gradients on disjoint edge sets), then the side holding
-    the smallest vertex id.
+    Each count is read straight off the prefix sums.  Ties prefer sides
+    that avoid the ports (vertices incident to previously removed edges:
+    keeping a later part away from them keeps the multiway gradients on
+    disjoint edge sets), then the side holding the smallest vertex id.
     """
-    counts = [sides.count(e) for e in candidates]
-    best = max(counts)
-    pool = [e for e, c in zip(candidates, counts) if c == best]
+    idx, below, held = sides.idx, sides.below, sides.held
+    parent, tin, tout = idx.parent, idx.tin, idx.tout
+    best = -1
+    pool: list[Edge] = []
+    for e in candidates:
+        v, w = e
+        if parent[w] == v:
+            c = below.item(tout[w]) - below.item(tin[w])
+        else:
+            c = held - below.item(tout[v]) + below.item(tin[v])
+        if c > best:
+            best, pool = c, [e]
+        elif c == best:
+            pool.append(e)
     if len(pool) > 1:
         clean = [e for e in pool if not sides.touches_port(e)]
         if clean:
@@ -213,8 +223,9 @@ def _descend(
     occur.  An extraction costs a few O(n) numpy passes (the mask and one
     prefix sum over the cached preorder, the winning side's slice) and
     O(1) Python work per candidate side; only the winning side is
-    gathered.  Returns ``(part vertices, fraction, cut edge)``, the
-    vertices as an index array in preorder.
+    gathered.  Each step compares ``count / total`` with ``tau`` in
+    integers, by cross-multiplying.  Returns ``(part vertices, fraction,
+    cut edge)``, the vertices as an index array in preorder.
     """
     if total is None:
         total = t.n_boundary
@@ -223,15 +234,14 @@ def _descend(
     if v0 is None or not allowed[u0]:
         raise InvariantViolationError("descent needs at least one edge")
     sides = _Sides(t, allowed, ports)
+    # count / total exceeds p / q exactly when count * q > p * total, and
+    # reaches it exactly when count * q > p * total - 1
+    q, limit = tau.denominator, tau.numerator * total - (1 if enter_at_equal else 0)
     # walk into the heavy side;  v is its entry vertex, u the vertex left behind
     cnt, (u, v) = _pick(sides, [(v0, u0), (u0, v0)])
     edge = (u0, v0)
     steps = 0
-    while True:
-        frac = Fraction(cnt, total)
-        over = (frac >= tau) if enter_at_equal else (frac > tau)
-        if not over:
-            return sides.members((u, v)), frac, edge
+    while cnt * q > limit:
         steps += 1
         if steps > t.n:
             raise InvariantViolationError("descent failed to terminate")
@@ -240,6 +250,7 @@ def _descend(
             raise InvariantViolationError("heavy side cannot be a single vertex")
         cnt, edge = _pick(sides, children)
         u, v = edge
+    return sides.members((u, v)), Fraction(cnt, total), edge
 
 
 def partition_two(t: BoundaryTree) -> PartitionCertificate:
@@ -446,27 +457,34 @@ def gradient_supports_disjoint(fns: list[VertexFunction]) -> bool:
 
 # -- diameter test function ----------------------------------------------------------
 
-def _spine(t: BoundaryTree) -> tuple[list[int], list[SubtreeRef], list[int]]:
-    """The diameter path, its branch components and their boundary counts."""
-    path = list(diameter(t).path)
-    comps = branch_components(t, path)
-    return path, comps, [len(ref.relative_boundary) for ref in comps]
+def _kernel_ints(counts: list[int]) -> tuple[list[int], int]:
+    """``L`` times the kernel of :func:`diameter_system` in integers, and its lead.
+
+    With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
+    ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
+    ``Σ n_k a_k = S``; ``a_0 >= L > 0``, so it is nonzero.  The lead is
+    its first largest-magnitude entry.  The vector is negated when the
+    lead is negative, so the lead returned is positive and a zero entry
+    over it divides to ``0.0``, as its ``Fraction`` converts (``0 / -3``
+    is ``-0.0``).
+    """
+    L = len(counts) + 1
+    a0 = L + sum(k * nk for k, nk in enumerate(counts, start=1))
+    s = sum(nk * (L - 2 * k) for k, nk in enumerate(counts, start=1))
+    sol = [L * a0] + [(L - 2 * k) * a0 - k * s for k in range(1, L)]
+    lead = max(sol, key=abs)
+    if lead < 0:
+        return [-x for x in sol], -lead
+    return sol, lead
 
 
 def _diameter_kernel(counts: list[int]) -> list[Fraction]:
     """The kernel of :func:`diameter_system`, exactly, for counts ``n_1 .. n_{L-1}``.
 
-    With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
-    ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
-    ``Σ n_k a_k = S``; ``a_0 >= L > 0``, so it is nonzero.  Returned as
-    ``[a_0, .., a_{L-1}]`` divided by its first largest-magnitude entry.
+    Returned as ``[a_0, .., a_{L-1}]`` divided by its first
+    largest-magnitude entry (:func:`_kernel_ints`).
     """
-    L = len(counts) + 1
-    a0 = L + sum(k * nk for k, nk in enumerate(counts, start=1))
-    s = sum(nk * (L - 2 * k) for k, nk in enumerate(counts, start=1))
-    # L times the kernel, in integers
-    sol = [L * a0] + [(L - 2 * k) * a0 - k * s for k in range(1, L)]
-    lead = max(sol, key=abs)
+    sol, lead = _kernel_ints(counts)
     return [Fraction(x, lead) for x in sol]
 
 
@@ -487,8 +505,9 @@ def diameter_system(t: BoundaryTree) -> tuple[np.ndarray, list[int], list[int]]:
     :func:`diameter_test_function`.  Returns the matrix, the path, and
     the counts ``n_k``.
     """
-    path, _, counts = _spine(t)
+    path = list(diameter(t).path)
     L = len(path) - 1
+    counts = _spine_labels(t, path)[1][1:L].tolist()
     a = np.zeros((L - 1, L))
     for k in range(1, L):
         a[k - 1, 0] += L - 2 * k
@@ -508,18 +527,18 @@ def diameter_test_function(t: BoundaryTree) -> VertexFunction:
     S)/L`` the common spine increment), ``f(x_0) = a_0`` and
     ``f(x_L) = -a_0 - S``.  All gradient lives on the spine, every
     increment equals ``g``, and the endpoint values alone make the
-    quotient at most ``2/L``.
+    quotient at most ``2/L``.  Each vertex takes its value from its spine
+    label (:func:`.graph_core._spine_labels`): ``a_k`` on branch ``k``
+    and the endpoint values at labels ``0`` and ``L``.
     """
-    path, comps, counts = _spine(t)
+    path = diameter(t).path
     L = len(path) - 1
-    sol = _diameter_kernel(counts)
-    weighted = sum(nk * ak for nk, ak in zip(counts, sol[1:]))
-
-    vals = np.empty(t.n)
-    for ref, ak in zip(comps, sol[1:]):
-        vals[_ids(ref.vertices)] = float(ak)
-    vals[path[0]] = float(sol[0])
-    vals[path[-1]] = float(-sol[0] - weighted)
+    labels, counts = _spine_labels(t, path)
+    nk = counts[1:L].tolist()
+    sol, lead = _kernel_ints(nk)
+    end = -sol[0] - sum(c * x for c, x in zip(nk, sol[1:]))
+    # an int over a positive int divides correctly rounded, as float(Fraction) does
+    vals = np.array([x / lead for x in (*sol, end)])[labels]
     f = VertexFunction(t, vals)
 
     scale = 1.0 + float(np.abs(vals).max())

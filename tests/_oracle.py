@@ -35,10 +35,18 @@ count-certified brackets is the reference for every bit of
 ``steklov_eigenvalue_bisect``.
 The pairwise set intersections of ``gradient_supports_disjoint`` as they
 stood before its one-pass edge count are the reference for its verdict.
+The prefix-sum descent as it stood before its integer threshold test
+(a ``Fraction`` per step, counts through the side object) and the
+diameter witness as it stood before the spine labels (one component
+per spine vertex, the kernel in ``Fraction``) are the reference for the
+descent's parts, fractions and cuts and for the witness's bytes.
+The Prüfer rejection loop drawing one ``randrange`` at a time, with its
+fallback, is the reference for the block sampler's trees.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +67,15 @@ from steklov_trees.errors import (
     PartTooSmallError,
     TooSmallError,
 )
-from steklov_trees.graph_core import BoundaryTree, SubtreeRef, _Preorder, diameter
+from steklov_trees.graph_core import (
+    BoundaryTree,
+    SubtreeRef,
+    _Preorder,
+    _preorder,
+    build_tree,
+    diameter,
+)
+from steklov_trees.generators import _prufer_decode
 from steklov_trees.harmonic import VertexFunction
 from steklov_trees.partitions import PartitionCertificate
 
@@ -873,3 +889,224 @@ def gradient_supports_disjoint_oracle(fns: list[VertexFunction]) -> bool:
             if si & set(supports[j].tolist()):
                 return False
     return True
+
+
+# -- descent, diameter witness and sampler before the integer rewrite ----------------
+# partitions._Sides, _pick, _descend, _spine, _diameter_kernel and
+# diameter_test_function, and generators.gen_random_tree, verbatim apart
+# from their names; the witness takes its components from
+# branch_components_oracle above, and the loop decodes its sequence with
+# the package's unchanged Prüfer decoder
+
+class SidesOracle:
+    """The sides of every edge inside a connected vertex set, O(1) each.
+
+    ``allowed`` is a length-``n`` bool mask.  A side is named by a
+    directed edge ``(v, w)``: the component of ``w`` in ``allowed`` after
+    deleting ``v``.  Because ``allowed`` is connected, that is
+    ``allowed ∩ subtree(w)`` when ``w`` is a child of ``v`` (rooted at
+    vertex 0), and ``allowed`` minus ``subtree(v)`` otherwise; either way
+    one preorder slice, inside or outside, so its boundary count is a
+    difference of prefix sums.
+    """
+
+    def __init__(self, t: BoundaryTree, allowed: np.ndarray, ports: frozenset[int]):
+        idx = self.idx = _preorder(t)
+        self.mask = allowed[idx.pre]  # allowed, in preorder
+        # below[i]: boundary vertices of allowed among the first i in preorder
+        self.below = np.zeros(len(self.mask) + 1, dtype=np.int64)
+        np.cumsum(self.mask & idx.boundary, out=self.below[1:])
+        self.held = int(self.below[-1])
+        self.port_pos = [idx.tin[p] for p in ports if allowed[p]]
+
+    def _span(self, e: Edge) -> tuple[int, int, bool]:
+        """``(lo, hi, inside)``: the side is the slice ``[lo, hi)`` or its complement."""
+        v, w = e
+        idx = self.idx
+        if idx.parent[w] == v:
+            return idx.tin[w], idx.tout[w], True
+        return idx.tin[v], idx.tout[v], False
+
+    def count(self, e: Edge) -> int:
+        lo, hi, inside = self._span(e)
+        c = self.below.item(hi) - self.below.item(lo)
+        return c if inside else self.held - c
+
+    def touches_port(self, e: Edge) -> bool:
+        lo, hi, inside = self._span(e)
+        return any((lo <= p < hi) == inside for p in self.port_pos)
+
+    def members(self, e: Edge) -> np.ndarray:
+        lo, hi, inside = self._span(e)
+        pre, mask = self.idx.pre, self.mask
+        if inside:
+            return pre[lo:hi][mask[lo:hi]]
+        return np.concatenate((pre[:lo][mask[:lo]], pre[hi:][mask[hi:]]))
+
+
+def pick_oracle(sides: SidesOracle, candidates: list[Edge]) -> tuple[int, Edge]:
+    """The side with the most boundary vertices, as ``(count, edge)``.
+
+    Ties prefer sides that avoid the ports (vertices incident to
+    previously removed edges: keeping a later part away from them keeps
+    the multiway gradients on disjoint edge sets), then the side holding
+    the smallest vertex id.
+    """
+    counts = [sides.count(e) for e in candidates]
+    best = max(counts)
+    pool = [e for e, c in zip(candidates, counts) if c == best]
+    if len(pool) > 1:
+        clean = [e for e in pool if not sides.touches_port(e)]
+        if clean:
+            pool = clean
+    if len(pool) > 1:
+        return best, min(pool, key=lambda e: int(sides.members(e).min()))
+    return best, pool[0]
+
+
+def descend_oracle(
+    t: BoundaryTree,
+    allowed: np.ndarray,
+    tau: Fraction,
+    *,
+    enter_at_equal: bool,
+    ports: frozenset[int] = frozenset(),
+    total: int | None = None,
+) -> tuple[np.ndarray, Fraction, Edge]:
+    """One balanced-part extraction inside the subtree induced on ``allowed``.
+
+    ``allowed`` is a length-``n`` bool mask and must be connected (all of
+    ``V``, a :func:`partition_k` remainder, or a certified part).  Starts
+    from the smallest edge inside it, walks toward larger boundary mass
+    while a side exceeds ``tau`` (``enter_at_equal`` controls whether a
+    side exactly at ``tau`` is still descended into), and returns the
+    maximal child strictly below the threshold when the walk stops.  Fractions count
+    boundary vertices of ``t`` over ``total`` (default: all of them).
+    Descending strictly shrinks the active side, so at most ``n`` steps
+    occur.  An extraction costs a few O(n) numpy passes (the mask and one
+    prefix sum over the cached preorder, the winning side's slice) and
+    O(1) Python work per candidate side; only the winning side is
+    gathered.  Returns ``(part vertices, fraction, cut edge)``, the
+    vertices as an index array in preorder.
+    """
+    if total is None:
+        total = t.n_boundary
+    u0 = int(allowed.argmax())
+    v0 = next((w for w in t.neighbors[u0] if allowed[w]), None)
+    if v0 is None or not allowed[u0]:
+        raise InvariantViolationError("descent needs at least one edge")
+    sides = SidesOracle(t, allowed, ports)
+    # walk into the heavy side;  v is its entry vertex, u the vertex left behind
+    cnt, (u, v) = pick_oracle(sides, [(v0, u0), (u0, v0)])
+    edge = (u0, v0)
+    steps = 0
+    while True:
+        frac = Fraction(cnt, total)
+        over = (frac >= tau) if enter_at_equal else (frac > tau)
+        if not over:
+            return sides.members((u, v)), frac, edge
+        steps += 1
+        if steps > t.n:
+            raise InvariantViolationError("descent failed to terminate")
+        children = [(v, w) for w in t.neighbors[v] if w != u and allowed[w]]
+        if not children:
+            raise InvariantViolationError("heavy side cannot be a single vertex")
+        cnt, edge = pick_oracle(sides, children)
+        u, v = edge
+
+
+def _spine_oracle(t: BoundaryTree) -> tuple[list[int], list[SubtreeRef], list[int]]:
+    """The diameter path, its branch components and their boundary counts."""
+    path = list(diameter(t).path)
+    comps = branch_components_oracle(t, path)
+    return path, comps, [len(ref.relative_boundary) for ref in comps]
+
+
+def diameter_kernel_oracle(counts: list[int]) -> list[Fraction]:
+    """The kernel of :func:`diameter_system`, exactly, for counts ``n_1 .. n_{L-1}``.
+
+    With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
+    ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
+    ``Σ n_k a_k = S``; ``a_0 >= L > 0``, so it is nonzero.  Returned as
+    ``[a_0, .., a_{L-1}]`` divided by its first largest-magnitude entry.
+    """
+    L = len(counts) + 1
+    a0 = L + sum(k * nk for k, nk in enumerate(counts, start=1))
+    s = sum(nk * (L - 2 * k) for k, nk in enumerate(counts, start=1))
+    # L times the kernel, in integers
+    sol = [L * a0] + [(L - 2 * k) * a0 - k * s for k in range(1, L)]
+    lead = max(sol, key=abs)
+    return [Fraction(x, lead) for x in sol]
+
+
+def diameter_test_function_oracle(t: BoundaryTree) -> VertexFunction:
+    """A sum-zero function with Rayleigh quotient at most ``2/L``.
+
+    Takes the kernel of :func:`diameter_system` in closed form, exactly
+    in rationals: ``a_0 = L + Σ k n_k``, ``S = Σ n_k (L - 2k)`` and
+    ``a_k = ((L - 2k) a_0 - k S)/L``, scaled by its largest-magnitude
+    entry.  Then ``f = a_k = a_0 - k g`` on branch ``k`` (``g = (2 a_0 +
+    S)/L`` the common spine increment), ``f(x_0) = a_0`` and
+    ``f(x_L) = -a_0 - S``.  All gradient lives on the spine, every
+    increment equals ``g``, and the endpoint values alone make the
+    quotient at most ``2/L``.
+    """
+    path, comps, counts = _spine_oracle(t)
+    L = len(path) - 1
+    sol = diameter_kernel_oracle(counts)
+    weighted = sum(nk * ak for nk, ak in zip(counts, sol[1:]))
+
+    vals = np.empty(t.n)
+    for ref, ak in zip(comps, sol[1:]):
+        vals[np.fromiter(ref.vertices, np.intp, len(ref.vertices))] = float(ak)
+    vals[path[0]] = float(sol[0])
+    vals[path[-1]] = float(-sol[0] - weighted)
+    f = VertexFunction(t, vals)
+
+    scale = 1.0 + float(np.abs(vals).max())
+    bsum = float(f.boundary_values().sum())
+    if abs(bsum) > 1e-9 * scale * t.n_boundary:
+        raise InvariantViolationError(f"boundary sum {bsum:.3e} not ~0")
+    r = spectra.rayleigh_quotient(f)  # +inf when the boundary values vanish
+    # construction guarantees 2/L up to roundoff, independent of bound_slack
+    if r > 2.0 / L + 1e-9:
+        raise InvariantViolationError(f"diameter quotient {r:.6g} exceeds 2/{L}")
+    return f
+
+
+_PRUFER_DRAW_CAP = 10 ** 6
+
+
+def gen_random_tree_oracle(n: int, max_degree: int, seed: int) -> BoundaryTree:
+    """Seeded uniform random tree, rejection-sampled to the degree cap.
+
+    Uniform labelled trees come from random Prüfer sequences; a sequence
+    is rejected while some vertex would exceed ``max_degree``.  If the
+    cap is so tight that 10^6 draws all fail, falls back to sequential
+    attachment onto vertices with spare capacity (biased, but guaranteed
+    to terminate).  ``max_degree = 2`` forces a path, built directly as a
+    seeded random vertex order.
+    """
+    rng = random.Random(seed)
+    if max_degree == 2:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return build_tree([(perm[i], perm[i + 1]) for i in range(n - 1)])
+
+    for _ in range(_PRUFER_DRAW_CAP):
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        counts = [1] * n
+        for s in seq:
+            counts[s] += 1
+        if max(counts) <= max_degree:
+            return build_tree(_prufer_decode(seq, n))
+
+    edges: list[Edge] = []
+    deg = [0] * n
+    for v in range(1, n):
+        open_slots = [u for u in range(v) if deg[u] < max_degree]
+        u = rng.choice(open_slots)
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    return build_tree(edges)

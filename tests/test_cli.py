@@ -349,6 +349,32 @@ def test_sweep_extremal_middle_rejects_a_range_without_even_lengths(capsys):
     assert "needs an even L" in err and "[5, 5] holds no even value" in err
 
 
+def test_sweep_skips_members_whose_size_repeats(capsys):
+    # interior-3 trees overshoot n_target, so neighbouring targets repeat sizes
+    spec = '{"family":"RANDOM_INTERIOR3","n_target":[20,40],"max_degree":4,"seed":1}'
+    code, out, err = run(capsys, "sweep", "--family", spec, "--threshold", "0.5")
+    assert code == 0
+    sizes = [int(row.split("),")[1].split(",")[0]) for row in out.strip().splitlines()[1:]]
+    assert sizes == [21, 23, 26, 28, 31, 33, 35, 37, 39, 41]
+    assert "n_target=21" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sweep: skipped 11 member(s)")
+    assert "RANDOM_INTERIOR3(max_degree=4,n_target=21,seed=1) (n=21)" in err
+    code, out, err = run(capsys, "sweep", "--family", spec, "--threshold", "0.5",
+                         "--format", "json")
+    assert [row["n"] for row in json.loads(out)["rows"]] == sizes
+    assert "skipped" not in out
+
+
+def test_sweep_refuses_a_range_of_one_size(capsys):
+    code, out, err = run(capsys, "sweep", "--family",
+                         '{"family":"RANDOM_INTERIOR3","n_target":[20,21],"max_degree":4,'
+                         '"seed":1}')
+    assert (code, out) == (2, "")
+    assert "sweep needs two members of growing vertex count" in err
+    assert "more than its 21 vertices" in err
+
+
 # -- top-level dispatch --------------------------------------------------------------
 
 def test_missing_tree_source(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -22,6 +23,10 @@ from steklov_trees import (
     generate_family,
     steklov_eigenvalue_bisect,
 )
+from steklov_trees import generators
+
+import _oracle
+from _oracle import gen_random_tree_oracle
 
 
 def ball_size(d: int, r: int) -> int:
@@ -170,6 +175,63 @@ def test_random_interior3(n, cap, seed):
     # boundary-volume sandwich for interior degrees >= 3, exact in integers
     assert 2 * t.n_boundary >= t.n + 2
     assert t.n_boundary <= t.n
+
+
+# -- the block sampler against the one-value-at-a-time loop -------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 31, 32, 33, 60, 120, 255, 256, 257, 400,
+                               8000, 2**20 + 1, 2**31 - 1, 2**31, 2**32 - 1])
+def test_word_stream_is_the_randrange_stream(n):
+    # the sampler relies on CPython's randrange(n), n < 2**32, keeping the
+    # top bits of one 32-bit word and rejecting values >= n: an interpreter
+    # that draws otherwise fails here instead of moving trees and digests
+    for seed in range(20):
+        rng = random.Random(seed)
+        vals, at = generators._randrange_block(rng, n, 300)
+        ref = random.Random(seed)
+        assert vals.tolist() == [ref.randrange(n) for _ in range(len(vals))]
+        # the last value came from word at[-1], so the stream goes on after it
+        replay = random.Random(seed)
+        replay.getrandbits(32 * (int(at[-1]) + 1))
+        assert replay.random() == ref.random()
+
+
+def _harness_draws(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """``(n, cap, seed)`` as the verify harness draws them for its random trees."""
+    master = random.Random(seed)
+    return [(master.randint(5, 60), master.randint(2, 6), master.getrandbits(63))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("block_values", [generators._BLOCK_VALUES, 1])
+@pytest.mark.parametrize("master_seed", [0, 1])
+def test_random_tree_matches_rejection_loop_on_harness_draws(master_seed, block_values,
+                                                             monkeypatch):
+    # one attempt per block carries partial attempts across many blocks
+    monkeypatch.setattr(generators, "_BLOCK_VALUES", block_values)
+    for n, cap, seed in _harness_draws(master_seed, 100):
+        assert gen_random_tree(n, cap, seed).edges == \
+            gen_random_tree_oracle(n, cap, seed).edges
+
+
+@pytest.mark.parametrize("n,cap,seed", [(300, 4, 0), (300, 4, 1), (300, 4, 2), (300, 4, 3),
+                                        (400, 4, 0), (400, 4, 2), (400, 4, 3),
+                                        (120, 3, 19), (120, 3, 32)])
+def test_random_tree_matches_rejection_loop_at_tight_caps(n, cap, seed):
+    assert gen_random_tree(n, cap, seed).edges == gen_random_tree_oracle(n, cap, seed).edges
+
+
+@pytest.mark.parametrize("draw_cap", [1, 2, 3, 7])
+def test_random_tree_falls_back_at_the_same_attempt(draw_cap, monkeypatch):
+    monkeypatch.setattr(generators, "_PRUFER_DRAW_CAP", draw_cap)
+    monkeypatch.setattr(_oracle, "_PRUFER_DRAW_CAP", draw_cap)
+    fell_back = 0
+    for seed in range(25):
+        for n, cap in ((12, 3), (40, 3), (60, 3), (60, 4)):
+            fell_back += generators._prufer_draw(random.Random(seed), n, cap)[0] is None
+            assert gen_random_tree(n, cap, seed).edges == \
+                gen_random_tree_oracle(n, cap, seed).edges
+    assert fell_back  # some seeds use up every attempt at these caps
 
 
 def test_random_interior3_rejects():

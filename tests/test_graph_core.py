@@ -381,6 +381,14 @@ def test_component_avoiding(caterpillar):
     assert component_avoiding(caterpillar, 2, 1) == frozenset({2, 3, 4, 6, 7, 8})
 
 
+def test_component_avoiding_checks_its_vertices(ball32):
+    # a negative start used to wrap around, one past n raised IndexError,
+    # and an unknown blocked vertex was ignored
+    for start, blocked in ((-1, 0), (99, 0), (0, 99), (0, -1), (10, 0)):
+        with pytest.raises(BadVertexError):
+            component_avoiding(ball32, start, blocked)
+
+
 def test_branch_components_caterpillar(caterpillar):
     d = diameter(caterpillar)
     refs = branch_components(caterpillar, d.path)

@@ -4,7 +4,6 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,12 +37,15 @@ from steklov_trees import (
 from steklov_trees import graph_core, partitions
 from steklov_trees.partitions import _diameter_kernel
 
+from conftest import shapes
 from _oracle import (
     best_split_brute,
     best_split_edge_brute,
     boundary_fraction_brute,
     branch_components_oracle,
     descend_brute,
+    descend_oracle,
+    diameter_test_function_oracle,
     gradient_supports_disjoint_oracle,
     multiway_test_functions_oracle,
     partition_k_oracle,
@@ -301,14 +303,87 @@ def _cert_fields(cert):
             cert.interval)
 
 
-@given(t=_DESCENT_TREES)
+# the witness layer against its Fraction-per-step and component-per-branch
+# forms: random trees of every shape, and tie-heavy trees under a random
+# labelling so that the tie rules meet every id order
+_WITNESS_TREES = st.one_of(
+    shapes,
+    st.builds(_relabelled,
+              st.one_of(_TIE_HEAVY_TREES,
+                        st.builds(lambda L: [(i, i + 1) for i in range(L)],
+                                  st.integers(2, 30))),
+              st.integers(0, 2**32)),
+)
+
+
+@given(t=_WITNESS_TREES)
 def test_branch_components_and_diameter_function_match_oracle(t):
     path = diameter(t).path
     assert _ref_fields(graph_core.branch_components(t, path)) == \
         _ref_fields(branch_components_oracle(t, path))
-    got = diameter_test_function(t).values.tobytes()
-    with mock.patch.object(partitions, "branch_components", branch_components_oracle):
-        assert diameter_test_function(t).values.tobytes() == got
+    assert diameter_test_function(t).values.tobytes() == \
+        diameter_test_function_oracle(t).values.tobytes()
+
+
+def _descend_both(t, allowed, tau, **kw):
+    """``partitions._descend``, checked against the oracle; ``None`` when both raise."""
+    try:
+        part, frac, edge = partitions._descend(t, allowed, tau, **kw)
+    except InvariantViolationError as exc:
+        with pytest.raises(InvariantViolationError) as want:
+            descend_oracle(t, allowed, tau, **kw)
+        assert str(exc) == str(want.value)
+        return None
+    want_part, want_frac, want_edge = descend_oracle(t, allowed, tau, **kw)
+    assert (part.dtype, part.tobytes(), frac, edge) == \
+        (want_part.dtype, want_part.tobytes(), want_frac, want_edge)
+    return part, frac, edge
+
+
+@given(t=_WITNESS_TREES, enter_at_equal=st.booleans())
+def test_descent_matches_fraction_oracle(t, enter_at_equal):
+    taus = [Fraction(1, 2)] + [Fraction(1, k - 1) for k in range(3, min(7, t.n_boundary + 1))]
+    for tau in taus:
+        # peel as partition_k does, so later descents meet non-empty ports
+        remaining = np.ones(t.n, dtype=bool)
+        ports: frozenset[int] = frozenset()
+        for _ in range(4):
+            got = _descend_both(t, remaining, tau, enter_at_equal=enter_at_equal,
+                                ports=ports)
+            if got is None:
+                break
+            part, _, edge = got
+            # the sub-split of the part against its own boundary
+            inside = np.zeros(t.n, dtype=bool)
+            inside[part] = True
+            total = int(np.count_nonzero(inside[list(t.boundary)]))
+            if total:
+                _descend_both(t, inside, tau, enter_at_equal=enter_at_equal, total=total)
+            remaining[part] = False
+            ports |= {v for v in edge if remaining[v]}
+
+
+def test_diameter_witness_zero_is_positive_under_a_negative_lead():
+    # two leaves at x_1 of a 6-spine: the kernel's largest entry is
+    # negative and a_2 is 0, which the Fraction converts to +0.0
+    t = build_tree([(i, i + 1) for i in range(6)] + [(1, 7), (1, 8)])
+    vals = diameter_test_function(t).values
+    assert vals[2] == 0.0 and not np.signbit(vals[2])
+    assert vals.tobytes() == diameter_test_function_oracle(t).values.tobytes()
+
+
+@given(t=_WITNESS_TREES)
+def test_spine_labels_match_branch_components(t):
+    path = diameter(t).path
+    L = len(path) - 1
+    labels, counts = graph_core._spine_labels(t, path)
+    want = np.full(t.n, -1)
+    want[path[0]], want[path[-1]] = 0, L
+    for k, ref in enumerate(graph_core.branch_components(t, path), start=1):
+        want[list(ref.vertices)] = k
+        assert counts[k] == len(ref.relative_boundary)
+    assert labels.tolist() == want.tolist()
+    assert (counts[0], counts[L]) == (1, 1)
 
 
 @given(t=_DESCENT_TREES)
@@ -577,14 +652,18 @@ def test_diameter_function_takes_its_quotient_from_spectra(path4, monkeypatch):
         diameter_test_function(path4)
 
 
-def test_diameter_witness_builds_branches_once(caterpillar, monkeypatch):
-    calls = []
-    real = partitions.branch_components
+def test_diameter_witness_builds_no_subtrees(caterpillar, ball32, monkeypatch):
+    made = []
+    real = graph_core.SubtreeRef.__init__
 
-    def counted(t, path):
-        calls.append(path)
-        return real(t, path)
+    def counted(self, *args, **kw):
+        made.append(args)
+        real(self, *args, **kw)
 
-    monkeypatch.setattr(partitions, "branch_components", counted)
-    diameter_test_function(caterpillar)
-    assert len(calls) == 1
+    monkeypatch.setattr(graph_core.SubtreeRef, "__init__", counted)
+    for t in (caterpillar, ball32, gen_ball(4, 3)):
+        got = diameter_test_function(t).values.tobytes()
+        assert made == []
+        assert got == diameter_test_function_oracle(t).values.tobytes()
+        assert made  # the oracle builds one per branch, so the count sees them
+        made.clear()
