@@ -21,11 +21,13 @@ class Tolerances:
     eigen_residual: float = 1e-8   # eigenpair residuals on audited trees
     orthogonality: float = 1e-8    # eigenvector orthogonality across gaps
     eigen_gap: float = 1e-6        # gap above which eigenvalues count as distinct
-    oracle_agreement: float = 1e-8 # primary eigensolver vs bisection oracle
+    oracle_agreement: float = 1e-8 # primary eigensolver vs pencil certifier
     bound_slack: float = 1e-8      # measured eigenvalue vs certified bound
     boundary_sum: float = 1e-9     # witness boundary-sum-zero check
-    # no longer read: the primary eigensolve is LAPACK; kept so the
-    # tolerance record stays a stable contract
+    # no longer read: the primary eigensolve is LAPACK, and the verify
+    # oracle brackets each dense eigenvalue by two pencil counts at
+    # -+oracle_agreement instead of bisecting; kept so the tolerance
+    # record stays a stable contract
     jacobi_off: float = 1e-12      # off-diagonal Frobenius target, relative
     bisect_abs: float = 1e-10      # bisection oracle absolute tolerance
 

@@ -5,16 +5,22 @@ certify the other:
 
 * :func:`eigendecompose_symmetric` -- LAPACK ``eigh`` on the dense
   boundary response matrix (the primary route; also yields eigenvectors);
-* :func:`steklov_eigenvalue_bisect` -- the certifier: bisection on the
-  inertia of the sparse pencil ``L - t B`` over the whole tree, where
-  ``B`` is the boundary indicator.  Since the interior block of ``L`` is
-  positive definite, Haynsworth's inertia additivity makes the negative
-  pivot count of ``L - t B`` equal the number of Steklov eigenvalues
-  below ``t``; a tree admits a perfect elimination order (Jacobs and
-  Trevisan's diagonalization of a tree), so each count has no fill-in
-  and touches neither the dense matrix nor its assembly.  This route
-  also scales to trees whose boundary is far too large for a dense
-  matrix.
+* the certifier: inertia counts of the sparse pencil ``L - t B`` over
+  the whole tree, where ``B`` is the boundary indicator.  Since the
+  interior block of ``L`` is positive definite, Haynsworth's inertia
+  additivity makes the negative pivot count of ``L - t B`` equal the
+  number of Steklov eigenvalues below ``t``; a tree admits a perfect
+  elimination order (Jacobs and Trevisan's diagonalization of a tree),
+  so each count has no fill-in and touches neither the dense matrix nor
+  its assembly.  It serves in two ways.  :func:`steklov_eigenvalue_bisect`
+  finds ``lambda_k`` by bisection, which also scales to trees whose
+  boundary is far too large for a dense matrix.  Counts at given shifts,
+  :func:`_steklov_count_below`, certify a known ``lambda_k``: since the
+  count does not decrease as the shift grows,
+  ``count(x - delta) < k <= count(x + delta)`` puts the count's k-th
+  eigenvalue within ``delta`` of ``x``, in two counts (Demmel, Dhillon
+  and Ren, *ETNA* 3 (1995)); the ``verify`` harness certifies the dense
+  spectrum this way.
 
 Each count is one leaf-to-root sweep over the levels of the leaf-first
 elimination of :mod:`.graph_core`, which runs here on the whole tree

@@ -7,6 +7,13 @@ certificates in exact arithmetic, the three test-function constructions,
 and every bound report.  The result is a deterministic report object:
 same config, same counters, byte for byte.
 
+On every ``oracle_stride``-th tree the dense spectrum is cross-checked
+against the tree-pencil certifier of :mod:`.spectra`, which shares no
+code with it: each audited ``lambda_k`` is certified by two inertia
+counts, ``count(lambda_k - delta) < k <= count(lambda_k + delta)`` with
+``delta = oracle_agreement``, and ``lambda_2`` is bisected once so that
+the bisection route has an end-to-end check of its own.
+
 Every check on a tree goes through one runner, which counts it under its
 name and hands its value to the checks that need it.  A check that
 raises ``InvariantViolationError`` or ``AssertionError`` failed; one
@@ -37,7 +44,9 @@ from .partitions import (
     two_level_test_function,
 )
 from .spectra import (
+    SteklovSpectrum,
     _spectrum_from_matrix,
+    _steklov_count_below,
     rayleigh_quotient,
     steklov_eigenvalue_bisect,
     variational_upper_check,
@@ -145,6 +154,32 @@ def _bound_verdict(r: bnd.BoundReport) -> object:
         raise _BoundMissed(f"bound {r.bound_value!r} measured {r.measured!r}")
 
 
+def _oracle_indices(m: int, ks: tuple[int, ...]) -> range | list[int]:
+    """Eigenvalue indices the oracle audits: all up to 12 boundary vertices, else a spread."""
+    return range(1, m + 1) if m <= 12 else sorted({1, 2, m // 2, m, *ks})
+
+
+def _pencil_brackets(t: BoundaryTree, spectrum: SteklovSpectrum, ks: tuple[int, ...],
+                     tol: Tolerances) -> None:
+    """Certify audited dense eigenvalues by pencil counts at ``x -+ delta``.
+
+    ``count(x - delta) < k <= count(x + delta)`` puts the pencil's k-th
+    eigenvalue within ``delta = tol.oracle_agreement`` of the dense
+    ``x = lambda_k``, since the float count does not decrease as the shift
+    grows (the lemma at :func:`.spectra.steklov_eigenvalue_bisect`): what
+    a bisection compared with ``x`` would claim, without its
+    ``abs_tol/2`` of slop.
+    """
+    delta = tol.oracle_agreement
+    for k in _oracle_indices(t.n_boundary, ks):
+        x = spectrum.eigenvalue(k)
+        below = _steklov_count_below(t, x - delta)
+        above = _steklov_count_below(t, x + delta)
+        _expect(below < k <= above,
+                f"eigenvalue {k}: dense {x!r} not within {delta!r} of the pencil's "
+                f"(counts {below}, {above} at ∓{delta!r})")
+
+
 def _check_tree(
     t: BoundaryTree,
     label: str,
@@ -197,13 +232,7 @@ def _check_tree(
     ks = _k_values(m)
 
     def oracle() -> object:
-        if not full_oracle:
-            return _MISSING
-        idx = range(1, m + 1) if m <= 12 else sorted({1, 2, m // 2, m, *ks})
-        for k in idx:
-            ref = steklov_eigenvalue_bisect(t, k, abs_tol=tol.bisect_abs)
-            _expect(abs(spectrum.eigenvalue(k) - ref) <= tol.oracle_agreement,
-                    f"eigenvalue {k}: dense {spectrum.eigenvalue(k)!r} vs pencil {ref!r}")
+        return _pencil_brackets(t, spectrum, ks, tol) if full_oracle else _MISSING
 
     def bisect() -> object:
         if not full_oracle:

@@ -42,6 +42,9 @@ per spine vertex, the kernel in ``Fraction``) are the reference for the
 descent's parts, fractions and cuts and for the witness's bytes.
 The Prüfer rejection loop drawing one ``randrange`` at a time, with its
 fallback, is the reference for the block sampler's trees.
+The harness's oracle check as it stood before the count brackets (one
+bisection per audited eigenvalue) is the reference for the verdicts of
+the brackets that replaced it.
 """
 
 from __future__ import annotations
@@ -584,6 +587,27 @@ def bisect_oracle(t: BoundaryTree, k: int, *, abs_tol: float = 1e-12) -> float:
         else:
             lo = mid
     return max(0.0, 0.5 * (lo + hi))
+
+
+# -- verify oracle check ----------------------------------------------------------
+# the harness's oracle check as it stood before the count brackets, verbatim
+# apart from taking its tree, spectrum, audited indices and tolerances as
+# arguments: one bisection per audited eigenvalue, compared with the dense value
+
+def _expect(cond: bool, msg: str) -> None:
+    if not cond:
+        raise AssertionError(msg)
+
+
+def oracle_agreement_bisect(t: BoundaryTree, spectrum, ks: tuple[int, ...],
+                            tol: Tolerances) -> None:
+    """Raise ``AssertionError`` unless every audited dense eigenvalue is bisected within ``oracle_agreement``."""
+    m = t.n_boundary
+    idx = range(1, m + 1) if m <= 12 else sorted({1, 2, m // 2, m, *ks})
+    for k in idx:
+        ref = spectra.steklov_eigenvalue_bisect(t, k, abs_tol=tol.bisect_abs)
+        _expect(abs(spectrum.eigenvalue(k) - ref) <= tol.oracle_agreement,
+                f"eigenvalue {k}: dense {spectrum.eigenvalue(k)!r} vs pencil {ref!r}")
 
 
 # -- harmonic layer ---------------------------------------------------------------

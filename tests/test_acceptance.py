@@ -30,6 +30,7 @@ from steklov_trees import (
     steklov_spectrum,
 )
 from steklov_trees.config import DEFAULT_TOL
+from steklov_trees.spectra import _steklov_count_below
 
 CLOSED_FORM_TOL = 1e-9
 PATH_TOL = 1e-12
@@ -204,7 +205,8 @@ def _audit_trees() -> list[tuple[str, object]]:
 
 def test_criterion_8_jacobi_vs_oracle_full_spectra():
     # the name predates the LAPACK primary: every eigenvalue of the dense
-    # spectrum is now checked against the tree-pencil certifier
+    # spectrum is now checked against the tree-pencil certifier, by a
+    # bisection and by a count bracket
     problems = []
     for label, t in _audit_trees():
         dtn_matrix(t).validate()
@@ -214,8 +216,14 @@ def test_criterion_8_jacobi_vs_oracle_full_spectra():
             got = spectrum.eigenvalue(k)
             if abs(got - ref) > ORACLE_TOL:
                 problems.append(f"{label} k={k}: dense {got!r} vs pencil {ref!r}")
+            # the harness's certificate: counts at got -+ ORACLE_TOL bracket index k
+            below = _steklov_count_below(t, got - ORACLE_TOL)
+            above = _steklov_count_below(t, got + ORACLE_TOL)
+            if not below < k <= above:
+                problems.append(f"{label} k={k}: dense {got!r} not bracketed "
+                                f"(counts {below}, {above})")
     _report(8, "every eigenvalue agrees with the tree-pencil certifier on the "
-               "audit set", problems)
+               "audit set, by bisection and by count bracket", problems)
 
 
 def test_criterion_9_asymptotic_decay():

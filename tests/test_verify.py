@@ -1,20 +1,32 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steklov_trees import (
     BadParamsError,
     InvariantViolationError,
     VerifyConfig,
+    gen_ball,
+    gen_random_interior3,
+    gen_random_tree,
     run_verification,
+    steklov_spectrum,
 )
 from steklov_trees import bounds, verify
 from steklov_trees.cli import main
+from steklov_trees.config import DEFAULT_TOL
+
+from _oracle import oracle_agreement_bisect
+from conftest import shapes
 
 # sha256 of fixed-seed `verify` reports, recorded for the benchmark
 EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -66,10 +78,100 @@ def test_different_seed_different_trees():
 
 
 def test_oracle_stride_one_checks_everything():
-    rep = run_verification(small_config(trials=6, interior3_trials=0,
-                                        oracle_stride=1))
-    assert rep.counter("oracle_agreement").passed == 6
-    assert rep.counter("oracle_agreement").skipped == 0
+    rep = run_verification(small_config(trials=150, interior3_trials=50, max_n=60,
+                                        max_degree=6, oracle_stride=1))
+    assert rep.overall_pass
+    c = rep.counter("oracle_agreement")
+    assert (c.passed, c.failed, c.skipped) == (200, 0, 0)
+
+
+DELTA = DEFAULT_TOL.oracle_agreement
+
+
+@pytest.mark.parametrize("by,passes", [(2 * DELTA, False), (-2 * DELTA, False),
+                                       (0.5 * DELTA, True), (-0.5 * DELTA, True)])
+def test_oracle_agreement_fails_with_both_counts_when_an_eigenvalue_moves(monkeypatch, by,
+                                                                         passes):
+    real, moved = verify._spectrum_from_matrix, []
+
+    def zero_moved(mat, tol):
+        s = real(mat, tol)
+        w = s.eigenvalues.copy()
+        w[0] += by
+        moved.append(float(w[0]))
+        return dataclasses.replace(s, eigenvalues=w)
+
+    monkeypatch.setattr(verify, "_spectrum_from_matrix", zero_moved)
+    rep = run_verification(small_config(trials=6, interior3_trials=2, oracle_stride=1))
+    c = rep.counter("oracle_agreement")
+    if passes:
+        assert rep.overall_pass and c.passed == 8
+        return
+    assert (c.passed, c.failed, c.crashed) == (0, 8, 0)
+    # the trivial eigenvalue is audited on every tree, and no other check reads it
+    assert [f["check"] for f in rep.failures] == ["oracle_agreement"] * 8
+    # above it, both shifts count the zero alone; below it, neither counts it
+    counts = "1, 1" if by > 0 else "0, 0"
+    for f, x in zip(rep.failures, moved):
+        assert f["detail"] == (f"AssertionError: eigenvalue 1: dense {x!r} not within "
+                               f"1e-08 of the pencil's (counts {counts} at ∓1e-08)")
+
+
+class _Moved:
+    """``spectrum`` with its k-th eigenvalue moved by ``by``."""
+
+    def __init__(self, spectrum, k: int, by: float):
+        self.spectrum, self.k, self.by = spectrum, k, by
+
+    def eigenvalue(self, j: int) -> float:
+        return self.spectrum.eigenvalue(j) + (self.by if j == self.k else 0.0)
+
+
+def _passes(check, t, spectrum, ks) -> bool:
+    try:
+        check(t, spectrum, ks, DEFAULT_TOL)
+    except AssertionError:
+        return False
+    return True
+
+
+def _bracket_and_bisection_agree(t, pick: int | None) -> None:
+    """Both oracle verdicts with one audited eigenvalue moved: the ``pick``-th, or each."""
+    ks = verify._k_values(t.n_boundary)
+    idx = verify._oracle_indices(t.n_boundary, ks)
+    spectrum = steklov_spectrum(t)
+    for k in idx if pick is None else [idx[pick % len(idx)]]:
+        for by, want in ((0.0, True), (0.5 * DELTA, True), (-0.5 * DELTA, True),
+                         (2 * DELTA, False), (-2 * DELTA, False)):
+            moved = _Moved(spectrum, k, by)
+            assert _passes(verify._pencil_brackets, t, moved, ks) is want, (k, by)
+            assert _passes(oracle_agreement_bisect, t, moved, ks) is want, (k, by)
+
+
+@given(t=shapes, pick=st.integers(0, 60))
+def test_pencil_brackets_judge_as_the_bisection_did(t, pick):
+    _bracket_and_bisection_agree(t, pick)
+
+
+def _harness_trees(seed: int, trials: int, interior3_trials: int):
+    """The trees ``run_verification`` draws at ``max_n=60, max_degree=6``."""
+    master = random.Random(seed)
+    families = ((2, gen_random_tree, trials), (3, gen_random_interior3, interior3_trials))
+    for min_cap, gen, count in families:
+        for _ in range(count):
+            n = master.randint(5, 60)
+            cap = master.randint(min_cap, 6)
+            yield gen(n, cap, master.getrandbits(63))
+
+
+def test_pencil_brackets_judge_as_the_bisection_did_on_harness_draws():
+    for i, t in enumerate(_harness_trees(3, 150, 50)):
+        _bracket_and_bisection_agree(t, i)
+
+
+@pytest.mark.parametrize("d,r", [(3, 1), (8, 1), (40, 1), (3, 3), (4, 2), (3, 4), (5, 2)])
+def test_pencil_brackets_judge_as_the_bisection_did_on_multiple_eigenvalues(d, r):
+    _bracket_and_bisection_agree(gen_ball(d, r), None)
 
 
 @pytest.mark.parametrize("kwargs", [
