@@ -8,8 +8,9 @@ the partition-based test functions realizing them, and ships a seeded
 harness that re-verifies the whole chain on random trees.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
-    BOUND_IDS,
     BOUND_VALUES,
     LAM2_BOUNDARY,
     LAM2_DIAMETER,
@@ -22,11 +23,7 @@ from .bounds import (
     DecayReport,
     asymptotic_decay_check,
     audit,
-    bound_lam2_boundary,
-    bound_lam2_diameter,
-    bound_lam2_volume,
-    bound_lamk_boundary,
-    bound_lamk_volume,
+    bound_report,
     bound_value,
     lemma_dv_check,
     prop_l_check,
@@ -89,7 +86,6 @@ from .harmonic import (
 )
 from .partitions import (
     PartitionCertificate,
-    diameter_system,
     diameter_test_function,
     gradient_supports_disjoint,
     multiway_test_functions,
@@ -112,4 +108,6 @@ from .verify import VerificationReport, VerifyConfig, run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -11,18 +11,24 @@ The right-hand side of each of the five upper bounds is written once,
 in :data:`BOUND_VALUES`, and read through :func:`bound_value` by the
 reports here, by the witness chains of :mod:`.verify` and by the
 ``sweep`` columns, so every caller compares against the same exact
-``Fraction``.
+``Fraction``.  One function, :func:`bound_report`, reports all five: it
+takes each bound's precondition and witness from one table beside the
+values, and decides every upper-bound ``holds`` by the one comparison
+``lambda_k <= value + slack``.  :func:`audit` calls it once per (bound,
+k) pair.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import PartTooSmallError
+from .errors import BadParamsError, PartTooSmallError
 from .graph_core import BoundaryTree, diameter, per_tree_cache
 from .partitions import (
     diameter_test_function,
@@ -46,9 +52,6 @@ LAMK_BOUNDARY = "LAMK_BOUNDARY"
 LAMK_VOLUME = "LAMK_VOLUME"
 LEMMA_DV = "LEMMA_DV"
 PROP_L = "PROP_L"
-
-BOUND_IDS = (LAM2_BOUNDARY, LAM2_VOLUME, LAM2_DIAMETER, LAMK_BOUNDARY,
-             LAMK_VOLUME, LEMMA_DV, PROP_L)
 
 # the exact right-hand side of each upper bound, for lambda_k on tree t
 # (the lambda_2 bounds ignore k)
@@ -113,125 +116,80 @@ def _interior_degrees_ok(t: BoundaryTree) -> bool:
     return not np.count_nonzero(t.degrees == 2)
 
 
-def _upper_report(
+class _Upper(NamedTuple):
+    """What an upper bound asks beyond its value."""
+
+    lamk: bool  # bounds lambda_k for 3 <= k <= |boundary|, else lambda_2 alone
+    interior3: bool  # needs every interior degree >= 3
+    # the test function(s) its proof constructs, from (t, k, tol)
+    witness: Callable[[BoundaryTree, int, Tolerances], object] | None
+
+
+_UPPER = {
+    LAM2_BOUNDARY: _Upper(False, False, lambda t, k, tol: two_level_test_function(
+        t, partition_two(t), tol)),
+    LAM2_VOLUME: _Upper(False, True, None),
+    LAM2_DIAMETER: _Upper(False, False, lambda t, k, tol: diameter_test_function(t)),
+    LAMK_BOUNDARY: _Upper(True, False, lambda t, k, tol: multiway_test_functions(
+        t, partition_k(t, k), tol)),
+    LAMK_VOLUME: _Upper(True, True, None),
+}
+
+
+def bound_report(
     bound_id: str,
     t: BoundaryTree,
-    k: int,
-    spectrum: SteklovSpectrum | None,
+    k: int = 2,
     *,
-    preconditions_met: bool = True,
-    witness: object | None = None,
-    note: str = "",
+    spectrum: SteklovSpectrum | None = None,
     tol: Tolerances = DEFAULT_TOL,
+    with_witness: bool = True,
 ) -> BoundReport:
-    """lambda_k against upper bound ``bound_id``."""
+    """``lambda_k`` on ``t`` against upper bound ``bound_id``.
+
+    The value comes from :data:`BOUND_VALUES`.  The volume bounds need
+    every interior degree >= 3, and the ``LAMK_*`` bounds need
+    ``3 <= k <= |boundary|`` (outside it nothing is measured); an unmet
+    precondition gives ``holds = None`` and a note.  With
+    ``with_witness``, the two-level, diameter or multiway test function
+    of the bound's proof is attached; a multiway family whose peeled part
+    holds one boundary vertex is noted instead.  Raises
+    :class:`BadParamsError` for an id with no upper bound (``LEMMA_DV``
+    and ``PROP_L`` have their own checks) and for a ``LAM2_*`` id with
+    ``k != 2``.
+    """
+    if bound_id not in BOUND_VALUES:
+        raise BadParamsError(
+            f"no upper bound {bound_id!r}; expected one of {', '.join(BOUND_VALUES)}")
+    row = _UPPER[bound_id]
+    if not row.lamk and k != 2:
+        raise BadParamsError(f"{bound_id} bounds lambda_2, not lambda_{k}")
     bv = float(bound_value(bound_id, t, k))
+    m = t.n_boundary
+    if row.lamk and not 3 <= k <= m:
+        return BoundReport(
+            bound_id=bound_id, bound_value=bv, measured=float("nan"),
+            tightness=float("nan"), holds=None, preconditions_met=False,
+            note=f"k={k} outside 3..{m}")
+    pre = not row.interior3 or _interior_degrees_ok(t)
+    note = "" if pre else "an interior vertex has degree < 3"
+    witness = None
+    if with_witness and pre and row.witness is not None:
+        try:
+            witness = row.witness(t, k, tol)
+        except PartTooSmallError:
+            note = "no multiway witness: a peeled part holds one boundary vertex"
     measured = steklov_lambda(t, k, spectrum=spectrum)
-    holds = (measured <= bv + tol.bound_slack) if preconditions_met else None
     return BoundReport(
         bound_id=bound_id,
         bound_value=bv,
         measured=measured,
         tightness=measured / bv if bv > 0 else float("inf"),
-        holds=holds,
-        preconditions_met=preconditions_met,
+        holds=(measured <= bv + tol.bound_slack) if pre else None,
+        preconditions_met=pre,
         witness=witness,
         note=note,
     )
-
-
-def bound_lam2_boundary(
-    t: BoundaryTree,
-    *,
-    spectrum: SteklovSpectrum | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    with_witness: bool = True,
-) -> BoundReport:
-    """lambda_2 <= 4(D-1)/|boundary|, witnessed by the two-level function."""
-    witness = None
-    if with_witness:
-        witness = two_level_test_function(t, partition_two(t), tol)
-    return _upper_report(LAM2_BOUNDARY, t, 2, spectrum, witness=witness, tol=tol)
-
-
-def bound_lam2_volume(
-    t: BoundaryTree,
-    *,
-    spectrum: SteklovSpectrum | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BoundReport:
-    """lambda_2 <= 8(D-1)/(|V|+2), valid when interior degrees are >= 3."""
-    pre = _interior_degrees_ok(t)
-    return _upper_report(LAM2_VOLUME, t, 2, spectrum, preconditions_met=pre,
-                         note="" if pre else "an interior vertex has degree < 3",
-                         tol=tol)
-
-
-def bound_lam2_diameter(
-    t: BoundaryTree,
-    *,
-    spectrum: SteklovSpectrum | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    with_witness: bool = True,
-) -> BoundReport:
-    """lambda_2 <= 2/L, witnessed by the spine test function."""
-    witness = diameter_test_function(t) if with_witness else None
-    return _upper_report(LAM2_DIAMETER, t, 2, spectrum, witness=witness, tol=tol)
-
-
-def _lamk_report(
-    bound_id: str,
-    t: BoundaryTree,
-    k: int,
-    extra_pre: bool,
-    extra_note: str,
-    spectrum: SteklovSpectrum | None,
-    tol: Tolerances,
-    with_witness: bool,
-) -> BoundReport:
-    m = t.n_boundary
-    if not 3 <= k <= m:
-        return BoundReport(
-            bound_id=bound_id, bound_value=float(bound_value(bound_id, t, k)),
-            measured=float("nan"), tightness=float("nan"), holds=None,
-            preconditions_met=False,
-            note=f"k={k} outside 3..{m}")
-    witness = None
-    note = extra_note
-    if with_witness and extra_pre:
-        try:
-            witness = multiway_test_functions(t, partition_k(t, k), tol)
-        except PartTooSmallError:
-            note = (note + "; " if note else "") + \
-                "no multiway witness: a peeled part holds one boundary vertex"
-    return _upper_report(bound_id, t, k, spectrum, preconditions_met=extra_pre,
-                         witness=witness, note=note, tol=tol)
-
-
-def bound_lamk_boundary(
-    t: BoundaryTree,
-    k: int,
-    *,
-    spectrum: SteklovSpectrum | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    with_witness: bool = True,
-) -> BoundReport:
-    """lambda_k <= 8(D-1)^2 (k-1)/|boundary| for 3 <= k <= |boundary|."""
-    return _lamk_report(LAMK_BOUNDARY, t, k, True, "", spectrum, tol, with_witness)
-
-
-def bound_lamk_volume(
-    t: BoundaryTree,
-    k: int,
-    *,
-    spectrum: SteklovSpectrum | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BoundReport:
-    """lambda_k <= 16(D-1)^2 (k-1)/(|V|+2) when interior degrees are >= 3."""
-    pre = _interior_degrees_ok(t)
-    return _lamk_report(LAMK_VOLUME, t, k, pre,
-                        "" if pre else "an interior vertex has degree < 3",
-                        spectrum, tol, with_witness=False)
 
 
 def lemma_dv_check(t: BoundaryTree) -> BoundReport:
@@ -283,18 +241,11 @@ def audit(
     """
     if spectrum is None and t.n_boundary <= DENSE_BOUNDARY_LIMIT:
         spectrum = steklov_spectrum(t, tol)
-    out = [
-        bound_lam2_boundary(t, spectrum=spectrum, tol=tol, with_witness=with_witness),
-        bound_lam2_volume(t, spectrum=spectrum, tol=tol),
-        bound_lam2_diameter(t, spectrum=spectrum, tol=tol, with_witness=with_witness),
-    ]
-    for k in ks:
-        out.append(bound_lamk_boundary(t, k, spectrum=spectrum, tol=tol,
-                                       with_witness=with_witness))
-        out.append(bound_lamk_volume(t, k, spectrum=spectrum, tol=tol))
-    out.append(lemma_dv_check(t))
-    out.append(prop_l_check(t))
-    return out
+    pairs = [(b, 2) for b, row in _UPPER.items() if not row.lamk]
+    pairs += [(b, k) for k in ks for b, row in _UPPER.items() if row.lamk]
+    out = [bound_report(b, t, k, spectrum=spectrum, tol=tol, with_witness=with_witness)
+           for b, k in pairs]
+    return out + [lemma_dv_check(t), prop_l_check(t)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -195,6 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _expand_family_range(spec: dict) -> list[dict]:
+    if not isinstance(spec, dict):
+        raise BadParamsError("family spec must be a dict with a 'family' key")
     ranged = [k for k, v in spec.items()
               if isinstance(v, list) and k != "family"]
     if len(ranged) != 1:

@@ -492,9 +492,6 @@ class SubtreeRef:
     def size(self) -> int:
         return len(self.vertices)
 
-    def min_vertex(self) -> int:
-        return min(self.vertices)
-
 
 def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
     """Build a :class:`SubtreeRef`, checking induced connectivity.
@@ -676,8 +673,16 @@ def tree_from_json_dict(obj: dict) -> BoundaryTree:
     """Parse ``{"n": int, "edges": [[u, v], ...]}``."""
     if not isinstance(obj, dict) or "edges" not in obj:
         raise MalformedError("expected an object with an 'edges' field")
-    t = build_tree(tuple((u, v) for u, v in obj["edges"]))
-    if "n" in obj and int(obj["n"]) != t.n:
+    if not isinstance(obj["edges"], list):
+        raise MalformedError("'edges' must be a list of [u, v] pairs")
+    t = build_tree(obj["edges"])
+    if "n" not in obj:
+        return t
+    try:
+        n = int(obj["n"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedError(f"'n' must be an integer, got {obj['n']!r}") from exc
+    if n != t.n:
         raise MalformedError(f"declared n={obj['n']} but edges span {t.n} vertices")
     return t
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import HarmonicResidualError, InvariantViolationError
+from .errors import DimensionMismatchError, HarmonicResidualError, InvariantViolationError
 from .graph_core import BoundaryTree, _eliminate, per_tree_cache
 
 
@@ -264,8 +264,12 @@ def harmonic_extension(
     The interior residual is re-checked after the solve against
     ``tol.residual * (1 + max|g|)``; failure signals a solver bug, not a
     property of the input, and raises :class:`HarmonicResidualError`.
+    A :class:`BoundaryFunction` on another tree raises
+    :class:`DimensionMismatchError`.
     """
     if isinstance(g, BoundaryFunction):
+        if g.tree is not t:
+            raise DimensionMismatchError("boundary function on a different tree")
         gv = g.values
     else:
         gv = np.asarray(g, dtype=np.float64)

@@ -458,8 +458,17 @@ def gradient_supports_disjoint(fns: list[VertexFunction]) -> bool:
 # -- diameter test function ----------------------------------------------------------
 
 def _kernel_ints(counts: list[int]) -> tuple[list[int], int]:
-    """``L`` times the kernel of :func:`diameter_system` in integers, and its lead.
+    """``L`` times the diameter kernel in integers, and its lead.
 
+    For a diameter path ``x_0 .. x_L`` with ``n_k`` boundary vertices
+    hanging at ``x_k``, a function constant on each branch with equal
+    increments along the spine and zero boundary sum must satisfy, for
+    ``k = 1 .. L-1``::
+
+        (L - 2k) a_0 - k * Σ_i n_i a_i - L a_k = 0
+
+    in the unknowns ``a_0 .. a_{L-1}`` (``a_k`` the plateau on branch
+    ``k``, ``a_0 = f(x_0)``), and that system's kernel is one-dimensional.
     With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
     ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
     ``Σ n_k a_k = S``; ``a_0 >= L > 0``, so it is nonzero.  The lead is
@@ -478,50 +487,12 @@ def _kernel_ints(counts: list[int]) -> tuple[list[int], int]:
     return sol, lead
 
 
-def _diameter_kernel(counts: list[int]) -> list[Fraction]:
-    """The kernel of :func:`diameter_system`, exactly, for counts ``n_1 .. n_{L-1}``.
-
-    Returned as ``[a_0, .., a_{L-1}]`` divided by its first
-    largest-magnitude entry (:func:`_kernel_ints`).
-    """
-    sol, lead = _kernel_ints(counts)
-    return [Fraction(x, lead) for x in sol]
-
-
-def diameter_system(t: BoundaryTree) -> tuple[np.ndarray, list[int], list[int]]:
-    """The homogeneous system tying branch plateau values to the spine.
-
-    For a diameter path ``x_0 .. x_L`` with ``n_k`` boundary vertices
-    hanging at ``x_k``, a function constant on each branch with equal
-    increments along the spine and zero boundary sum must satisfy, for
-    each ``k``::
-
-        (L - 2k) a_0 - k * Σ_i n_i a_i - L a_k = 0
-
-    in the unknowns ``a_0 .. a_{L-1}`` (``a_k`` doubling as the plateau
-    on branch ``k``; ``a_0 = f(x_0)``).  ``L - 1`` equations in ``L``
-    unknowns, so a nonzero solution always exists; its kernel is
-    one-dimensional, spanned by the closed form of
-    :func:`diameter_test_function`.  Returns the matrix, the path, and
-    the counts ``n_k``.
-    """
-    path = list(diameter(t).path)
-    L = len(path) - 1
-    counts = _spine_labels(t, path)[1][1:L].tolist()
-    a = np.zeros((L - 1, L))
-    for k in range(1, L):
-        a[k - 1, 0] += L - 2 * k
-        for i in range(1, L):
-            a[k - 1, i] -= k * counts[i - 1]
-        a[k - 1, k] -= L
-    return a, path, counts
-
-
 def diameter_test_function(t: BoundaryTree) -> VertexFunction:
     """A sum-zero function with Rayleigh quotient at most ``2/L``.
 
-    Takes the kernel of :func:`diameter_system` in closed form, exactly
-    in rationals: ``a_0 = L + Σ k n_k``, ``S = Σ n_k (L - 2k)`` and
+    Takes the kernel of the diameter system (:func:`_kernel_ints`) in
+    closed form, exactly in rationals: ``a_0 = L + Σ k n_k``,
+    ``S = Σ n_k (L - 2k)`` and
     ``a_k = ((L - 2k) a_0 - k S)/L``, scaled by its largest-magnitude
     entry.  Then ``f = a_k = a_0 - k g`` on branch ``k`` (``g = (2 a_0 +
     S)/L`` the common spine increment), ``f(x_0) = a_0`` and

@@ -40,6 +40,8 @@ The prefix-sum descent as it stood before its integer threshold test
 diameter witness as it stood before the spine labels (one component
 per spine vertex, the kernel in ``Fraction``) are the reference for the
 descent's parts, fractions and cuts and for the witness's bytes.
+The homogeneous system that the diameter witness's closed-form kernel
+solves is the reference for that kernel, checked in ``Fraction``.
 The Prüfer rejection loop drawing one ``randrange`` at a time, with its
 fallback, is the reference for the block sampler's trees.
 The harness's oracle check as it stood before the count brackets (one
@@ -920,7 +922,9 @@ def gradient_supports_disjoint_oracle(fns: list[VertexFunction]) -> bool:
 # diameter_test_function, and generators.gen_random_tree, verbatim apart
 # from their names; the witness takes its components from
 # branch_components_oracle above, and the loop decodes its sequence with
-# the package's unchanged Prüfer decoder
+# the package's unchanged Prüfer decoder.  partitions.diameter_system,
+# the linear system behind the witness's closed-form kernel, follows the
+# kernel, its counts also from branch_components_oracle
 
 class SidesOracle:
     """The sides of every edge inside a connected vertex set, O(1) each.
@@ -1047,7 +1051,7 @@ def _spine_oracle(t: BoundaryTree) -> tuple[list[int], list[SubtreeRef], list[in
 
 
 def diameter_kernel_oracle(counts: list[int]) -> list[Fraction]:
-    """The kernel of :func:`diameter_system`, exactly, for counts ``n_1 .. n_{L-1}``.
+    """The kernel of :func:`diameter_system_oracle`, exactly, for counts ``n_1 .. n_{L-1}``.
 
     With ``a_0 = L + Σ k n_k`` and ``S = Σ n_k (L - 2k)``, the vector
     ``a_k = ((L - 2k) a_0 - k S) / L`` solves every equation, and
@@ -1063,10 +1067,38 @@ def diameter_kernel_oracle(counts: list[int]) -> list[Fraction]:
     return [Fraction(x, lead) for x in sol]
 
 
+def diameter_system_oracle(t: BoundaryTree) -> tuple[np.ndarray, list[int], list[int]]:
+    """The homogeneous system tying branch plateau values to the spine.
+
+    For a diameter path ``x_0 .. x_L`` with ``n_k`` boundary vertices
+    hanging at ``x_k``, a function constant on each branch with equal
+    increments along the spine and zero boundary sum must satisfy, for
+    each ``k``::
+
+        (L - 2k) a_0 - k * Σ_i n_i a_i - L a_k = 0
+
+    in the unknowns ``a_0 .. a_{L-1}`` (``a_k`` doubling as the plateau
+    on branch ``k``; ``a_0 = f(x_0)``).  ``L - 1`` equations in ``L``
+    unknowns, so a nonzero solution always exists; its kernel is
+    one-dimensional, spanned by the closed form of
+    :func:`diameter_test_function`.  Returns the matrix, the path, and
+    the counts ``n_k``, taken from :func:`branch_components_oracle`.
+    """
+    path, _, counts = _spine_oracle(t)
+    L = len(path) - 1
+    a = np.zeros((L - 1, L))
+    for k in range(1, L):
+        a[k - 1, 0] += L - 2 * k
+        for i in range(1, L):
+            a[k - 1, i] -= k * counts[i - 1]
+        a[k - 1, k] -= L
+    return a, path, counts
+
+
 def diameter_test_function_oracle(t: BoundaryTree) -> VertexFunction:
     """A sum-zero function with Rayleigh quotient at most ``2/L``.
 
-    Takes the kernel of :func:`diameter_system` in closed form, exactly
+    Takes the kernel of :func:`diameter_system_oracle` in closed form, exactly
     in rationals: ``a_0 = L + Σ k n_k``, ``S = Σ n_k (L - 2k)`` and
     ``a_k = ((L - 2k) a_0 - k S)/L``, scaled by its largest-magnitude
     entry.  Then ``f = a_k = a_0 - k g`` on branch ``k`` (``g = (2 a_0 +

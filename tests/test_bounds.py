@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steklov_trees import (
-    BOUND_IDS,
     BOUND_VALUES,
     LAM2_BOUNDARY,
     LAM2_DIAMETER,
@@ -21,11 +20,8 @@ from steklov_trees import (
     PROP_L,
     asymptotic_decay_check,
     audit,
-    bound_lam2_boundary,
-    bound_lam2_diameter,
-    bound_lam2_volume,
-    bound_lamk_boundary,
-    bound_lamk_volume,
+    BadParamsError,
+    bound_report,
     bound_value,
     diameter,
     gen_ball,
@@ -42,7 +38,7 @@ from steklov_trees import (
 # -- individual bounds, frozen examples -----------------------------------------------
 
 def test_lam2_boundary_ball32(ball32):
-    rep = bound_lam2_boundary(ball32)
+    rep = bound_report(LAM2_BOUNDARY, ball32)
     assert rep.bound_id == LAM2_BOUNDARY
     assert rep.bound_value == pytest.approx(4 * 2 / 6)
     assert rep.measured == pytest.approx(1 / 3, abs=1e-9)
@@ -54,7 +50,7 @@ def test_lam2_boundary_ball32(ball32):
 
 
 def test_lam2_boundary_star(star5):
-    rep = bound_lam2_boundary(star5)
+    rep = bound_report(LAM2_BOUNDARY, star5)
     # lambda_2 = 1 on a star; bound is 4(D-1)/m = 16/5
     assert rep.measured == pytest.approx(1.0, abs=1e-9)
     assert rep.bound_value == pytest.approx(16 / 5)
@@ -62,14 +58,14 @@ def test_lam2_boundary_star(star5):
 
 
 def test_lam2_volume_ball32(ball32):
-    rep = bound_lam2_volume(ball32)
+    rep = bound_report(LAM2_VOLUME, ball32)
     assert rep.bound_value == pytest.approx(16 / 12)
     assert rep.holds is True
     assert rep.preconditions_met is True
 
 
 def test_lam2_volume_path_precondition(path4):
-    rep = bound_lam2_volume(path4)
+    rep = bound_report(LAM2_VOLUME, path4)
     assert rep.preconditions_met is False
     assert rep.holds is None
     assert "degree < 3" in rep.note
@@ -77,7 +73,7 @@ def test_lam2_volume_path_precondition(path4):
 
 def test_lam2_diameter_path_sharp():
     t = gen_path(10)
-    rep = bound_lam2_diameter(t)
+    rep = bound_report(LAM2_DIAMETER, t)
     assert rep.bound_value == pytest.approx(0.2)
     assert rep.measured == pytest.approx(0.2, abs=1e-9)
     assert rep.tightness == pytest.approx(1.0, abs=1e-6)
@@ -86,7 +82,7 @@ def test_lam2_diameter_path_sharp():
 
 
 def test_lamk_boundary_ball32(ball32):
-    rep = bound_lamk_boundary(ball32, 3)
+    rep = bound_report(LAMK_BOUNDARY, ball32, 3)
     assert rep.bound_value == pytest.approx(8 * 4 * 2 / 6)
     assert rep.measured == pytest.approx(1 / 3, abs=1e-9)
     assert rep.holds is True
@@ -94,7 +90,7 @@ def test_lamk_boundary_ball32(ball32):
 
 
 def test_lamk_out_of_range(ball32):
-    rep = bound_lamk_boundary(ball32, 9)
+    rep = bound_report(LAMK_BOUNDARY, ball32, 9)
     assert rep.preconditions_met is False
     assert rep.holds is None
     assert math.isnan(rep.measured)
@@ -104,17 +100,27 @@ def test_lamk_out_of_range(ball32):
 
 
 def test_lamk_witness_free_on_star(star5):
-    rep = bound_lamk_boundary(star5, 3)
+    rep = bound_report(LAMK_BOUNDARY, star5, 3)
     assert rep.holds is True  # lambda_3 = 1 <= 8*16*2/5
     assert rep.witness is None
     assert "no multiway witness" in rep.note
 
 
 def test_lamk_volume_ball32(ball32):
-    rep = bound_lamk_volume(ball32, 3)
+    rep = bound_report(LAMK_VOLUME, ball32, 3)
     assert rep.bound_value == pytest.approx(16 * 4 * 2 / 12)
     assert rep.holds is True
     assert rep.witness is None  # volume variant never carries one
+
+
+def test_bound_report_takes_upper_bounds_only(ball32):
+    # the structural checks have their own functions
+    for bound_id in (LEMMA_DV, PROP_L, "LAM3_BOUNDARY"):
+        with pytest.raises(BadParamsError, match="no upper bound"):
+            bound_report(bound_id, ball32)
+    for k in (1, 3):
+        with pytest.raises(BadParamsError, match=f"bounds lambda_2, not lambda_{k}"):
+            bound_report(LAM2_DIAMETER, ball32, k)
 
 
 def test_lemma_dv_equality_on_ball32(ball32):
@@ -154,7 +160,6 @@ def test_audit_order_and_ids(ball32):
         LAMK_BOUNDARY, LAMK_VOLUME, LAMK_BOUNDARY, LAMK_VOLUME,
         LEMMA_DV, PROP_L,
     ]
-    assert set(r.bound_id for r in reports) == set(BOUND_IDS)
     assert all(r.holds is True for r in reports if r.holds is not None)
 
 
@@ -262,7 +267,7 @@ def test_bound_table_matches_the_inline_expressions_bit_for_bit(n, cap, seed, k)
 
 def test_bound_report_and_decay_check_read_the_table(ball32, monkeypatch):
     monkeypatch.setitem(BOUND_VALUES, LAM2_DIAMETER, lambda t, k: Fraction(1, 1000))
-    rep = bound_lam2_diameter(ball32, with_witness=False)
+    rep = bound_report(LAM2_DIAMETER, ball32, with_witness=False)
     assert rep.bound_value == 0.001 and rep.holds is False
     decay = asymptotic_decay_check([gen_path(L) for L in (2, 4)], threshold=0.5)
     assert [r.diameter_bound for r in decay.rows] == [0.001, 0.001]
@@ -272,7 +277,7 @@ def test_bound_report_and_decay_check_read_the_table(ball32, monkeypatch):
 # -- report serialization ------------------------------------------------------------------
 
 def test_bound_report_json_round_trip(ball32):
-    obj = bound_lam2_boundary(ball32).to_json_dict()
+    obj = bound_report(LAM2_BOUNDARY, ball32).to_json_dict()
     assert obj["bound_id"] == LAM2_BOUNDARY
     assert obj["holds"] is True
     assert obj["has_witness"] is True

@@ -389,6 +389,26 @@ def test_malformed_input_file(tmp_path, capsys):
     assert code == 2 and "expected 'u v'" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"n":3,"edges":[1,2]}', "edge 1 is not a pair"),
+    ('{"n":3,"edges":5}', "'edges' must be a list"),
+    ('{"n":[3],"edges":[[0,1],[1,2]]}', "'n' must be an integer"),
+], ids=["edge-not-a-pair", "edges-not-a-list", "n-not-a-number"])
+def test_malformed_json_tree_is_a_usage_error(text, message, tmp_path, capsys):
+    bad = tmp_path / "t.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "bounds", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("spec", ["[1,2]", '"PATH"'])
+def test_sweep_family_that_is_not_an_object_is_a_usage_error(spec, capsys):
+    code, out, err = run(capsys, "sweep", "--family", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "family spec must be a dict" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "spectrum", "--input", "no-such-file.txt")
     assert code == 2

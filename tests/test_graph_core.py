@@ -341,7 +341,6 @@ def test_make_subtree_relative_boundary(ball32):
     ref = make_subtree(ball32, {2, 6, 7})
     assert ref.size == 3
     assert ref.relative_boundary == (6, 7)
-    assert ref.min_vertex() == 2
     # vertex 2 is a leaf of the branch but interior to the parent
     assert 2 not in ref.relative_boundary
 

@@ -12,8 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from steklov_trees import (
     BoundaryFunction,
+    DimensionMismatchError,
     InvariantViolationError,
     VertexFunction,
+    build_tree,
     dtn_matrix,
     gen_ball,
     gen_random_tree,
@@ -100,6 +102,15 @@ def test_extension_constant_stays_constant(ball32):
 def test_extension_rejects_bad_shape(ball32):
     with pytest.raises(InvariantViolationError):
         harmonic_extension(ball32, np.ones(5))
+
+
+def test_extension_rejects_boundary_data_of_another_tree(ball32):
+    g = BoundaryFunction(gen_ball(3, 1), np.array([1.0, 2.0, 3.0]))
+    # three boundary vertices, as on gen_ball(3, 1), then six
+    for t in (build_tree([(0, 1), (1, 2), (2, 3), (2, 4)]), ball32):
+        with pytest.raises(DimensionMismatchError, match="different tree"):
+            harmonic_extension(t, g)
+    np.testing.assert_allclose(harmonic_extension(g.tree, g).values, [2.0, 1.0, 2.0, 3.0])
 
 
 @given(

@@ -20,7 +20,6 @@ from steklov_trees import (
     VertexFunction,
     build_tree,
     diameter,
-    diameter_system,
     diameter_test_function,
     gen_ball,
     gen_random_tree,
@@ -35,7 +34,7 @@ from steklov_trees import (
     two_level_test_function,
 )
 from steklov_trees import graph_core, partitions
-from steklov_trees.partitions import _diameter_kernel
+from steklov_trees.partitions import _kernel_ints
 
 from conftest import shapes
 from _oracle import (
@@ -45,6 +44,7 @@ from _oracle import (
     branch_components_oracle,
     descend_brute,
     descend_oracle,
+    diameter_system_oracle,
     diameter_test_function_oracle,
     gradient_supports_disjoint_oracle,
     multiway_test_functions_oracle,
@@ -599,7 +599,7 @@ def test_multiway_chain(n, cap, seed, k):
 # -- diameter test function -------------------------------------------------------------
 
 def test_diameter_system_path(path4):
-    a, path, counts = diameter_system(path4)
+    a, path, counts = diameter_system_oracle(path4)
     assert a.shape == (3, 4)
     assert path == [0, 1, 2, 3, 4]
     assert counts == [0, 0, 0]
@@ -637,8 +637,9 @@ def test_diameter_chain(n, cap, seed):
 @given(n=st.integers(4, 60), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
 def test_diameter_kernel_solves_system_exactly(n, cap, seed):
     t = gen_random_tree(n, cap, seed)
-    a, _, counts = diameter_system(t)
-    sol = _diameter_kernel(counts)
+    a, _, counts = diameter_system_oracle(t)
+    ints, lead = _kernel_ints(counts)
+    sol = [Fraction(x, lead) for x in ints]
     assert max(abs(x) for x in sol) == 1
     for row in a:
         # the system's entries are integers, exact in float64
