@@ -26,6 +26,7 @@ from .bounds import (
     bound_report,
     bound_value,
     lemma_dv_check,
+    preconditions_met,
     prop_l_check,
 )
 from .config import DEFAULT_TOL, Tolerances, tolerances_from_env
@@ -79,6 +80,7 @@ from .harmonic import (
     BoundaryFunction,
     DtnMatrix,
     VertexFunction,
+    dtn_matrices,
     dtn_matrix,
     harmonic_extension,
     laplacian_apply,
@@ -99,6 +101,7 @@ from .spectra import (
     SteklovSpectrum,
     eigendecompose_symmetric,
     rayleigh_quotient,
+    spectra_from_matrices,
     steklov_eigenvalue_bisect,
     steklov_lambda,
     steklov_spectrum,

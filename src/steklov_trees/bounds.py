@@ -124,6 +124,11 @@ class _Upper(NamedTuple):
     # the test function(s) its proof constructs, from (t, k, tol)
     witness: Callable[[BoundaryTree, int, Tolerances], object] | None
 
+    def met(self, t: BoundaryTree, k: int) -> bool:
+        """Does ``lambda_k`` on ``t`` meet the bound's preconditions?"""
+        return ((not self.lamk or 3 <= k <= t.n_boundary)
+                and (not self.interior3 or _interior_degrees_ok(t)))
+
 
 _UPPER = {
     LAM2_BOUNDARY: _Upper(False, False, lambda t, k, tol: two_level_test_function(
@@ -134,6 +139,24 @@ _UPPER = {
         t, partition_k(t, k), tol)),
     LAMK_VOLUME: _Upper(True, True, None),
 }
+
+
+def preconditions_met(bound_id: str, t: BoundaryTree, k: int = 2) -> bool:
+    """Does ``lambda_k`` on ``t`` meet upper bound ``bound_id``'s preconditions?
+
+    The same decision :func:`bound_report` makes: ``3 <= k <= |boundary|``
+    for the ``LAMK_*`` bounds, every interior degree >= 3 for the volume
+    bounds.
+    """
+    return _UPPER[bound_id].met(t, k)
+
+
+def _as_float(x: Fraction) -> float:
+    """``x`` rounded to a float; NaN (null in a report) past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
 def bound_report(
@@ -149,7 +172,8 @@ def bound_report(
 
     The value comes from :data:`BOUND_VALUES`.  The volume bounds need
     every interior degree >= 3, and the ``LAMK_*`` bounds need
-    ``3 <= k <= |boundary|`` (outside it nothing is measured); an unmet
+    ``3 <= k <= |boundary|`` (outside it nothing is measured, and a
+    value beyond the float range is reported as NaN); an unmet
     precondition gives ``holds = None`` and a note.  With
     ``with_witness``, the two-level, diameter or multiway test function
     of the bound's proof is attached; a multiway family whose peeled part
@@ -164,14 +188,14 @@ def bound_report(
     row = _UPPER[bound_id]
     if not row.lamk and k != 2:
         raise BadParamsError(f"{bound_id} bounds lambda_2, not lambda_{k}")
-    bv = float(bound_value(bound_id, t, k))
+    bv = _as_float(bound_value(bound_id, t, k))
     m = t.n_boundary
     if row.lamk and not 3 <= k <= m:
         return BoundReport(
             bound_id=bound_id, bound_value=bv, measured=float("nan"),
             tightness=float("nan"), holds=None, preconditions_met=False,
             note=f"k={k} outside 3..{m}")
-    pre = not row.interior3 or _interior_degrees_ok(t)
+    pre = row.met(t, k)
     note = "" if pre else "an interior vertex has degree < 3"
     witness = None
     if with_witness and pre and row.witness is not None:

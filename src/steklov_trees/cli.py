@@ -262,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for s, t, row in zip(specs, trees, report.rows):
         bb = float(bnd.bound_value(bnd.LAM2_BOUNDARY, t))
         bv = float(bnd.bound_value(bnd.LAM2_VOLUME, t))
-        volume_ok = bnd._interior_degrees_ok(t)
+        volume_ok = bnd.preconditions_met(bnd.LAM2_VOLUME, t)
         lines.append(",".join([
             family_label(s), str(row.n), str(row.n_boundary), str(t.max_degree),
             str(row.diameter), _fmt(row.lam2),

@@ -28,7 +28,8 @@ read their sides off it, and :func:`_spine_labels` gives every vertex
 its place along a diameter path from the preorder slices of the path's
 vertices, for the diameter witness and :func:`branch_components`.  The
 one leaf-first elimination, :func:`_eliminate`, runs on the whole tree
-for the spectral count and on the interior for the harmonic solver.
+for the spectral count and on the interiors of a batch of trees for the
+harmonic solver.
 """
 from __future__ import annotations
 
@@ -191,32 +192,16 @@ def _preorder(t: BoundaryTree) -> _Preorder:
 _Level = tuple[int, int, np.ndarray, bool]
 
 
-def _eliminate(
-    t: BoundaryTree, outside: np.ndarray, rem: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
-    """Leaf-first elimination of the subtree on the vertices not ``outside``.
+def _peel(
+    neighbors: Sequence[Sequence[int]], seeds: list[int], rem: list[int], done: list[bool],
+) -> tuple[list[int], list[int], list[int]]:
+    """Peel one tree leaf-first from ``seeds``; ``rem`` and ``done`` are updated.
 
-    ``rem[v]`` counts the neighbours of ``v`` that are not ``outside``.
-    Peels leaves off a queue, seeded with the subtree's leaves ascending;
-    each vertex's parent is its first neighbour still present when it is
-    peeled, and its height is one more than the largest among its
-    children's (leaves have height 0).  Slots number the vertices in peel
-    order.  Returns the vertex in each slot, each slot's parent slot (the
-    root's is the sink, the subtree's size) and the levels by height,
-    ascending.
-
-    The peel order is sorted by height (checked below): by induction, a
-    vertex enters the queue when its last child is peeled, which is also
-    its tallest, so it sits one level above the vertex just peeled; the
-    root is peeled last, above its last-peeled child.  So each height is
-    a contiguous run of slots, every vertex follows all its children, and
-    each parent receives its children's updates in slot order.
+    Returns the peel order and each vertex's parent (``len(rem)`` for the
+    root and for vertices not peeled) and height.
     """
-    n = t.n
-    size = n - int(np.count_nonzero(outside))
-    dq = deque(np.flatnonzero(~outside & (rem <= 1)).tolist())
-    rem = rem.tolist()
-    done = outside.tolist()
+    n = len(rem)
+    dq = deque(seeds)
     parent = [n] * n
     height = [0] * n
     order: list[int] = []
@@ -226,7 +211,7 @@ def _eliminate(
             continue
         done[v] = True
         order.append(v)
-        for w in t.neighbors[v]:
+        for w in neighbors[v]:
             if not done[w]:
                 parent[v] = w
                 if height[w] <= height[v]:
@@ -235,16 +220,68 @@ def _eliminate(
                 if rem[w] <= 1:
                     dq.append(w)
                 break
+    return order, parent, height
+
+
+def _eliminate(
+    trees: Sequence[BoundaryTree], outside: np.ndarray, rem: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
+    """Leaf-first elimination of the forest on the trees' vertices not ``outside``.
+
+    The trees' vertices are numbered one tree after another: vertex ``v``
+    of a tree is ``v`` plus the sizes of the trees before it, and
+    ``outside`` and ``rem`` are indexed so.  ``rem[v]`` counts the
+    neighbours of ``v`` that are not ``outside``.  Each tree peels leaves
+    off a queue, seeded with its leaves ascending; each vertex's parent is
+    its first neighbour still present when it is peeled, and its height is
+    one more than the largest among its children's (leaves have height 0).
+    Returns the vertex in each slot, each slot's parent slot (a root's is
+    the sink, the forest's size) and the levels by height, ascending.
+
+    Each tree's peel order is sorted by height (checked below): by
+    induction, a vertex enters the queue when its last child is peeled,
+    which is also its tallest, so it sits one level above the vertex just
+    peeled; the root is peeled last, above its last-peeled child.  The
+    slots take that order for one tree; for several, each tree's order is
+    merged with the others' by a stable sort on height, roots last within
+    their height.  So each height is a contiguous run of slots, with its
+    roots at the end, every vertex follows all its children, and each
+    parent receives its children's updates in the slot order of its own
+    tree's elimination.
+    """
+    n = len(rem)
+    size = n - int(np.count_nonzero(outside))
+    stops = [0, *np.cumsum([t.n for t in trees]).tolist()]
+    leaves = np.flatnonzero(~outside & (rem <= 1))
+    cuts = np.searchsorted(leaves, stops).tolist()
+    leaves, rem, done = leaves.tolist(), rem.tolist(), outside.tolist()
+    peeled = [_peel(t.neighbors, [v - a for v in leaves[lo:hi]] if a else leaves[lo:hi],
+                    rem[a:b], done[a:b])
+              for t, a, b, lo, hi in zip(trees, stops, stops[1:], cuts, cuts[1:])]
+    if len(peeled) == 1:
+        (order, parent, height), = peeled
+    else:  # to the forest's numbering
+        order = [v + a for (o, _, _), a in zip(peeled, stops) for v in o]
+        parent = [p + a if p < t.n else n
+                  for (_, ps, _), t, a in zip(peeled, trees, stops) for p in ps]
+        height = [h for _, _, hs in peeled for h in hs]
     k = len(order)
     if k != size:
         raise InvariantViolationError(f"elimination reached {k} of {size} vertices")
     peel = np.array(order, dtype=np.int64)
     hp = np.array(height, dtype=np.int64)[peel]
-    if np.any(hp[1:] < hp[:-1]):
+    unsorted = hp[1:] < hp[:-1]
+    if len(peeled) > 1:  # a new tree starts over at height 0
+        unsorted[np.cumsum([len(o) for o, _, _ in peeled[:-1]]) - 1] = False
+    if np.any(unsorted):
         raise InvariantViolationError("elimination order is not sorted by height")
+    pv = np.array(parent, dtype=np.int64)[peel]
+    if len(peeled) > 1:
+        merged = np.lexsort((pv == n, hp))
+        peel, hp, pv = peel[merged], hp[merged], pv[merged]
     slot = np.full(n + 1, k, dtype=np.int64)
     slot[peel] = np.arange(k)
-    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
+    parent_slot = slot[pv]
     bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), k]
     levels = []
     for start, stop in zip(bounds, bounds[1:]):

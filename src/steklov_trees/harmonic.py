@@ -17,22 +17,40 @@ block is diagonally dominant with at least one strict row per pendant
 subtree), so the solve is exact Gaussian elimination in a perfect order:
 O(n), no fill-in, no iteration.  The order is the one leaf-first
 elimination of :mod:`.graph_core`, which runs here on the interior and
-in :mod:`.spectra` on the whole tree.  It is found once per tree and
-then replayed level by level: all vertices of one height are eliminated
-in one numpy step across every right-hand side.  The Laplacian sums
+in :mod:`.spectra` on the whole tree.  It is found once and then
+replayed level by level: all vertices of one height are eliminated in
+one numpy step across every right-hand side.  The Laplacian sums
 neighbors by one numpy step per neighbor rank.  Both do the
 one-at-a-time arithmetic in its order, so their floats are bit-identical
 to it.
+
+Trees are solved in batches.  A batch numbers its trees' vertices one
+tree after another, runs one elimination over all their interiors (each
+tree's peel order merged with the others' by height) and one Laplacian
+schedule over all their edges, so a level's step covers that height in
+every tree.  :func:`dtn_matrices` assembles the response matrices of a
+batch at once, with the identity right-hand sides padded to the widest
+boundary, and :func:`.spectra.spectra_from_matrices` extends their
+eigenvectors through the same batch.  Each row sees the scalar
+operations of its own tree, in their order, on each column, so every
+tree's floats are, bit for bit, those it gets alone; :func:`dtn_matrix`,
+:func:`harmonic_extension` and :func:`laplacian_apply_matrix` are the
+batch of one.  A batch's schedules are built once and kept while its
+first tree lives.  The caller bounds the size of a batch: the ``verify``
+harness caps its vertex count times its widest boundary at
+``verify.BATCH_ENTRIES``.
 """
 from __future__ import annotations
 
+import weakref
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, HarmonicResidualError, InvariantViolationError
-from .graph_core import BoundaryTree, _eliminate, per_tree_cache
+from .graph_core import BoundaryTree, _eliminate
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,57 +175,96 @@ def _ordered_adds(dst: np.ndarray, src: np.ndarray) -> _OrderedAdds:
     return _OrderedAdds(rounds, tuple(runs))
 
 
-# one level of the elimination: the slots [start, stop) of its vertices,
-# the slots of their parents, and the rounds (parent slots, child slots)
-# that add its rows into its parents' rows, one round per rank among
+# one level of the elimination: the slots [start, stop) of its vertices
+# and the rounds (parent slots, child slots) that add the rows of those
+# that are not roots into their parents' rows, one round per rank among
 # siblings (a single round when the parents are distinct); slot sets are
 # slices where consecutive
-_Level = tuple[int, int, _Rows, tuple[tuple[_Rows, _Rows], ...]]
+_Level = tuple[int, int, tuple[tuple[_Rows, _Rows], ...]]
 
 
 @dataclass(frozen=True, eq=False)
 class _InteriorSolver:
-    """Elimination schedule of the interior block; reusable across right-hand sides.
+    """Elimination schedule of the interior blocks; reusable across right-hand sides.
 
     ``vertices[s]`` is the interior vertex in slot ``s`` of the
-    elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot;
-    the root's parent slot is the sink ``len(vertices)``.  ``rhs`` adds
-    each boundary vertex's data into the slot of its unique interior
-    neighbor, in boundary order, which is how Dirichlet data enters the
-    right-hand side.
+    elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot.
+    ``back`` lists, for the back substitution, each level's non-root
+    slots ``[start, stop)`` with their parents' slots, top level first.
+    ``rhs`` adds each boundary vertex's data into the slot of its unique
+    interior neighbour, in boundary order, which is how Dirichlet data
+    enters the right-hand side.
     """
 
     vertices: np.ndarray
     inv_piv: np.ndarray
     levels: tuple[_Level, ...]
+    back: tuple[tuple[int, int, _Rows], ...]
     rhs: _OrderedAdds
-    boundary: np.ndarray
 
 
-@per_tree_cache
-def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
-    """The interior's leaf-first elimination, with its pivots and rounds.
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Trees side by side, with the schedules of their interior solve and Laplacian.
 
-    Every vertex follows all its children, so one pass in slot order
-    gives each its pivot and updates its parent's, in elimination order.
+    Vertex ``v`` of the ``i``-th tree is ``vertex_stops[i] + v``, and its
+    boundary takes the rows ``[row_stops[i], row_stops[i + 1])`` of the
+    batch's boundary data, in ascending vertex id.  ``boundary`` and
+    ``interior`` list the vertices of each kind, tree by tree;
+    ``interior_starts`` is where each tree's interior begins in the
+    latter.  Holds no reference to its trees.
     """
-    # each boundary vertex's one neighbour, which is interior
-    owner = np.array([t.neighbors[b][0] for b in t.boundary], dtype=np.int64)
+
+    vertex_stops: list[int]
+    row_stops: list[int]
+    boundary: np.ndarray
+    interior: np.ndarray
+    interior_starts: np.ndarray
+    degrees: np.ndarray
+    solver: _InteriorSolver
+    neighbor_adds: _OrderedAdds
+
+    def stack(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
+        """Each tree's ``(m_i, k_i)`` boundary block in its rows, zero-padded to the widest."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        g = np.zeros((len(self.boundary), max(b.shape[1] for b in blocks)))
+        for b, lo, hi in zip(blocks, self.row_stops, self.row_stops[1:]):
+            g[lo:hi, :b.shape[1]] = b
+        return g
+
+
+def _interior_solver(trees: Sequence[BoundaryTree], is_boundary: np.ndarray,
+                     owner: np.ndarray, degrees: np.ndarray) -> _InteriorSolver:
+    """The interiors' leaf-first elimination, with its pivots and rounds.
+
+    ``owner`` is each boundary vertex's one neighbour, which is interior.
+    Every vertex follows all its children, so one pass in slot order gives
+    each its pivot and updates its parent's, in elimination order; each
+    tree's pivots are those of its own elimination.
+    """
     order, parents, peel_levels = _eliminate(
-        t, t.boundary_pos >= 0, t.degrees - np.bincount(owner, minlength=t.n))
-    piv = [*t.degrees[order].astype(np.float64).tolist(), 0.0]  # and the sink
+        trees, is_boundary, degrees - np.bincount(owner, minlength=len(degrees)))
+    sink = len(order)
+    piv = [*degrees[order].astype(np.float64).tolist(), 0.0]  # and the sink
     inv_piv = []
     for s, p in enumerate(parents.tolist()):
         if not piv[s] > 0.0:
             raise InvariantViolationError(f"interior pivot {piv[s]} is not positive")
         inv_piv.append(1.0 / piv[s])
         piv[p] -= inv_piv[-1]
-    levels = []
-    for start, stop, ps, distinct in peel_levels:
+    levels, back = [], []
+    for start, stop, ps, _ in peel_levels:
         ps = ps.tolist()
+        inner = stop - ps.count(sink)  # roots come last, and add into no row
+        ps = ps[:inner - start]
+        if not ps:
+            levels.append((start, stop, ()))
+            continue
         idx = _as_index(ps)
-        if distinct:
-            rounds = ((idx, slice(start, stop)),)
+        if len(set(ps)) == len(ps):
+            rounds = ((idx, slice(start, inner)),)
         else:
             # round j adds each parent's j-th child on this level, in slot order
             rank: dict[int, int] = {}
@@ -216,41 +273,103 @@ def _interior_solver(t: BoundaryTree) -> _InteriorSolver:
                 j = rank[p] = rank.get(p, -1) + 1
                 by_round.setdefault(j, []).append((p, s))
             rounds = tuple(tuple(map(np.array, zip(*pairs))) for pairs in by_round.values())
-        levels.append((start, stop, idx, rounds))
-    slot = np.empty(t.n, dtype=np.int64)
+        levels.append((start, stop, rounds))
+        back.append((start, inner, idx))
+    slot = np.empty(len(degrees), dtype=np.int64)
     slot[order] = np.arange(len(order))
     return _InteriorSolver(
         vertices=order,
         inv_piv=np.array(inv_piv)[:, None],
         levels=tuple(levels),
+        back=tuple(reversed(back)),
         rhs=_ordered_adds(slot[owner], np.arange(len(owner))),
-        boundary=np.array(t.boundary, dtype=np.int64),
     )
 
 
-def _extend_columns(t: BoundaryTree, g: np.ndarray) -> np.ndarray:
-    """Harmonic extension of boundary data, vectorized over columns.
+def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
+    """Number ``trees`` one after another and schedule their solve and Laplacian."""
+    vertex_stops = [0, *np.cumsum([t.n for t in trees]).tolist()]
+    row_stops = [0, *np.cumsum([t.n_boundary for t in trees]).tolist()]
+    is_boundary = np.concatenate([t.boundary_pos >= 0 for t in trees])
+    degrees = np.concatenate([t.degrees for t in trees])
+    # each boundary vertex's one neighbour, which is interior
+    owner = np.array([t.neighbors[v][0] + off for t, off in zip(trees, vertex_stops)
+                      for v in t.boundary], dtype=np.int64)
+    solver = _interior_solver(trees, is_boundary, owner, degrees)
+    shift = np.repeat(vertex_stops[:-1], [len(t.edge_u) for t in trees])
+    eu = np.concatenate([t.edge_u for t in trees]) + shift
+    ev = np.concatenate([t.edge_v for t in trees]) + shift
+    interior = np.flatnonzero(~is_boundary)
+    return _Batch(
+        vertex_stops=vertex_stops,
+        row_stops=row_stops,
+        boundary=np.flatnonzero(is_boundary),
+        interior=interior,
+        interior_starts=np.searchsorted(interior, vertex_stops[:-1]),
+        degrees=degrees,
+        solver=solver,
+        # each vertex takes its neighbours above it, then those below it,
+        # each ascending: the order of one scatter-add over the sorted edge
+        # list from the ``edge_u`` ends, then one from the ``edge_v`` ends
+        neighbor_adds=_ordered_adds(np.concatenate((eu, ev)), np.concatenate((ev, eu))),
+    )
 
-    ``g`` has shape ``(m, k)`` with one column per right-hand side;
-    returns ``(n, k)``.  Works on one row per interior slot (plus the
-    sink), one numpy step per level: the rows hold the right-hand side,
-    then the forward-eliminated values, then the solution, which is
-    scattered back to vertex order.  Every entry is the same float, bit
-    for bit, as eliminating one vertex at a time.
+
+# the last batch built with each tree first in it: weak references to its
+# trees, and the batch
+_BATCHES: weakref.WeakKeyDictionary[
+    BoundaryTree, tuple[tuple[weakref.ref, ...], _Batch]] = weakref.WeakKeyDictionary()
+
+
+def _batch(trees: Sequence[BoundaryTree]) -> _Batch:
+    """The batch of ``trees``, in order, kept for as long as its first tree lives.
+
+    So the batch of one tree is cached per tree, and the batch that
+    assembled some response matrices is found again to extend their
+    eigenvectors.
     """
-    sol = _interior_solver(t)
-    w = np.zeros((len(sol.vertices) + 1, g.shape[1]))
+    kept = _BATCHES.get(trees[0])
+    if kept is not None and len(kept[0]) == len(trees) and all(
+            ref() is t for ref, t in zip(kept[0], trees)):
+        return kept[1]
+    b = _build_batch(trees)
+    _BATCHES[trees[0]] = tuple(map(weakref.ref, trees)), b
+    return b
+
+
+def _extend(b: _Batch, g: np.ndarray) -> np.ndarray:
+    """Harmonic extension of boundary data, vectorized over columns and trees.
+
+    ``g`` has one row per boundary vertex of the batch and one column per
+    right-hand side; returns one row per vertex.  Works on one row per
+    interior slot, one numpy step per level: the rows hold the right-hand
+    side, then the forward-eliminated values, then the solution, which is
+    scattered back to vertex order.  Every entry is the same float, bit
+    for bit, as eliminating one vertex of one tree at a time: each step
+    does a row's scalar operations, in their order, on each column.
+    """
+    sol = b.solver
+    w = np.zeros((len(sol.vertices), g.shape[1]))
     sol.rhs(w, g)
-    for start, stop, _, rounds in sol.levels:
+    for start, stop, rounds in sol.levels:
         blk = w[start:stop]
         blk *= sol.inv_piv[start:stop]
         for parents, children in rounds:
             w[parents] += w[children]
-    for start, stop, parents, _ in reversed(sol.levels[:-1]):  # not the root
+    for start, stop, parents in sol.back:
         w[start:stop] += sol.inv_piv[start:stop] * w[parents]
-    out = np.empty((t.n, g.shape[1]))
-    out[sol.vertices] = w[:-1]
-    out[sol.boundary] = g
+    out = np.empty((b.vertex_stops[-1], g.shape[1]))
+    out[sol.vertices] = w
+    out[b.boundary] = g
+    return out
+
+
+def _laplacian(b: _Batch, vals: np.ndarray) -> np.ndarray:
+    """Laplacian of an ``(n,)`` vector, or of each column of an ``(n, k)`` array."""
+    nbr_sum = np.zeros_like(vals)
+    b.neighbor_adds(nbr_sum, vals)
+    out = b.degrees.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+    out -= nbr_sum
     return out
 
 
@@ -264,8 +383,8 @@ def harmonic_extension(
     The interior residual is re-checked after the solve against
     ``tol.residual * (1 + max|g|)``; failure signals a solver bug, not a
     property of the input, and raises :class:`HarmonicResidualError`.
-    A :class:`BoundaryFunction` on another tree raises
-    :class:`DimensionMismatchError`.
+    A :class:`BoundaryFunction` on another tree, or an array whose shape
+    is not ``(|boundary|,)``, raises :class:`DimensionMismatchError`.
     """
     if isinstance(g, BoundaryFunction):
         if g.tree is not t:
@@ -274,9 +393,9 @@ def harmonic_extension(
     else:
         gv = np.asarray(g, dtype=np.float64)
         if gv.shape != (t.n_boundary,):
-            raise InvariantViolationError(
-                f"boundary data must have length {t.n_boundary}")
-    out = _extend_columns(t, gv.reshape(-1, 1))[:, 0]
+            raise DimensionMismatchError(
+                f"boundary data must have length {t.n_boundary}, got shape {gv.shape}")
+    out = _extend(_batch((t,)), gv.reshape(-1, 1))[:, 0]
     f = VertexFunction(t, out)
     res = laplacian_apply(f).values[np.array(t.interior, dtype=np.int64)]
     limit = tol.residual * (1.0 + float(np.abs(gv).max(initial=0.0)))
@@ -316,41 +435,45 @@ class DtnMatrix:
             raise InvariantViolationError(f"response matrix row sums {rows:.3e}")
 
 
+def dtn_matrices(trees: Sequence[BoundaryTree],
+                 tol: Tolerances = DEFAULT_TOL) -> list[DtnMatrix]:
+    """Assemble the boundary response matrix of each tree, as one batch.
+
+    Column ``j`` of a tree's matrix is the normal derivative of the
+    harmonic extension of its ``j``-th boundary indicator.  The trees sit
+    side by side: one leaf-first elimination of all their interiors
+    solves every tree's identity right-hand side at once, padded to the
+    largest boundary, one numpy step per level, and the Laplacian of all
+    of them is one more pass.  Each tree's matrix is its own boundary rows
+    and first ``m`` columns, and equals, bit for bit, the one assembled
+    alone.  Each matrix's interior residual is checked and it is
+    validated; the first tree to fail raises, so a caller that must know
+    which tree failed reruns the trees one at a time.
+    """
+    trees = tuple(trees)
+    if not trees:
+        return []
+    b = _batch(trees)
+    lap = _laplacian(b, _extend(b, b.stack(np.eye(t.n_boundary) for t in trees)))
+    inner = lap[b.interior]
+    worst = np.maximum.reduceat(np.abs(inner, out=inner).max(axis=1), b.interior_starts)
+    del inner
+    rows = lap[b.boundary]
+    mats = []
+    for t, res, lo, hi in zip(trees, worst.tolist(), b.row_stops, b.row_stops[1:]):
+        if res > tol.residual:
+            raise HarmonicResidualError(f"interior residual {res:.3e} in response assembly")
+        mat = DtnMatrix(t, np.ascontiguousarray(rows[lo:hi, :hi - lo]))
+        mat.validate(tol)
+        mats.append(mat)
+    return mats
+
+
 def dtn_matrix(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> DtnMatrix:
-    """Assemble the boundary response matrix.
-
-    Column ``j`` is the normal derivative of the harmonic extension of
-    the ``j``-th boundary indicator.  All ``m`` extensions are solved at
-    once, one numpy step per level of the interior elimination, and the
-    Laplacian of all of them is one more pass.
-    """
-    m = t.n_boundary
-    ext = _extend_columns(t, np.eye(m))
-    bidx = np.array(t.boundary, dtype=np.int64)
-    res = laplacian_apply_matrix(t, ext)
-    interior_res = float(np.abs(res[np.array(t.interior)]).max(initial=0.0))
-    if interior_res > tol.residual:
-        raise HarmonicResidualError(
-            f"interior residual {interior_res:.3e} in response assembly")
-    mat = DtnMatrix(t, res[bidx, :])
-    mat.validate(tol)
-    return mat
-
-
-@per_tree_cache
-def _neighbor_adds(t: BoundaryTree) -> _OrderedAdds:
-    """The neighbor sums of the Laplacian, as ordered adds.
-
-    Each vertex takes its neighbors above it, then those below it, each
-    ascending: the order of one scatter-add over the sorted edge list from
-    the ``edge_u`` ends, then one from the ``edge_v`` ends.
-    """
-    return _ordered_adds(np.concatenate((t.edge_u, t.edge_v)),
-                         np.concatenate((t.edge_v, t.edge_u)))
+    """Assemble the boundary response matrix of one tree: the batch of one."""
+    return dtn_matrices((t,), tol)[0]
 
 
 def laplacian_apply_matrix(t: BoundaryTree, vals: np.ndarray) -> np.ndarray:
     """Laplacian of an ``(n,)`` vector, or of each column of an ``(n, k)`` array."""
-    nbr_sum = np.zeros_like(vals)
-    _neighbor_adds(t)(nbr_sum, vals)
-    return t.degrees.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals - nbr_sum
+    return _laplacian(_batch((t,)), vals)

@@ -4,7 +4,11 @@ Two routes compute eigenvalues here, sharing no code so that each can
 certify the other:
 
 * :func:`eigendecompose_symmetric` -- LAPACK ``eigh`` on the dense
-  boundary response matrix (the primary route; also yields eigenvectors);
+  boundary response matrix (the primary route; also yields eigenvectors).
+  :func:`spectra_from_matrices` runs it on each matrix of a batch of
+  trees and extends all their eigenvectors in one batched harmonic solve
+  (:mod:`.harmonic`), bit for bit as each tree alone;
+  :func:`steklov_spectrum` is the batch of one;
 * the certifier: inertia counts of the sparse pencil ``L - t B`` over
   the whole tree, where ``B`` is the boundary indicator.  Since the
   interior block of ``L`` is positive definite, Haynsworth's inertia
@@ -49,8 +53,8 @@ eigenvalue of a ``(k-1) x (k-1)`` pencil, rather than a sample of it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -65,13 +69,7 @@ from .errors import (
     ZeroFunctionError,
 )
 from .graph_core import BoundaryTree, _eliminate, _Level, per_tree_cache
-from .harmonic import (
-    DtnMatrix,
-    VertexFunction,
-    _extend_columns,
-    dtn_matrix,
-    laplacian_apply_matrix,
-)
+from .harmonic import DtnMatrix, VertexFunction, _batch, _extend, _laplacian, dtn_matrix
 
 # dense route above this boundary size would dominate runtime; bisect instead
 DENSE_BOUNDARY_LIMIT = 220
@@ -135,7 +133,7 @@ def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
     The elimination seeds its queue with the tree's leaves ascending, which
     are its boundary, so the boundary fills slots ``[0, m)`` (checked).
     """
-    peel, _, levels = _eliminate(t, np.zeros(t.n, dtype=bool), t.degrees)
+    peel, _, levels = _eliminate((t,), np.zeros(t.n, dtype=bool), t.degrees)
     if peel[:t.n_boundary].tolist() != list(t.boundary):
         raise InvariantViolationError("the elimination does not peel the boundary first")
     return t.degrees[peel].astype(np.float64), levels
@@ -482,9 +480,10 @@ def _check_spectrum(
     t: BoundaryTree,
     w: np.ndarray,
     q: np.ndarray,
-    ext: np.ndarray,
+    lap: np.ndarray,
     tol: Tolerances,
 ) -> None:
+    """The spectral invariants of ``(w, q)``, with ``lap`` the Laplacian of its extensions."""
     m = t.n_boundary
     if abs(float(w[0])) > tol.psd_slack:
         raise InvariantViolationError(f"lowest eigenvalue {w[0]:.3e} not ~0")
@@ -493,7 +492,6 @@ def _check_spectrum(
     if float(w[-1]) > 1.0 + tol.psd_slack:
         raise InvariantViolationError(f"top eigenvalue {w[-1]} above 1")
     # eigen-equation residual: normal derivative == lambda * boundary values
-    lap = laplacian_apply_matrix(t, ext)
     interior_res = float(np.abs(lap[np.array(t.interior)]).max(initial=0.0))
     # residuals formed in place: two (m, m) buffers bound the extra memory
     res = lap[np.array(t.boundary, dtype=np.int64), :]
@@ -511,25 +509,44 @@ def _check_spectrum(
         raise InvariantViolationError(f"eigenbasis orthonormality off by {gram_dev:.3e}")
 
 
-def _spectrum_from_matrix(mat: DtnMatrix, tol: Tolerances) -> SteklovSpectrum:
-    """Diagonalize an assembled response matrix and check the spectral invariants."""
-    t = mat.tree
-    w, q = eigendecompose_symmetric(mat.entries)
-    ext = _extend_columns(t, q)
-    _check_spectrum(t, w, q, ext, tol)
-    return SteklovSpectrum(tree=t, eigenvalues=w, boundary_basis=q, extensions=ext)
+def spectra_from_matrices(mats: Sequence[DtnMatrix],
+                          tol: Tolerances = DEFAULT_TOL) -> list[SteklovSpectrum]:
+    """Diagonalize assembled response matrices and check their spectral invariants.
+
+    ``eigh`` runs on each matrix; then the eigenvectors of all of them
+    are extended as one batch of trees, the batch that assembled the
+    matrices when they came from one :func:`.harmonic.dtn_matrices` call,
+    and one Laplacian pass gives every eigenpair's residual.  Each tree's
+    extensions equal, bit for bit, those computed alone, and every check
+    runs on the tree's own slice.  The first tree to fail a check raises.
+    """
+    if not mats:
+        return []
+    trees = tuple(mat.tree for mat in mats)
+    pairs = [eigendecompose_symmetric(mat.entries) for mat in mats]
+    b = _batch(trees)
+    ext = _extend(b, b.stack(q for _, q in pairs))
+    lap = _laplacian(b, ext)
+    out = []
+    for t, (w, q), lo, hi in zip(trees, pairs, b.vertex_stops, b.vertex_stops[1:]):
+        m = t.n_boundary
+        _check_spectrum(t, w, q, lap[lo:hi, :m], tol)
+        out.append(SteklovSpectrum(tree=t, eigenvalues=w, boundary_basis=q,
+                                   extensions=np.ascontiguousarray(ext[lo:hi, :m])))
+    return out
 
 
 def steklov_spectrum(t: BoundaryTree, tol: Tolerances = DEFAULT_TOL) -> SteklovSpectrum:
     """Assemble the boundary response matrix and diagonalize it (primary route).
 
-    Validates the spectral invariants before returning: eigenvalues in
+    The batch of one of :func:`spectra_from_matrices`.  Validates the
+    spectral invariants before returning: eigenvalues in
     ``[-psd_slack, 1 + psd_slack]``, a single ~0 bottom eigenvalue with a
     positive second one, eigenfunctions harmonic inside with normal
     derivative ``lambda * f`` on the boundary, and an orthonormal
     boundary basis.
     """
-    return _spectrum_from_matrix(dtn_matrix(t, tol), tol)
+    return spectra_from_matrices([dtn_matrix(t, tol)], tol)[0]
 
 
 def steklov_lambda(

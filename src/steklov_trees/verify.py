@@ -14,6 +14,16 @@ counts, ``count(lambda_k - delta) < k <= count(lambda_k + delta)`` with
 ``delta = oracle_agreement``, and ``lambda_2`` is bisected once so that
 the bisection route has an end-to-end check of its own.
 
+The trees go through the dense route in batches (see :mod:`.harmonic`):
+the run draws its trees in order, and each batch of consecutive draws,
+at most ``BATCH_ENTRIES`` padded entries (its vertex count times its
+widest boundary), has its response matrices assembled and its spectra
+computed together, each tree's bit for bit as alone.  Then every tree
+of the batch is checked on its own, in draw order.  A batch that raises
+is run again one tree at a time, so a fault is recorded against the
+tree it belongs to, with the counters and failure entries of that tree
+checked alone.
+
 Every check on a tree goes through one runner, which counts it under its
 name and hands its value to the checks that need it.  A check that
 raises ``InvariantViolationError`` or ``AssertionError`` failed; one
@@ -25,6 +35,7 @@ bound reports certify.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import bounds as bnd
@@ -32,7 +43,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import BadParamsError, InvariantViolationError, PartTooSmallError
 from .generators import gen_random_interior3, gen_random_tree
 from .graph_core import BoundaryTree
-from .harmonic import dtn_matrix
+from .harmonic import dtn_matrices
 from .partitions import (
     diameter_test_function,
     gradient_supports_disjoint,
@@ -45,12 +56,16 @@ from .partitions import (
 )
 from .spectra import (
     SteklovSpectrum,
-    _spectrum_from_matrix,
     _steklov_count_below,
     rayleigh_quotient,
+    spectra_from_matrices,
     steklov_eigenvalue_bisect,
     variational_upper_check,
 )
+
+# the most padded entries in one batch of the dense route: its vertices
+# times its largest boundary (a tree larger than this is a batch alone)
+BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -180,6 +195,36 @@ def _pencil_brackets(t: BoundaryTree, spectrum: SteklovSpectrum, ks: tuple[int, 
                 f"(counts {below}, {above} at ∓{delta!r})")
 
 
+# a tree's response matrix and spectrum, each a value or the exception that
+# computing it raised; the spectrum is ``_MISSING`` when the matrix failed
+_Dense = tuple[object, object]
+
+
+def _dense_route(trees: Sequence[BoundaryTree], tol: Tolerances) -> list[_Dense]:
+    """Assemble and diagonalize ``trees`` as one batch, each fault kept with its tree.
+
+    When the batch raises, each tree is run again as a batch of one,
+    which computes what the tree computes alone, so an exception is
+    recorded against the tree that raised it, and the others get their
+    values.
+    """
+    mats = None
+    try:
+        mats = dtn_matrices(trees, tol)
+        return list(zip(mats, spectra_from_matrices(mats, tol)))
+    except Exception as exc:
+        if len(trees) > 1:
+            return [d for t in trees for d in _dense_route([t], tol)]
+        return [(exc, _MISSING) if mats is None else (mats[0], exc)]
+
+
+def _value(outcome: object) -> object:
+    """The value of a computed outcome; the exception it holds is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _check_tree(
     t: BoundaryTree,
     label: str,
@@ -187,8 +232,16 @@ def _check_tree(
     tol: Tolerances,
     *,
     full_oracle: bool,
+    dense: _Dense | None = None,
 ) -> None:
+    """Run every check on ``t``, counting each in ``rep``.
+
+    ``dense`` is the tree's response matrix and spectrum from a batch of
+    :func:`_dense_route`; a tree checked alone computes its own, as the
+    batch of one.
+    """
     slack = tol.bound_slack
+    mat_outcome, spectrum_outcome = _dense_route([t], tol)[0] if dense is None else dense
 
     def run(name: str, fn, context: str = "", *, counted: bool = True) -> object:
         """Run one check, count its outcome under ``name`` and return its value.
@@ -220,11 +273,11 @@ def _check_tree(
         return value
 
     run("tree_structure", lambda: _structure(t))
-    # both validate what they return before returning it
-    mat = run("dtn_invariants", lambda: dtn_matrix(t, tol))
+    # both were validated before they were returned
+    mat = run("dtn_invariants", lambda: _value(mat_outcome))
     if mat is _MISSING:
         return  # everything below needs the response matrix
-    spectrum = run("spectrum_invariants", lambda: _spectrum_from_matrix(mat, tol))
+    spectrum = run("spectrum_invariants", lambda: _value(spectrum_outcome))
     if spectrum is _MISSING:
         return  # everything below needs eigenvalues
     m = t.n_boundary
@@ -319,10 +372,33 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
                 ("interior3", 3, gen_random_interior3, cfg.interior3_trials))
     draws = ((name, i, min_cap, gen)
              for name, min_cap, gen, count in families for i in range(count))
-    for trial, (name, i, min_cap, gen) in enumerate(draws):
-        n = master.randint(5, cfg.max_n)
-        cap = master.randint(min_cap, cfg.max_degree)
-        t = gen(n, cap, master.getrandbits(63))
-        _check_tree(t, f"{name}[{i}]", rep, tol,
-                    full_oracle=trial % cfg.oracle_stride == 0)
+
+    def drawn() -> Iterator[tuple[BoundaryTree, str, bool]]:
+        for trial, (name, i, min_cap, gen) in enumerate(draws):
+            n = master.randint(5, cfg.max_n)
+            cap = master.randint(min_cap, cfg.max_degree)
+            yield (gen(n, cap, master.getrandbits(63)), f"{name}[{i}]",
+                   trial % cfg.oracle_stride == 0)
+
+    for batch in _batches(drawn()):
+        outcomes = _dense_route([t for t, _, _ in batch], tol)
+        # each tree, with its caches and outcomes, is let go once checked
+        while batch:
+            t, label, full_oracle = batch.pop(0)
+            _check_tree(t, label, rep, tol, full_oracle=full_oracle, dense=outcomes.pop(0))
     return rep
+
+
+def _batches(drawn: Iterable[tuple[BoundaryTree, str, bool]]) -> Iterator[list]:
+    """Consecutive draws, in batches of at most ``BATCH_ENTRIES`` padded entries."""
+    batch: list = []
+    n = m = 0
+    for item in drawn:
+        t = item[0]
+        if batch and (n + t.n) * max(m, t.n_boundary) > BATCH_ENTRIES:
+            yield batch
+            batch, n, m = [], 0, 0
+        batch.append(item)
+        n, m = n + t.n, max(m, t.n_boundary)
+    if batch:
+        yield batch

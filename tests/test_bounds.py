@@ -29,6 +29,7 @@ from steklov_trees import (
     gen_random_interior3,
     gen_random_tree,
     lemma_dv_check,
+    preconditions_met,
     prop_l_check,
     rayleigh_quotient,
     steklov_spectrum,
@@ -97,6 +98,26 @@ def test_lamk_out_of_range(ball32):
     assert "outside 3..6" in rep.note
     obj = rep.to_json_dict()
     assert obj["measured"] is None and obj["tightness"] is None
+
+
+def test_lamk_past_the_float_range_reports_a_nan_bound(ball32):
+    k = 10**330
+    for bound_id in (LAMK_BOUNDARY, LAMK_VOLUME):
+        rep = bound_report(bound_id, ball32, k)
+        assert math.isnan(rep.bound_value) and math.isnan(rep.measured)
+        assert (rep.holds, rep.preconditions_met) == (None, False)
+        assert rep.note == f"k={k} outside 3..6"
+        assert rep.to_json_dict()["bound_value"] is None
+
+
+@pytest.mark.parametrize("bound_id", [LAM2_BOUNDARY, LAM2_VOLUME, LAM2_DIAMETER,
+                                      LAMK_BOUNDARY, LAMK_VOLUME])
+def test_preconditions_met_is_the_decision_of_bound_report(bound_id, ball32, path4, star5):
+    for t in (ball32, path4, star5, gen_ball(4, 2), gen_path(7)):
+        for k in ((2,) if bound_id.startswith("LAM2") else (2, 3, t.n_boundary,
+                                                             t.n_boundary + 1)):
+            got = preconditions_met(bound_id, t, k)
+            assert got is bound_report(bound_id, t, k, with_witness=False).preconditions_met
 
 
 def test_lamk_witness_free_on_star(star5):

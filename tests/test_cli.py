@@ -145,6 +145,28 @@ def test_bounds_k_validation(capsys):
     assert code == 2
 
 
+def test_bounds_k_past_the_float_range_is_reported_outside_the_boundary(capsys):
+    # 8 (D-1)^2 (k-1) / |boundary| does not fit a float: no traceback, the
+    # usual out-of-range entry with a null bound
+    huge = "1" + "0" * 330
+    code, out, err = run(capsys, "bounds", "--family", BALL32, "--k", huge)
+    assert (code, err) == (0, "")
+    lamk = [r for r in json.loads(out)["reports"] if r["bound_id"].startswith("LAMK")]
+    assert [r["bound_id"] for r in lamk] == ["LAMK_BOUNDARY", "LAMK_VOLUME"]
+    for r in lamk:
+        assert r["note"] == f"k={huge} outside 3..6"
+        assert (r["bound_value"], r["measured"], r["holds"], r["preconditions_met"]) == (
+            None, None, None, False)
+    code, out, _ = run(capsys, "bounds", "--family", BALL32, "--k", huge, "--format", "csv")
+    assert code == 0
+    assert [line for line in out.splitlines() if ",LAMK_" in line] == [
+        "BALL(D=3,r=2),LAMK_BOUNDARY,,,,", "BALL(D=3,r=2),LAMK_VOLUME,,,,"]
+    # an index past the boundary whose bound is a float keeps its value
+    code, out, _ = run(capsys, "bounds", "--family", BALL32, "--k", "9")
+    lamk = [r for r in json.loads(out)["reports"] if r["bound_id"] == "LAMK_BOUNDARY"]
+    assert lamk[0]["bound_value"] == 8 * 2**2 * 8 / 6 and lamk[0]["note"] == "k=9 outside 3..6"
+
+
 def test_bounds_tol_flag(capsys):
     code, out, _ = run(capsys, "bounds", "--family", BALL32, "--tol", "0.5")
     assert code == 0

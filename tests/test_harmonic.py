@@ -23,12 +23,7 @@ from steklov_trees import (
     laplacian_apply,
     normal_derivative,
 )
-from steklov_trees.harmonic import (
-    _extend_columns,
-    _interior_solver,
-    _neighbor_adds,
-    laplacian_apply_matrix,
-)
+from steklov_trees.harmonic import _batch, _extend, laplacian_apply_matrix
 from steklov_trees.spectra import eigendecompose_symmetric
 
 from _oracle import (
@@ -100,8 +95,10 @@ def test_extension_constant_stays_constant(ball32):
 
 
 def test_extension_rejects_bad_shape(ball32):
-    with pytest.raises(InvariantViolationError):
-        harmonic_extension(ball32, np.ones(5))
+    # an input fault, like boundary data of another tree, not a package fault
+    for g in (np.ones(5), np.ones(7), np.ones((6, 1))):
+        with pytest.raises(DimensionMismatchError, match="length 6"):
+            harmonic_extension(ball32, g)
 
 
 def test_extension_rejects_boundary_data_of_another_tree(ball32):
@@ -232,7 +229,7 @@ def test_extension_and_laplacian_bytes_match_the_scalar_elimination(t, seed, k):
     _, q = eigendecompose_symmetric(dtn_matrix(t).entries)
     rng = np.random.default_rng(seed)
     for g in (np.eye(m), rng.standard_normal((m, k)), q, -q):
-        ext = _extend_columns(t, g)
+        ext = _extend(_batch((t,)), g)
         _same_bytes(ext, extend_columns_oracle(t, g))
         _same_bytes(laplacian_apply_matrix(t, ext), laplacian_apply_matrix_oracle(t, ext))
     # one column, through the public entry points
@@ -247,7 +244,7 @@ def test_extension_and_laplacian_bytes_match_the_scalar_elimination(t, seed, k):
 
 @given(t=shapes)
 def test_interior_order_and_pivot_bytes_match_the_scalar_elimination(t):
-    sol = _interior_solver(t)
+    sol = _batch((t,)).solver
     want = interior_solver_oracle(t)
     _same_bytes(sol.vertices, want.order)
     _same_bytes(sol.inv_piv[:, 0], want.inv_piv[want.order])
@@ -267,11 +264,12 @@ def test_interior_height_order_check_raises_without_assert(ball32):
 
 
 def test_interior_schedule_dies_with_its_tree():
-    t = gen_ball(3, 4)
-    sol = _interior_solver(t)
-    assert _interior_solver(t) is sol
-    nbr = _neighbor_adds(t)
-    refs = weakref.ref(t), weakref.ref(sol), weakref.ref(nbr)
-    del t, sol, nbr
+    t, other = gen_ball(3, 4), gen_ball(3, 2)
+    b = _batch((t,))
+    assert _batch((t,)) is b
+    pair = _batch((t, other))
+    assert _batch((t, other)) is pair and _batch((other, t)) is not pair
+    refs = weakref.ref(t), weakref.ref(b), weakref.ref(pair)
+    del t, b, pair
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
