@@ -20,8 +20,10 @@ slower edge-by-edge (or line-by-line) pass names the same first fault,
 with the same message, as validating one edge at a time would.  The
 search's BFS order and parents from vertex 0 stay as a weakly held
 per-tree index: :func:`make_subtree` checks a part's connectivity in
-O(|part|) from the parents, and :func:`diameter` reads its distances
-from vertex 0 off the order.  The DFS preorder from vertex 0, with each
+O(|part|) from the parents (with numpy masks on a large part, which
+also give the part's sorted id array), and :func:`diameter` reads both
+of its searches off the order and the parents, running none of its
+own.  The DFS preorder from vertex 0, with each
 subtree's slice ``[tin, tout)``, is derived from the same BFS order and
 parents on first use, with no search of its own: the partition descents
 read their sides off it, and :func:`_spine_labels` gives every vertex
@@ -490,20 +492,40 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     smallest vertex id at both endpoint selections, and the returned path
     runs from its smaller endpoint to its larger one, so the result is a
     deterministic function of the tree.  Both endpoints are boundary
-    vertices.  Computed once per tree (the result is immutable); the
-    distances from vertex 0 come from the tree's rooted index, so only
-    the search from the first endpoint runs here.
+    vertices.  Computed once per tree (the result is immutable).
+
+    Both searches are read off the tree's rooted index, with no search
+    of its own: the first endpoint ``a`` is the first vertex deepest
+    below vertex 0.  One top-down pass over the BFS order gives each
+    vertex ``v`` the depth of ``c(v)``, where its path to vertex 0 meets
+    the path from ``a``, so ``dist(a, v) = d(a) + d(v) - 2 d(c(v))``.
+    The second endpoint ``b`` is the first vertex farthest from ``a``,
+    and the path is ``b``'s parent walk up to ``c(b)`` followed by the
+    walk from ``c(b)`` down to ``a``: the one path from ``b`` to ``a``,
+    which is the one the second search's parents trace.
     """
     idx = _rooted_index(t)
-    d0 = _depths(t.n, idx.order, idx.parent)
+    order, parent = idx.order, idx.parent
+    d0 = _depths(t.n, order, parent)
     a = d0.index(max(d0))
-    order, parent = _bfs(t.neighbors, a)
-    da = _depths(t.n, order, parent)
-    L = max(da)
-    b = da.index(L)
+    up_a = [a]  # a's parent walk up to vertex 0
+    while up_a[-1]:
+        up_a.append(parent[up_a[-1]])
+    on_path = [False] * t.n
+    for x in up_a:
+        on_path[x] = True
+    meet = d0.copy()  # the depth of c(v); a vertex on the path meets it at itself
+    for x in order:
+        if not on_path[x]:
+            meet[x] = meet[parent[x]]
+    depth_a = d0[a]
+    dist = [depth_a + d - 2 * c for d, c in zip(d0, meet)]
+    L = max(dist)
+    b = dist.index(L)
     path = [b]
-    while path[-1] != a:
+    while not on_path[path[-1]]:
         path.append(parent[path[-1]])
+    path += reversed(up_a[:depth_a - d0[path[-1]]])
     if path[0] > path[-1]:
         path.reverse()
     if len(path) != L + 1 or not (t.is_boundary(path[0]) and t.is_boundary(path[-1])):
@@ -518,42 +540,85 @@ class SubtreeRef:
     ``relative_boundary`` lists the vertices of the subtree that are
     boundary vertices *of the parent*; this is the correct notion for all
     partition arguments here (a spine vertex of degree 3 may be a leaf of
-    its branch yet is interior to the parent).
+    its branch yet is interior to the parent).  ``ids`` is the vertex set
+    as a read-only, ascending index array, the form that certificates and
+    test functions read; when it is not given it is derived from
+    ``vertices``.
     """
 
     tree: BoundaryTree
     vertices: frozenset[int]
     relative_boundary: tuple[int, ...]
+    ids: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.ids is None:
+            ids = np.array(sorted(self.vertices), dtype=np.intp)
+            ids.flags.writeable = False
+            object.__setattr__(self, "ids", ids)
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
 
-def make_subtree(t: BoundaryTree, vertices: Iterable[int]) -> SubtreeRef:
+# an index array longer than this is counted by masks in numpy, anything
+# else by set lookups in Python: on a few vertices, each numpy call costs
+# more than the Python loop it replaces
+_SMALL_PART = 64
+
+
+def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> SubtreeRef:
     """Build a :class:`SubtreeRef`, checking induced connectivity.
 
     An induced subgraph of a tree is a forest, so it is connected exactly
     when it has ``|vertices| - 1`` edges.  Rooted at vertex 0, those
     edges join the members whose parent is also a member to that parent,
-    so counting such members takes O(|vertices|).  A frozenset is kept
-    as it is (its members must be Python ints); any other iterable is
-    converted.
+    so counting such members takes O(|vertices|).  An integer index
+    array of more than ``_SMALL_PART`` entries, as the partition descents
+    return their large parts, is counted by masks in numpy, and the mask
+    gives the part's ascending ``ids``.  Other vertices are counted by set
+    lookups in Python: a frozenset is kept as it is (its members must be
+    Python ints), and any other iterable is converted.
     """
-    vs = vertices if type(vertices) is frozenset else frozenset(map(int, vertices))
-    if not vs:
-        raise BadVertexError("empty subtree")
-    ascending = sorted(vs)
-    lo, hi = ascending[0], ascending[-1]
+    ids_in = isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"
+    large = ids_in and len(vertices) > _SMALL_PART
+    if large:
+        lo, hi = int(vertices.min()), int(vertices.max())
+    else:
+        if ids_in:
+            vs = frozenset(vertices.tolist())
+        else:
+            vs = vertices if type(vertices) is frozenset else frozenset(map(int, vertices))
+        if not vs:
+            raise BadVertexError("empty subtree")
+        ascending = sorted(vs)
+        lo, hi = ascending[0], ascending[-1]
     if lo < 0 or hi >= t.n:
         raise BadVertexError(f"vertex {lo if lo < 0 else hi!r} outside 0..{t.n - 1}")
-    idx = _rooted_index(t)
     # vertex 0 is its own parent, so it counts itself when it is a member
-    inner = sum(map(vs.__contains__, map(idx.parent.__getitem__, ascending))) - (lo == 0)
+    if large:
+        inside = np.zeros(t.n, dtype=bool)
+        inside[vertices] = True
+        ids = np.flatnonzero(inside)  # ascending, each vertex once
+        inner = int(np.count_nonzero(inside[_parent_ids(t)[ids]])) - int(inside[0])
+        rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
+        vs = frozenset(ids.tolist())
+    else:
+        idx = _rooted_index(t)
+        inner = sum(map(vs.__contains__, map(idx.parent.__getitem__, ascending))) - (lo == 0)
+        rb = tuple(filter(idx.boundary.__getitem__, ascending))
+        ids = np.array(ascending, dtype=np.intp)
     if inner != len(vs) - 1:
         raise NotATreeError("vertex set does not induce a connected subtree")
-    rb = tuple(filter(idx.boundary.__getitem__, ascending))
-    return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
+    ids.flags.writeable = False
+    return SubtreeRef(t, vs, rb, ids)
+
+
+@per_tree_cache
+def _parent_ids(t: BoundaryTree) -> np.ndarray:
+    """The rooted index's parents as an index array."""
+    return np.array(_rooted_index(t).parent, dtype=np.intp)
 
 
 def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[int]:

@@ -400,7 +400,7 @@ def harmonic_extension(
     res = laplacian_apply(f).values[np.array(t.interior, dtype=np.int64)]
     limit = tol.residual * (1.0 + float(np.abs(gv).max(initial=0.0)))
     worst = float(np.abs(res).max(initial=0.0))
-    if worst > limit:
+    if not worst <= limit:  # a NaN residual fails too
         raise HarmonicResidualError(
             f"interior residual {worst:.3e} exceeds {limit:.3e}")
     return f
@@ -428,10 +428,11 @@ class DtnMatrix:
         m = self.entries
         scale = 1.0 + float(np.abs(m).max(initial=0.0))
         asym = float(np.abs(m - m.T).max(initial=0.0))
-        if asym > tol.symmetry * scale:
+        # written so that a NaN fails: every comparison with NaN is false
+        if not asym <= tol.symmetry * scale:
             raise InvariantViolationError(f"response matrix asymmetry {asym:.3e}")
         rows = float(np.abs(m.sum(axis=1)).max(initial=0.0))
-        if rows > tol.symmetry * scale:
+        if not rows <= tol.symmetry * scale:
             raise InvariantViolationError(f"response matrix row sums {rows:.3e}")
 
 
@@ -461,7 +462,7 @@ def dtn_matrices(trees: Sequence[BoundaryTree],
     rows = lap[b.boundary]
     mats = []
     for t, res, lo, hi in zip(trees, worst.tolist(), b.row_stops, b.row_stops[1:]):
-        if res > tol.residual:
+        if not res <= tol.residual:
             raise HarmonicResidualError(f"interior residual {res:.3e} in response assembly")
         mat = DtnMatrix(t, np.ascontiguousarray(rows[lo:hi, :hi - lo]))
         mat.validate(tol)

@@ -18,11 +18,14 @@ slice or its complement, so a side's boundary count is a difference of
 prefix sums.  The vertex set a descent works in is a length-``n`` bool
 mask; a descent returns its part as an index array, with which
 :func:`partition_k` clears the part from its remainder in place, and
-each certified part becomes a frozenset exactly once.  Each extraction
-takes O(n) numpy work and O(1) Python work per candidate side; the test
-functions write their values through index arrays.  The diameter
-witness reads each vertex's place along the diameter path off the same
-preorder (:func:`.graph_core._spine_labels`) and builds no subtree.
+which :func:`.graph_core.make_subtree` turns into the part's sorted id
+array (``SubtreeRef.ids``) and, once, its frozenset.  Every reader of a
+certified part indexes with that array: the certificate check, the
+two-level and multiway functions and the certificate's JSON.  Each
+extraction takes O(n) numpy work and O(1) Python work per candidate
+side.  The diameter witness reads each vertex's place along the
+diameter path off the same preorder (:func:`.graph_core._spine_labels`)
+and builds no subtree.
 :func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
 share no code with the preorder, nor the validation with
 :func:`.graph_core.make_subtree`; they are the independent oracle and
@@ -68,9 +71,10 @@ class PartitionCertificate:
     lie in the closed ``interval``; ``removed_edges[j]`` cuts ``parts[j]``
     off, so exactly one of its endpoints lies in the part.
     :meth:`validate` re-derives every part's connectivity, boundary and
-    fraction from its vertices, the edge list and the degrees, and checks
-    disjointness and the cuts, so a certificate
-    that validates is a complete proof of the split.
+    fraction from its id array (``SubtreeRef.ids``), the edge list and
+    the degrees, and checks disjointness and the cuts, all with vertex
+    masks, so a certificate that validates is a complete proof of the
+    split; :meth:`to_json_dict` writes the same arrays.
     """
 
     tree: BoundaryTree
@@ -89,20 +93,20 @@ class PartitionCertificate:
             if not _is_edge(t, e):
                 raise InvariantViolationError(f"{e} is not an edge of the tree")
         lo, hi = self.interval
-        seen: set[int] = set()
         m = t.n_boundary
         leaf = t.degrees == 1
-        for ref, frac, (u, v) in zip(self.parts, self.fractions, self.removed_edges):
-            if not seen.isdisjoint(ref.vertices):
-                raise InvariantViolationError("parts are not pairwise disjoint")
-            seen |= ref.vertices
-            if (u in ref.vertices) == (v in ref.vertices):
-                raise InvariantViolationError(f"{(u, v)} does not cut its part off")
-            ids = _ids(ref.vertices)  # not empty: it holds an end of its cut
-            if ids.min() < 0 or ids.max() >= t.n:
+        if self.parts:
+            ids = np.concatenate([ref.ids for ref in self.parts])
+            if len(ids) and (ids.min() < 0 or ids.max() >= t.n):
                 raise InvariantViolationError(f"part has a vertex outside 0..{t.n - 1}")
+            if len(self.parts) > 1 and np.count_nonzero(np.bincount(ids, minlength=t.n) > 1):
+                raise InvariantViolationError("parts are not pairwise disjoint")
+        for ref, frac, (u, v) in zip(self.parts, self.fractions, self.removed_edges):
+            ids = ref.ids
             mask = np.zeros(t.n, dtype=bool)
             mask[ids] = True
+            if mask[u] == mask[v]:
+                raise InvariantViolationError(f"{(u, v)} does not cut its part off")
             # connectivity and boundary re-derived from the edge list and degrees
             if np.count_nonzero(mask[t.edge_u] & mask[t.edge_v]) != len(ids) - 1:
                 raise InvariantViolationError("part does not induce a connected subtree")
@@ -121,7 +125,7 @@ class PartitionCertificate:
     def to_json_dict(self) -> dict:
         return {
             "removed_edges": [list(e) for e in self.removed_edges],
-            "parts": [sorted(ref.vertices) for ref in self.parts],
+            "parts": [ref.ids.tolist() for ref in self.parts],
             "fractions": [f"{f.numerator}/{f.denominator}" for f in self.fractions],
             "interval": [f"{b.numerator}/{b.denominator}" for b in self.interval],
         }
@@ -269,7 +273,7 @@ def partition_two(t: BoundaryTree) -> PartitionCertificate:
     cert = PartitionCertificate(
         tree=t,
         removed_edges=((min(edge), max(edge)),),
-        parts=(make_subtree(t, frozenset(part.tolist())),),
+        parts=(make_subtree(t, part),),
         fractions=(frac,),
         interval=(Fraction(1, 2 * (d - 1)), Fraction(1, 2)),
     )
@@ -337,7 +341,7 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
     for _ in range(k - 1):
         part, frac, edge = _descend(
             t, remaining, tau, enter_at_equal=True, ports=ports)
-        parts.append(make_subtree(t, frozenset(part.tolist())))
+        parts.append(make_subtree(t, part))
         fractions.append(frac)
         removed.append((min(edge), max(edge)))
         remaining[part] = False
@@ -354,11 +358,6 @@ def partition_k(t: BoundaryTree, k: int) -> PartitionCertificate:
 
 
 # -- test functions -----------------------------------------------------------------
-
-def _ids(vertices: frozenset[int]) -> np.ndarray:
-    """A vertex set as an index array, in the set's own order."""
-    return np.fromiter(vertices, np.intp, len(vertices))
-
 
 def two_level_rayleigh_exact(cert: PartitionCertificate) -> Fraction:
     """Exact Rayleigh quotient of the two-level function: 1/(m β(1-β)).
@@ -382,9 +381,8 @@ def two_level_test_function(
     by construction and ``R(f) = 1/(m β(1-β)) <= 4(D-1)/m``.
     """
     beta = cert.fractions[0]
-    part = cert.parts[0].vertices
     vals = np.full(t.n, float(-beta))
-    vals[_ids(part)] = float(1 - beta)
+    vals[cert.parts[0].ids] = float(1 - beta)
     f = VertexFunction(t, vals)
     bsum = float(f.boundary_values().sum())
     if abs(bsum) > tol.boundary_sum * t.n_boundary:
@@ -418,7 +416,7 @@ def multiway_test_functions(
             raise PartTooSmallError(
                 f"part with boundary {rb} cannot carry a sum-zero test function")
         inside = np.zeros(t.n, dtype=bool)
-        inside[_ids(ref.vertices)] = True
+        inside[ref.ids] = True
         # two-way descent local to the part, against its own boundary
         piece, pfrac, _ = _descend(t, inside, Fraction(1, 2),
                                    enter_at_equal=False, total=len(rb))

@@ -485,11 +485,12 @@ def _check_spectrum(
 ) -> None:
     """The spectral invariants of ``(w, q)``, with ``lap`` the Laplacian of its extensions."""
     m = t.n_boundary
-    if abs(float(w[0])) > tol.psd_slack:
+    # each test is written so that a NaN fails: every comparison with NaN is false
+    if not abs(float(w[0])) <= tol.psd_slack:
         raise InvariantViolationError(f"lowest eigenvalue {w[0]:.3e} not ~0")
-    if m >= 2 and float(w[1]) <= 0.0:
+    if m >= 2 and not float(w[1]) > 0.0:
         raise InvariantViolationError("second eigenvalue must be positive")
-    if float(w[-1]) > 1.0 + tol.psd_slack:
+    if not float(w[-1]) <= 1.0 + tol.psd_slack:
         raise InvariantViolationError(f"top eigenvalue {w[-1]} above 1")
     # eigen-equation residual: normal derivative == lambda * boundary values
     interior_res = float(np.abs(lap[np.array(t.interior)]).max(initial=0.0))
@@ -498,14 +499,14 @@ def _check_spectrum(
     buf = np.multiply(q, w)
     res -= buf
     eig_res = float(np.abs(res, out=res).max(initial=0.0))
-    if interior_res > tol.eigen_residual or eig_res > tol.eigen_residual:
+    if not (interior_res <= tol.eigen_residual and eig_res <= tol.eigen_residual):
         raise InvariantViolationError(
             f"eigenpair residuals {interior_res:.3e}/{eig_res:.3e} too large")
     # orthonormality of the boundary basis
     gram = np.matmul(q.T, q, out=buf)
     gram.flat[::m + 1] -= 1.0
     gram_dev = float(np.abs(gram, out=gram).max(initial=0.0))
-    if gram_dev > tol.orthogonality:
+    if not gram_dev <= tol.orthogonality:
         raise InvariantViolationError(f"eigenbasis orthonormality off by {gram_dev:.3e}")
 
 

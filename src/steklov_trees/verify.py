@@ -233,12 +233,14 @@ def _check_tree(
     *,
     full_oracle: bool,
     dense: _Dense | None = None,
+    replay: dict | None = None,
 ) -> None:
     """Run every check on ``t``, counting each in ``rep``.
 
     ``dense`` is the tree's response matrix and spectrum from a batch of
     :func:`_dense_route`; a tree checked alone computes its own, as the
-    batch of one.
+    batch of one.  ``replay``, the family spec that rebuilds ``t``, goes
+    into each of its failure entries.
     """
     slack = tol.bound_slack
     mat_outcome, spectrum_outcome = _dense_route([t], tol)[0] if dense is None else dense
@@ -257,6 +259,8 @@ def _check_tree(
             kind = type(exc).__name__
             detail = str(exc) if isinstance(exc, _BoundMissed) else f"{kind}: {exc}"
             entry = {"trial": label, "check": name, "detail": context + detail}
+            if replay is not None:
+                entry["replay"] = replay
             if isinstance(exc, _FINDINGS):
                 rep.counter(name).failed += 1
             else:
@@ -354,7 +358,8 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
 
     The random trees come first, then the interior-3 trees; each tree
     draws its size, degree cap and seed from one master RNG, in that
-    order.
+    order.  Each failure entry carries, as ``replay``, the
+    :func:`.generators.generate_family` spec that rebuilds its tree.
     """
     cfg.validate()
     tol = cfg.tol
@@ -368,28 +373,33 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
         "bound_slack": tol.bound_slack,
     })
     master = random.Random(cfg.seed)
-    families = (("random", 2, gen_random_tree, cfg.trials),
-                ("interior3", 3, gen_random_interior3, cfg.interior3_trials))
-    draws = ((name, i, min_cap, gen)
-             for name, min_cap, gen, count in families for i in range(count))
+    # label, generator, its family and size parameter, the smallest degree cap, count
+    families = (("random", gen_random_tree, "RANDOM", "n", 2, cfg.trials),
+                ("interior3", gen_random_interior3, "RANDOM_INTERIOR3", "n_target", 3,
+                 cfg.interior3_trials))
+    draws = ((name, i, gen, family, size, min_cap)
+             for name, gen, family, size, min_cap, count in families for i in range(count))
 
-    def drawn() -> Iterator[tuple[BoundaryTree, str, bool]]:
-        for trial, (name, i, min_cap, gen) in enumerate(draws):
+    def drawn() -> Iterator[tuple[BoundaryTree, str, bool, dict]]:
+        for trial, (name, i, gen, family, size, min_cap) in enumerate(draws):
             n = master.randint(5, cfg.max_n)
             cap = master.randint(min_cap, cfg.max_degree)
-            yield (gen(n, cap, master.getrandbits(63)), f"{name}[{i}]",
-                   trial % cfg.oracle_stride == 0)
+            seed = master.getrandbits(63)
+            # the spec that generate_family rebuilds the same tree from
+            spec = {"family": family, size: n, "max_degree": cap, "seed": seed}
+            yield gen(n, cap, seed), f"{name}[{i}]", trial % cfg.oracle_stride == 0, spec
 
     for batch in _batches(drawn()):
-        outcomes = _dense_route([t for t, _, _ in batch], tol)
+        outcomes = _dense_route([t for t, *_ in batch], tol)
         # each tree, with its caches and outcomes, is let go once checked
         while batch:
-            t, label, full_oracle = batch.pop(0)
-            _check_tree(t, label, rep, tol, full_oracle=full_oracle, dense=outcomes.pop(0))
+            t, label, full_oracle, spec = batch.pop(0)
+            _check_tree(t, label, rep, tol, full_oracle=full_oracle, dense=outcomes.pop(0),
+                        replay=spec)
     return rep
 
 
-def _batches(drawn: Iterable[tuple[BoundaryTree, str, bool]]) -> Iterator[list]:
+def _batches(drawn: Iterable[tuple[BoundaryTree, str, bool, dict]]) -> Iterator[list]:
     """Consecutive draws, in batches of at most ``BATCH_ENTRIES`` padded entries."""
     batch: list = []
     n = m = 0

@@ -47,6 +47,9 @@ fallback, is the reference for the block sampler's trees.
 The harness's oracle check as it stood before the count brackets (one
 bisection per audited eigenvalue) is the reference for the verdicts of
 the brackets that replaced it.
+The literal double BFS, with the documented tie-breaks, is the reference
+for every byte of ``diameter``, which reads both searches off the
+rooted index.
 """
 
 from __future__ import annotations
@@ -209,28 +212,43 @@ def best_split_edge_brute(n: int, edges) -> tuple[tuple[int, int], frozenset[int
     return best[1], best[2]
 
 
-def diameter_brute(n: int, edges) -> int:
+def diameter_oracle(n: int, edges) -> tuple[int, tuple[int, ...]]:
+    """Diameter length and path by the literal double BFS, with its tie-breaks.
+
+    The first endpoint is the smallest id farthest from vertex 0, the
+    second the smallest id farthest from the first, and the path, walked
+    back along the second search's parents, runs from its smaller
+    endpoint to its larger one.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
 
-    def far(s: int) -> tuple[int, int]:
+    def search(s: int) -> tuple[list[int], list[int]]:
         dist = [-1] * n
+        parent = [-1] * n
         dist[s] = 0
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y in sorted(adj[x]):
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
+                    parent[y] = x
                     queue.append(y)
-        v = int(np.argmax(dist))
-        return v, dist[v]
+        return dist, parent
 
-    a, _ = far(0)
-    _, d = far(a)
-    return d
+    d0, _ = search(0)
+    a = int(np.argmax(d0))  # the first maximum: the smallest id
+    da, parent = search(a)
+    b = int(np.argmax(da))
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    if path[0] > path[-1]:
+        path.reverse()
+    return da[b], tuple(path)
 
 
 def count_below_brute(n: int, edges, shift: float) -> int:

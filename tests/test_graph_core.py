@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -28,16 +29,17 @@ from steklov_trees import (
     tree_to_text,
 )
 from steklov_trees import graph_core
+from steklov_trees.generators import generate_family
 from steklov_trees.graph_core import tree_from_json_dict
 
 from _oracle import (
     boundary_brute,
     build_tree_oracle,
-    diameter_brute,
+    diameter_oracle,
     make_subtree_oracle,
     tree_from_text_oracle,
 )
-from conftest import BALL32_EDGES, CATERPILLAR_EDGES, PATH4_EDGES
+from conftest import BALL32_EDGES, CATERPILLAR_EDGES, PATH4_EDGES, shapes
 
 
 # -- construction ----------------------------------------------------------------
@@ -253,8 +255,9 @@ def test_tree_from_text_cases_match_oracle(text):
         assert got == expected
 
 
-@given(edges=tree_edges(), data=st.data())
+@given(edges=tree_edges(max_n=200), data=st.data())
 def test_make_subtree_matches_mask_oracle(edges, data):
+    # up to 200 vertices, so parts fall on both sides of _SMALL_PART
     t = build_tree(edges)
     if data.draw(st.booleans()):
         # a connected part: the side of one end of a random edge
@@ -264,18 +267,48 @@ def test_make_subtree_matches_mask_oracle(edges, data):
         vs = set(data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=t.n)))
     if data.draw(st.booleans()):
         vs ^= {0}
+    # the set as an index array in any order, some ids repeated, as the
+    # descents hand their parts over
+    ids = np.array(data.draw(st.permutations(sorted(vs))), dtype=np.int64)
+    ids = np.concatenate((ids, ids[:data.draw(st.integers(0, 3))]))
     # a tree whose index is computed lazily gives the same answers
     fresh = dataclasses.replace(t)
-    for tree in (t, fresh):
+    for tree, given_vs in ((t, vs), (fresh, vs), (t, ids), (fresh, ids)):
         try:
             expected = make_subtree_oracle(tree, vs)
         except Exception as exc:
             with pytest.raises(type(exc), match=str(exc)):
-                make_subtree(tree, vs)
+                make_subtree(tree, given_vs)
             continue
-        got = make_subtree(tree, vs)
+        got = make_subtree(tree, given_vs)
         assert got.vertices == expected.vertices
+        assert all(type(v) is int for v in got.vertices)
         assert got.relative_boundary == expected.relative_boundary
+        assert got.ids.tolist() == sorted(vs)
+        assert not got.ids.flags.writeable
+
+
+@pytest.mark.parametrize("pick", [
+    lambda t: [],
+    lambda t: [-1, *range(100)],
+    lambda t: [*range(100), t.n],
+    lambda t: [v for v in range(t.n) if v != t.interior[0]],
+    lambda t: list(range(0, t.n, 2)),
+], ids=["empty", "negative", "past-n", "without-an-interior-vertex", "every-other"])
+def test_make_subtree_index_array_raises_as_the_set_does(pick):
+    # 200 vertices: the arrays beyond _SMALL_PART go through the numpy count
+    t = gen_random_tree(200, 4, 1)
+    given_vs = pick(t)
+    with pytest.raises((BadVertexError, NotATreeError)) as as_set:
+        make_subtree(t, frozenset(given_vs))
+    with pytest.raises(as_set.type, match=f"^{re.escape(str(as_set.value))}$"):
+        make_subtree(t, np.array(given_vs[::-1], dtype=np.int64))
+
+
+def test_subtree_ref_derives_its_ids_from_its_vertices(ball32):
+    ref = graph_core.SubtreeRef(ball32, frozenset({7, 2, 6}), (6, 7))
+    assert ref.ids.tolist() == [2, 6, 7]
+    assert not ref.ids.flags.writeable
 
 
 def test_rooted_index_is_the_connectivity_search_and_dies_with_its_tree():
@@ -323,9 +356,27 @@ def test_diameter_is_computed_once_per_tree(ball32):
 def test_diameter_matches_bfs_oracle(n, cap, seed):
     t = gen_random_tree(n, cap, seed)
     d = diameter(t)
-    assert d.length == diameter_brute(t.n, t.edges)
+    assert (d.length, d.path) == diameter_oracle(t.n, t.edges)
     for a, b in zip(d.path, d.path[1:]):
         assert (min(a, b), max(a, b)) in t.edges
+
+
+@given(t=shapes)
+def test_diameter_matches_double_bfs_oracle_on_shapes(t):
+    # paths, balls, caterpillars and spiders: many farthest vertices tie
+    assert tuple(diameter(t)) == diameter_oracle(t.n, t.edges)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "PATH", "L": 2000},
+    {"family": "BALL", "D": 3, "r": 9},
+    {"family": "BALL", "D": 40, "r": 1},
+    {"family": "EXTREMAL_MIDDLE", "L": 40, "variant": "B"},
+    {"family": "RANDOM_INTERIOR3", "n_target": 8000, "max_degree": 5, "seed": 11},
+], ids=["path-2000", "ball-3-9", "star-40", "extremal-middle-40-B", "interior3-8000"])
+def test_diameter_matches_double_bfs_oracle_on_families(spec):
+    t = generate_family(spec)
+    assert tuple(diameter(t)) == diameter_oracle(t.n, t.edges)
 
 
 def test_diameter_endpoint_check_raises_without_assert(ball32):

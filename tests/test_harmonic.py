@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from steklov_trees import (
     BoundaryFunction,
     DimensionMismatchError,
+    HarmonicResidualError,
     InvariantViolationError,
     VertexFunction,
     build_tree,
@@ -23,7 +25,8 @@ from steklov_trees import (
     laplacian_apply,
     normal_derivative,
 )
-from steklov_trees.harmonic import _batch, _extend, laplacian_apply_matrix
+from steklov_trees import harmonic
+from steklov_trees.harmonic import DtnMatrix, _batch, _extend, laplacian_apply_matrix
 from steklov_trees.spectra import eigendecompose_symmetric
 
 from _oracle import (
@@ -176,6 +179,31 @@ def test_dtn_validate_catches_tampering(ball32):
     bad[0, 1] += 1e-3
     with pytest.raises(InvariantViolationError):
         type(mat)(ball32, bad).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dtn_validate_rejects_non_finite_entries(value):
+    # every comparison with NaN is false, so each check is written to fail on it
+    one = dtn_matrix(gen_ball(3, 2)).entries.copy()
+    one[2, 2] = value
+    with np.errstate(invalid="ignore"):  # inf - inf
+        with pytest.raises(InvariantViolationError, match="asymmetry nan"):
+            DtnMatrix(gen_ball(3, 2), np.full((6, 6), value)).validate()
+        with pytest.raises(InvariantViolationError):
+            DtnMatrix(gen_ball(3, 2), one).validate()
+
+
+def test_a_nan_residual_fails_the_assembly_and_the_extension(ball32, monkeypatch):
+    real_extend = harmonic._extend
+    monkeypatch.setattr(harmonic, "_extend", lambda b, g: np.full_like(real_extend(b, g), np.nan))
+    with pytest.raises(HarmonicResidualError, match="interior residual nan"):
+        harmonic.dtn_matrices([ball32])
+    monkeypatch.undo()
+    # a VertexFunction holds no NaN, so the extension's residual comes in patched
+    monkeypatch.setattr(harmonic, "laplacian_apply",
+                        lambda f: SimpleNamespace(values=np.full(f.tree.n, np.nan)))
+    with pytest.raises(HarmonicResidualError, match="interior residual nan"):
+        harmonic_extension(ball32, np.ones(ball32.n_boundary))
 
 
 @given(n=st.integers(4, 45), cap=st.integers(2, 6), seed=st.integers(0, 2**32))

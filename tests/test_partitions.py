@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -34,6 +36,7 @@ from steklov_trees import (
     two_level_test_function,
 )
 from steklov_trees import graph_core, partitions
+from steklov_trees.generators import generate_family
 from steklov_trees.partitions import _kernel_ints
 
 from conftest import shapes
@@ -150,6 +153,26 @@ def test_certificate_validate_catches_tampering(ball32):
     )
     with pytest.raises(InvariantViolationError, match="outside"):
         outside.validate()
+    # a negative id, which an index mask would read as a vertex from the end
+    negative = PartitionCertificate(
+        tree=ball32,
+        removed_edges=((1, 4),),
+        parts=(SubtreeRef(ball32, frozenset({-1, 4}), (4,)),),
+        fractions=(Fraction(1, 6),),
+        interval=(Fraction(1, 6), Fraction(1, 2)),
+    )
+    with pytest.raises(InvariantViolationError, match="outside"):
+        negative.validate()
+    # the same part twice, each cut off by its own edge
+    overlap = PartitionCertificate(
+        tree=ball32,
+        removed_edges=((0, 2), (2, 6)),
+        parts=(part, part),
+        fractions=(Fraction(1, 3), Fraction(1, 3)),
+        interval=(Fraction(1, 6), Fraction(1, 2)),
+    )
+    with pytest.raises(InvariantViolationError, match="not pairwise disjoint"):
+        overlap.validate()
 
 
 @given(n=st.integers(4, 50), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
@@ -668,3 +691,86 @@ def test_diameter_witness_builds_no_subtrees(caterpillar, ball32, monkeypatch):
         assert got == diameter_test_function_oracle(t).values.tobytes()
         assert made  # the oracle builds one per branch, so the count sees them
         made.clear()
+
+
+# -- witness bytes past the dense limit ---------------------------------------------
+
+# sha256 of the certificates (``to_json_dict``), the test functions'
+# ``values.tobytes()`` and the diameter path on trees past the dense
+# limit, recorded while each part was a frozenset converted per use and
+# the diameter ran a second search; a ``bounds`` report carries only
+# ``has_witness``, so no report digest covers these bytes
+_INFEASIBLE = "infeasible"
+LARGE_WITNESS_DIGESTS = {
+    "ball-3-9": ({"family": "BALL", "D": 3, "r": 9}, {
+        "partition_two": "59069d7ac9c8b30898b16fcf1a3442dbac6943b524788c3cf156d56231d11b9d",
+        "two_level": "04cd6e84c9652a9efe5eeecd354eed20eee27d682ed8ed1ed2c499170e8d7425",
+        "partition_k3": "a14af53adaaa6a82c243ec3e315a7a1b057e719a8a7be6357d90b225d21e17c2",
+        "multiway_k3": "00b987da170db2e5e0d5227969d852386d61360da0605e047782935672ef06c6",
+        "partition_k5": "0d457dde915baeef30834916a1491e55ff12af22b12cb730933c054d1a93ba09",
+        "multiway_k5": "d6b2967857652df512efb35773b5dcb81ffd5a2122076b36c699f5bbe4fd7e35",
+        "diameter_function": "8d56f1a4028cc039031350eb137e048840855c7fff44ed850387571e9002be8f",
+        "diameter_path": "e80ba5589b22f06d63abdfc38aeec7dbd4f64820ea0b26eafb6c063e2dd14bcc",
+    }),
+    "refined-7": ({"family": "REFINED", "l": 7}, {
+        "partition_two": "ca1775a38e2fc96412007e2adc10bb42bfd73deb2a31b5a0ee38a2d014598eb6",
+        "two_level": "9d12219d9023e6170443b28185f29d73c4800a7875d7c758fa88eb569dea1034",
+        "partition_k3": "4fdd3aaf247b7627eade20699b923cda0aaea2b64c295ad6ebd8973502837ba2",
+        "multiway_k3": "027002b463ba28df207598449de6346c49fd79bc524780c942b43840f69aef9e",
+        "partition_k5": "12860decd7b331d3a7a98fea671565050e0f3ae3ea67465e34296ef97fc065ca",
+        "multiway_k5": "c83dca5769768474ed37a6c0b29ca93a2bd1a4e06d4343c521cb103b49388f5a",
+        "diameter_function": "9851975a3b32a7d9dc077a5eb5392c6a09caebb85cf962b4849b7f682912680c",
+        "diameter_path": "dcb2da685c41b679f7a94de7c70312eae92e0663e28d58b5b73b03d894e9454e",
+    }),
+    "path-2000": ({"family": "PATH", "L": 2000}, {
+        "partition_two": "32a2911893cda50f300c06542fb0139d85836e1dda87115aeb8ea238cd6de7e9",
+        "two_level": "d6b9d75f5e3ced7f9e9718dc3a5267f0028192502c9e52f41588b43a70463ddb",
+        "partition_k3": _INFEASIBLE,
+        "multiway_k3": _INFEASIBLE,
+        "partition_k5": _INFEASIBLE,
+        "multiway_k5": _INFEASIBLE,
+        "diameter_function": "19632cbe59c3aa08b7cebf60f91d1c806f3626624104e55a71e2d684c60871aa",
+        "diameter_path": "3252a1edb90fdfe38143adb2e20661678f8ff661e1dc0aad66a36d9488741a13",
+    }),
+    "interior3-3000": ({"family": "RANDOM_INTERIOR3", "n_target": 3000, "max_degree": 5,
+                        "seed": 2024}, {
+        "partition_two": "b082243b7e40947fbfd34af3905b895663212eaa9485b78d53ed4ca249b8566c",
+        "two_level": "450b7d9bf5d3242c3f0197ca3f5c0adbda8b24c204a5615dc51445ed484e6a2f",
+        "partition_k3": "3d2df08cfb604000617194b198b45ed0de895575b827ca646e40c1c877703e34",
+        "multiway_k3": "d5862eeba1bfe1e087de5a647f4b5fdd70fa6353c27dc7eadd5370b61337052d",
+        "partition_k5": "562da650932597a82c955b12c4fc2ca0a8bc130044551675e7b60a0e72182dd1",
+        "multiway_k5": "520b50ecd1247fa1c42e173c9fd851cb3c2e96c08316af7c446471472d69dde4",
+        "diameter_function": "31ad270dfbf4158db53f5316f420a7757aa67b7fb52559beebae51e89871e5d8",
+        "diameter_path": "7e2210a5d9d9ae5f10648385dabae825351bb06e8756cc206765b2885b56f5cf",
+    }),
+}
+
+
+def _witness_digests(t) -> dict[str, str]:
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def cert_sha(cert) -> str:
+        return sha(json.dumps(cert.to_json_dict()).encode())
+
+    cert2 = partition_two(t)
+    out = {"partition_two": cert_sha(cert2),
+           "two_level": sha(two_level_test_function(t, cert2).values.tobytes())}
+    for k in (3, 5):
+        try:
+            certk = partition_k(t, k)
+        except InfeasibleKError:
+            out[f"partition_k{k}"] = out[f"multiway_k{k}"] = _INFEASIBLE
+            continue
+        out[f"partition_k{k}"] = cert_sha(certk)
+        out[f"multiway_k{k}"] = sha(b"".join(
+            f.values.tobytes() for f in multiway_test_functions(t, certk)))
+    out["diameter_function"] = sha(diameter_test_function(t).values.tobytes())
+    out["diameter_path"] = sha(json.dumps(list(diameter(t).path)).encode())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_WITNESS_DIGESTS))
+def test_large_tree_witness_bytes_match_recorded_digests(name):
+    spec, want = LARGE_WITNESS_DIGESTS[name]
+    assert _witness_digests(generate_family(spec)) == want

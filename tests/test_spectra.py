@@ -40,6 +40,7 @@ from steklov_trees import (
     variational_upper_check,
 )
 from steklov_trees import spectra
+from steklov_trees.harmonic import laplacian_apply_matrix
 
 from _oracle import (
     bisect_oracle,
@@ -719,3 +720,35 @@ def test_variational_check_takes_more_than_32_functions():
     # a star's spectrum is 0 and then 1; every combination has R = 1
     assert _span_max(fns) == pytest.approx(1.0, rel=1e-12)
     assert variational_upper_check(t, fns, k) is True
+
+
+# -- non-finite spectra ---------------------------------------------------------
+
+def _poison(what: str, w, q, lap, t):
+    if what == "lowest":
+        w[0] = np.nan
+    elif what == "second":
+        w[1] = np.nan
+    elif what == "top":
+        w[-1] = np.nan
+    elif what == "interior":
+        lap[t.interior[0], 1] = np.nan
+    else:
+        q[0, 1] = np.nan
+
+
+@pytest.mark.parametrize("what,match", [
+    ("lowest", "lowest eigenvalue"), ("second", "second eigenvalue"),
+    ("top", "top eigenvalue"), ("interior", "eigenpair residuals"),
+    ("basis", "eigenpair residuals"),
+])
+def test_spectrum_check_fails_on_nan(what, match):
+    # every comparison with NaN is false, so each check is written to fail on it
+    t = build_tree(BALL32_EDGES)
+    s = steklov_spectrum(t)
+    w, q = s.eigenvalues.copy(), s.boundary_basis.copy()
+    lap = laplacian_apply_matrix(t, s.extensions)
+    spectra._check_spectrum(t, w, q, lap, spectra.DEFAULT_TOL)  # healthy
+    _poison(what, w, q, lap, t)
+    with pytest.raises(InvariantViolationError, match=match):
+        spectra._check_spectrum(t, w, q, lap, spectra.DEFAULT_TOL)

@@ -27,7 +27,7 @@ from steklov_trees import (
     spectra_from_matrices,
     steklov_spectrum,
 )
-from steklov_trees import bounds, spectra, verify
+from steklov_trees import bounds, harmonic, spectra, verify
 from steklov_trees.cli import main
 from steklov_trees.config import DEFAULT_TOL
 
@@ -273,7 +273,9 @@ def test_an_assembly_failure_is_recorded_and_the_next_tree_checked(monkeypatch):
     c = rep.counter("dtn_invariants")
     assert (c.passed, c.failed, c.crashed) == (3, 0, 1)
     assert rep.failures == [{"trial": "random[1]", "check": "dtn_invariants",
-                             "detail": "ValueError: assembly bug", "crashed": "ValueError"}]
+                             "detail": "ValueError: assembly bug", "crashed": "ValueError",
+                             "replay": rep.failures[0]["replay"]}]
+    assert generate_family(rep.failures[0]["replay"]).edges == calls[1].edges
     # the broken tree stops at the assembly; the others go through every check
     assert rep.counter("tree_structure").passed == 4
     assert rep.counter("spectrum_invariants").passed == 3
@@ -346,8 +348,13 @@ def _checked_alone(cfg: VerifyConfig) -> verify.VerificationReport:
 
 def _same_counts_and_failures(a: verify.VerificationReport,
                               b: verify.VerificationReport) -> None:
+    """The counters and failures of ``a``, checked alone, and of ``b``, a run.
+
+    A run's failure entries also carry the tree's replay spec, which a
+    tree checked alone is not given.
+    """
     assert a.to_json_dict()["checks"] == b.to_json_dict()["checks"]
-    assert a.failures == b.failures
+    assert a.failures == [{k: v for k, v in f.items() if k != "replay"} for f in b.failures]
 
 
 def test_a_tree_checked_alone_reports_as_in_its_batch(monkeypatch):
@@ -457,3 +464,47 @@ def test_witness_chains_read_the_bound_table(monkeypatch):
     assert all(d.startswith("bound 0.0 measured ") for d in details)
     # the table's other entries are untouched
     assert rep.counter("bound_LAM2_VOLUME").failed == 0
+
+
+# -- replayable failures and non-finite assemblies ----------------------------------
+
+def test_each_failure_names_the_family_spec_that_rebuilds_its_tree(monkeypatch):
+    # the diameter chain fails on every tree, random and interior-3 alike
+    monkeypatch.setattr(verify, "diameter_test_function",
+                        _raiser(InvariantViolationError("forced")))
+    cfg = small_config(trials=4, interior3_trials=3)
+    rep = run_verification(cfg)
+    trees = list(_harness_trees(cfg.seed, cfg.trials, cfg.interior3_trials, cfg.max_n,
+                                cfg.max_degree))
+    entries = [f for f in rep.failures if f["check"] == "diameter_chain"]
+    assert [f["trial"] for f in entries] == [*(f"random[{i}]" for i in range(4)),
+                                             *(f"interior3[{i}]" for i in range(3))]
+    for f, t in zip(entries, trees):
+        spec = f["replay"]
+        family, size = (("RANDOM", "n") if f["trial"].startswith("random")
+                        else ("RANDOM_INTERIOR3", "n_target"))
+        assert sorted(spec) == sorted(["family", size, "max_degree", "seed"])
+        assert spec["family"] == family
+        assert generate_family(spec).edges == t.edges
+    # the spec survives the report's JSON
+    assert json.loads(json.dumps(rep.to_json_dict()))["failures"][0]["replay"] == \
+        entries[0]["replay"]
+
+
+def test_a_nan_assembly_fails_the_response_matrix_check(monkeypatch):
+    # boundary rows of NaN: the interior residual holds, the matrix does not
+    real = harmonic._laplacian
+
+    def nan_rows(b, vals):
+        out = real(b, vals)
+        out[b.boundary] = np.nan
+        return out
+
+    monkeypatch.setattr(harmonic, "_laplacian", nan_rows)
+    rep = run_verification(small_config(trials=3, interior3_trials=0))
+    c = rep.counter("dtn_invariants")
+    assert (c.passed, c.failed, c.crashed) == (0, 3, 0)
+    assert "spectrum_invariants" not in rep.counters
+    assert {f["check"] for f in rep.failures} == {"dtn_invariants"}
+    assert all(f["detail"].startswith("InvariantViolationError: response matrix")
+               for f in rep.failures)
