@@ -19,18 +19,18 @@ connectivity search walks the tree in Python.  When a check fails, a
 slower edge-by-edge (or line-by-line) pass names the same first fault,
 with the same message, as validating one edge at a time would.  The
 search's BFS order and parents from vertex 0 stay as a weakly held
-per-tree index: :func:`make_subtree` checks a part's connectivity in
-O(|part|) from the parents (with numpy masks on a large part, which
-also give the part's sorted id array), and :func:`diameter` reads both
-of its searches off the order and the parents, running none of its
-own.  The DFS preorder from vertex 0, with each
-subtree's slice ``[tin, tout)``, is derived from the same BFS order and
-parents on first use, with no search of its own: the partition descents
-read their sides off it, and :func:`_spine_labels` gives every vertex
-its place along a diameter path from the preorder slices of the path's
-vertices, for the diameter witness and :func:`branch_components`.  The
-one leaf-first elimination, :func:`_eliminate`, runs on the whole tree
-for the spectral count and on the interiors of a batch of trees for the
+per-tree index: :func:`make_subtree` checks a part's connectivity by
+reading one vertex mask at the parents, and the mask also gives the
+part's sorted id array; :func:`diameter` reads both of its searches off
+the order and the parents, running none of its own.  The DFS preorder
+from vertex 0, with each subtree's slice ``[tin, tout)``, is derived
+from the same BFS order and parents on first use, with no search of its
+own: the partition descents read their sides off it, and
+:func:`_spine_labels` gives every vertex its place along a diameter
+path from the preorder slices of the path's vertices, for the diameter
+witness and :func:`branch_components`.  The one leaf-first
+elimination, :func:`_eliminate`, runs on the whole tree for the
+spectral count and on the interiors of a batch of trees for the
 harmonic solver.
 """
 from __future__ import annotations
@@ -124,23 +124,21 @@ def per_tree_cache(fn: Callable[[BoundaryTree], _T]) -> Callable[[BoundaryTree],
 
 @dataclass(frozen=True, eq=False)
 class _RootedIndex:
-    """The tree rooted at vertex 0: BFS order and parents, boundary flags.
+    """The tree rooted at vertex 0: BFS order and parents.
 
     ``order`` and ``parent`` are the breadth-first search that
     :func:`build_tree` runs to check connectivity (vertex 0 is its own
-    parent); ``boundary`` flags each vertex that lies on the boundary.
+    parent).
     """
 
     order: list[int]
     parent: list[int]
-    boundary: list[bool]
 
 
 @per_tree_cache
 def _rooted_index(t: BoundaryTree) -> _RootedIndex:
     """The rooted index of ``t``; :func:`build_tree` stores it as it builds."""
-    order, parent = _bfs(t.neighbors, 0)
-    return _RootedIndex(order, parent, (t.boundary_pos >= 0).tolist())
+    return _RootedIndex(*_bfs(t.neighbors, 0))
 
 
 class _Preorder(NamedTuple):
@@ -448,7 +446,7 @@ def _tree_from_array(a: np.ndarray) -> BoundaryTree:
         neighbors=neighbors,
         boundary_pos=pos,
     )
-    _rooted_index.memo[t] = _RootedIndex(order, parent, leaf.tolist())
+    _rooted_index.memo[t] = _RootedIndex(order, parent)
     return t
 
 
@@ -537,35 +535,27 @@ def diameter(t: BoundaryTree) -> DiameterPath:
 class SubtreeRef:
     """A connected induced subtree of a parent tree.
 
+    ``ids`` is the vertex set as a read-only, ascending index array, the
+    one form that certificates and test functions read; ``vertices`` is
+    the same set as a frozenset, built from ``ids`` on each read.
     ``relative_boundary`` lists the vertices of the subtree that are
     boundary vertices *of the parent*; this is the correct notion for all
     partition arguments here (a spine vertex of degree 3 may be a leaf of
-    its branch yet is interior to the parent).  ``ids`` is the vertex set
-    as a read-only, ascending index array, the form that certificates and
-    test functions read; when it is not given it is derived from
-    ``vertices``.
+    its branch yet is interior to the parent).  Build parts with
+    :func:`make_subtree`, which checks them.
     """
 
     tree: BoundaryTree
-    vertices: frozenset[int]
+    ids: np.ndarray
     relative_boundary: tuple[int, ...]
-    ids: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.ids is None:
-            ids = np.array(sorted(self.vertices), dtype=np.intp)
-            ids.flags.writeable = False
-            object.__setattr__(self, "ids", ids)
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
-
-
-# an index array longer than this is counted by masks in numpy, anything
-# else by set lookups in Python: on a few vertices, each numpy call costs
-# more than the Python loop it replaces
-_SMALL_PART = 64
+        return len(self.ids)
 
 
 def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> SubtreeRef:
@@ -573,52 +563,36 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> Subtr
 
     An induced subgraph of a tree is a forest, so it is connected exactly
     when it has ``|vertices| - 1`` edges.  Rooted at vertex 0, those
-    edges join the members whose parent is also a member to that parent,
-    so counting such members takes O(|vertices|).  An integer index
-    array of more than ``_SMALL_PART`` entries, as the partition descents
-    return their large parts, is counted by masks in numpy, and the mask
-    gives the part's ascending ``ids``.  Other vertices are counted by set
-    lookups in Python: a frozenset is kept as it is (its members must be
-    Python ints), and any other iterable is converted.
+    edges join the members whose parent is also a member to that parent.
+    The vertices, an integer index array as the partition descents
+    return their parts or any iterable of ids (repeats allowed), are
+    scattered into one vertex mask: its nonzero positions are the part's
+    ascending ``ids``, and reading it at their parents (the rooted
+    index's) counts the members whose parent is a member.
     """
-    ids_in = isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"
-    large = ids_in and len(vertices) > _SMALL_PART
-    if large:
-        lo, hi = int(vertices.min()), int(vertices.max())
-    else:
-        if ids_in:
-            vs = frozenset(vertices.tolist())
-        else:
-            vs = vertices if type(vertices) is frozenset else frozenset(map(int, vertices))
-        if not vs:
-            raise BadVertexError("empty subtree")
-        ascending = sorted(vs)
-        lo, hi = ascending[0], ascending[-1]
+    if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"):
+        # object dtype for an id past int64, which the range check rejects
+        vertices = np.array([int(v) for v in vertices])
+    if not len(vertices):
+        raise BadVertexError("empty subtree")
+    lo, hi = int(vertices.min()), int(vertices.max())
     if lo < 0 or hi >= t.n:
         raise BadVertexError(f"vertex {lo if lo < 0 else hi!r} outside 0..{t.n - 1}")
-    # vertex 0 is its own parent, so it counts itself when it is a member
-    if large:
-        inside = np.zeros(t.n, dtype=bool)
-        inside[vertices] = True
-        ids = np.flatnonzero(inside)  # ascending, each vertex once
-        inner = int(np.count_nonzero(inside[_parent_ids(t)[ids]])) - int(inside[0])
-        rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
-        vs = frozenset(ids.tolist())
-    else:
-        idx = _rooted_index(t)
-        inner = sum(map(vs.__contains__, map(idx.parent.__getitem__, ascending))) - (lo == 0)
-        rb = tuple(filter(idx.boundary.__getitem__, ascending))
-        ids = np.array(ascending, dtype=np.intp)
-    if inner != len(vs) - 1:
+    inside = np.zeros(t.n + 1, dtype=bool)  # slot n is no vertex's
+    inside[vertices] = True
+    ids = inside.nonzero()[0]  # ascending, each vertex once
+    if np.count_nonzero(inside[_parent_ids(t)[ids]]) != len(ids) - 1:
         raise NotATreeError("vertex set does not induce a connected subtree")
     ids.flags.writeable = False
-    return SubtreeRef(t, vs, rb, ids)
+    return SubtreeRef(t, ids, tuple(ids[t.boundary_pos[ids] >= 0].tolist()))
 
 
 @per_tree_cache
 def _parent_ids(t: BoundaryTree) -> np.ndarray:
-    """The rooted index's parents as an index array."""
-    return np.array(_rooted_index(t).parent, dtype=np.intp)
+    """The rooted index's parents as an index array; vertex 0's is ``n``."""
+    parent = np.array(_rooted_index(t).parent, dtype=np.intp)
+    parent[0] = t.n
+    return parent
 
 
 def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[int]:
@@ -708,10 +682,9 @@ def branch_components(t: BoundaryTree, path: Iterable[int]) -> list[SubtreeRef]:
         raise NotAPathError("path does not realize the diameter")
 
     labels, _ = _spine_labels(t, p)
-    by_label = np.argsort(labels, kind="stable").tolist()
+    by_label = np.argsort(labels, kind="stable")
     stops = np.cumsum(np.bincount(labels, minlength=L + 1)).tolist()
-    return [make_subtree(t, frozenset(by_label[stops[k - 1]:stops[k]]))
-            for k in range(1, L)]
+    return [make_subtree(t, by_label[stops[k - 1]:stops[k]]) for k in range(1, L)]
 
 
 # -- serialization --------------------------------------------------------------

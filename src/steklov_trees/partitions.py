@@ -19,11 +19,11 @@ prefix sums.  The vertex set a descent works in is a length-``n`` bool
 mask; a descent returns its part as an index array, with which
 :func:`partition_k` clears the part from its remainder in place, and
 which :func:`.graph_core.make_subtree` turns into the part's sorted id
-array (``SubtreeRef.ids``) and, once, its frozenset.  Every reader of a
-certified part indexes with that array: the certificate check, the
-two-level and multiway functions and the certificate's JSON.  Each
-extraction takes O(n) numpy work and O(1) Python work per candidate
-side.  The diameter witness reads each vertex's place along the
+array (``SubtreeRef.ids``), the one form a part is stored in.  Every
+reader of a certified part indexes with that array: the certificate
+check, the two-level and multiway functions and the certificate's
+JSON.  Each extraction takes O(n) numpy work and O(1) Python work per
+candidate side.  The diameter witness reads each vertex's place along the
 diameter path off the same preorder (:func:`.graph_core._spine_labels`)
 and builds no subtree.
 :func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`

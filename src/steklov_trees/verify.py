@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from . import bounds as bnd
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadParamsError, InvariantViolationError, PartTooSmallError
-from .generators import gen_random_interior3, gen_random_tree
+from .generators import generate_family
 from .graph_core import BoundaryTree
 from .harmonic import dtn_matrices
 from .partitions import (
@@ -358,8 +358,8 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
 
     The random trees come first, then the interior-3 trees; each tree
     draws its size, degree cap and seed from one master RNG, in that
-    order.  Each failure entry carries, as ``replay``, the
-    :func:`.generators.generate_family` spec that rebuilds its tree.
+    order, and is built by :func:`.generators.generate_family` from the
+    spec that each of its failure entries carries as ``replay``.
     """
     cfg.validate()
     tol = cfg.tol
@@ -373,21 +373,20 @@ def run_verification(cfg: VerifyConfig = VerifyConfig()) -> VerificationReport:
         "bound_slack": tol.bound_slack,
     })
     master = random.Random(cfg.seed)
-    # label, generator, its family and size parameter, the smallest degree cap, count
-    families = (("random", gen_random_tree, "RANDOM", "n", 2, cfg.trials),
-                ("interior3", gen_random_interior3, "RANDOM_INTERIOR3", "n_target", 3,
-                 cfg.interior3_trials))
-    draws = ((name, i, gen, family, size, min_cap)
-             for name, gen, family, size, min_cap, count in families for i in range(count))
+    # label, family and its size parameter, the smallest degree cap, count
+    families = (("random", "RANDOM", "n", 2, cfg.trials),
+                ("interior3", "RANDOM_INTERIOR3", "n_target", 3, cfg.interior3_trials))
+    draws = ((name, i, family, size, min_cap)
+             for name, family, size, min_cap, count in families for i in range(count))
 
     def drawn() -> Iterator[tuple[BoundaryTree, str, bool, dict]]:
-        for trial, (name, i, gen, family, size, min_cap) in enumerate(draws):
+        for trial, (name, i, family, size, min_cap) in enumerate(draws):
             n = master.randint(5, cfg.max_n)
             cap = master.randint(min_cap, cfg.max_degree)
-            seed = master.getrandbits(63)
-            # the spec that generate_family rebuilds the same tree from
-            spec = {"family": family, size: n, "max_degree": cap, "seed": seed}
-            yield gen(n, cap, seed), f"{name}[{i}]", trial % cfg.oracle_stride == 0, spec
+            spec = {"family": family, size: n, "max_degree": cap,
+                    "seed": master.getrandbits(63)}
+            # each tree is built from the spec its failures replay
+            yield generate_family(spec), f"{name}[{i}]", trial % cfg.oracle_stride == 0, spec
 
     for batch in _batches(drawn()):
         outcomes = _dense_route([t for t, *_ in batch], tol)

@@ -479,7 +479,7 @@ def make_subtree_oracle(t, vertices) -> SubtreeRef:
         raise NotATreeError("vertex set does not induce a connected subtree")
     ids = np.flatnonzero(mask)
     rb = tuple(ids[t.boundary_pos[ids] >= 0].tolist())
-    return SubtreeRef(tree=t, vertices=vs, relative_boundary=rb)
+    return SubtreeRef(tree=t, ids=ids, relative_boundary=rb)
 
 
 # -- pencil count -----------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_tree_from_text_cases_match_oracle(text):
 
 @given(edges=tree_edges(max_n=200), data=st.data())
 def test_make_subtree_matches_mask_oracle(edges, data):
-    # up to 200 vertices, so parts fall on both sides of _SMALL_PART
+    # up to 200 vertices, so parts run from one vertex to large ones
     t = build_tree(edges)
     if data.draw(st.booleans()):
         # a connected part: the side of one end of a random edge
@@ -296,7 +296,7 @@ def test_make_subtree_matches_mask_oracle(edges, data):
     lambda t: list(range(0, t.n, 2)),
 ], ids=["empty", "negative", "past-n", "without-an-interior-vertex", "every-other"])
 def test_make_subtree_index_array_raises_as_the_set_does(pick):
-    # 200 vertices: the arrays beyond _SMALL_PART go through the numpy count
+    # the ids as a reversed index array name the same first fault as the set
     t = gen_random_tree(200, 4, 1)
     given_vs = pick(t)
     with pytest.raises((BadVertexError, NotATreeError)) as as_set:
@@ -305,10 +305,18 @@ def test_make_subtree_index_array_raises_as_the_set_does(pick):
         make_subtree(t, np.array(given_vs[::-1], dtype=np.int64))
 
 
-def test_subtree_ref_derives_its_ids_from_its_vertices(ball32):
-    ref = graph_core.SubtreeRef(ball32, frozenset({7, 2, 6}), (6, 7))
+def test_make_subtree_names_an_id_past_int64(ball32):
+    for given_vs, bad in (([2, 2**70], 2**70), ([-2**70, 2], -2**70)):
+        with pytest.raises(BadVertexError, match=f"^vertex {bad} outside 0..9$"):
+            make_subtree(ball32, given_vs)
+
+
+def test_subtree_ref_derives_its_vertices_from_its_ids(ball32):
+    ref = make_subtree(ball32, [7, 2, 6, 7])
     assert ref.ids.tolist() == [2, 6, 7]
     assert not ref.ids.flags.writeable
+    assert ref.vertices == frozenset({2, 6, 7}) and ref.size == 3
+    assert [f.name for f in dataclasses.fields(ref)] == ["tree", "ids", "relative_boundary"]
 
 
 def test_rooted_index_is_the_connectivity_search_and_dies_with_its_tree():
@@ -316,9 +324,8 @@ def test_rooted_index_is_the_connectivity_search_and_dies_with_its_tree():
     idx = graph_core._rooted_index(t)
     assert graph_core._rooted_index(t) is idx  # stored by build_tree, not searched again
     assert (idx.order, idx.parent) == graph_core._bfs(t.neighbors, 0)
-    assert idx.boundary == [t.is_boundary(v) for v in range(t.n)]
     lazy = graph_core._rooted_index(dataclasses.replace(t))
-    assert (lazy.order, lazy.parent, lazy.boundary) == (idx.order, idx.parent, idx.boundary)
+    assert (lazy.order, lazy.parent) == (idx.order, idx.parent)
     refs = weakref.ref(t), weakref.ref(idx)
     del t, idx, lazy
     gc.collect()

@@ -116,7 +116,7 @@ def test_certificate_validate_catches_tampering(ball32):
     wrong_boundary = PartitionCertificate(
         tree=ball32,
         removed_edges=good.removed_edges,
-        parts=(SubtreeRef(ball32, part.vertices, (4, 5, 6)),),
+        parts=(SubtreeRef(ball32, part.ids, (4, 5, 6)),),
         fractions=(Fraction(1, 2),),
         interval=good.interval,
     )
@@ -137,7 +137,7 @@ def test_certificate_validate_catches_tampering(ball32):
     disconnected = PartitionCertificate(
         tree=ball32,
         removed_edges=((1, 4),),
-        parts=(SubtreeRef(ball32, frozenset({4, 6}), (4, 6)),),
+        parts=(SubtreeRef(ball32, np.array([4, 6]), (4, 6)),),
         fractions=(Fraction(1, 3),),
         interval=good.interval,
     )
@@ -147,7 +147,7 @@ def test_certificate_validate_catches_tampering(ball32):
     outside = PartitionCertificate(
         tree=ball32,
         removed_edges=((1, 4),),
-        parts=(SubtreeRef(ball32, frozenset({4, 10}), (4,)),),
+        parts=(SubtreeRef(ball32, np.array([4, 10]), (4,)),),
         fractions=(Fraction(1, 6),),
         interval=(Fraction(1, 6), Fraction(1, 2)),
     )
@@ -157,7 +157,7 @@ def test_certificate_validate_catches_tampering(ball32):
     negative = PartitionCertificate(
         tree=ball32,
         removed_edges=((1, 4),),
-        parts=(SubtreeRef(ball32, frozenset({-1, 4}), (4,)),),
+        parts=(SubtreeRef(ball32, np.array([-1, 4]), (4,)),),
         fractions=(Fraction(1, 6),),
         interval=(Fraction(1, 6), Fraction(1, 2)),
     )
@@ -173,6 +173,16 @@ def test_certificate_validate_catches_tampering(ball32):
     )
     with pytest.raises(InvariantViolationError, match="not pairwise disjoint"):
         overlap.validate()
+    # the part {2, 6, 7} with one of its ids twice: two edges for four ids
+    repeated = PartitionCertificate(
+        tree=ball32,
+        removed_edges=good.removed_edges,
+        parts=(SubtreeRef(ball32, np.array([2, 6, 6, 7]), part.relative_boundary),),
+        fractions=good.fractions,
+        interval=good.interval,
+    )
+    with pytest.raises(InvariantViolationError, match="connected"):
+        repeated.validate()
 
 
 @given(n=st.integers(4, 50), cap=st.integers(2, 6), seed=st.integers(0, 2**32))
