@@ -7,6 +7,17 @@ always reproduces the same edge list bit for bit.  The degree-capped
 random tree draws its Prüfer attempts a block at a time from the
 generator's word stream, and gives the tree that drawing one
 ``randrange`` value at a time gives.
+
+Every generator hands :func:`build_tree` one ``(m, 2)`` int64 edge
+array and builds no Python tuple per edge.  Every tree but the Prüfer
+tree and the random path numbers each vertex after its parent, so its
+edges are ``(parent[i], i + 1)`` (:func:`_parent_edges`): the ball's
+parents and depths come from numpy (:func:`_ball_parents`), the refined
+ball's from the ball's, the path's from ``np.arange``, and the
+interior-3 growth, the capped tree's fallback and the extremal shapes
+append ints to one parent list.  The Prüfer decode collects the two
+ends of its edges as int lists, and the random path pairs a shuffled
+vertex array with itself shifted by one.
 """
 from __future__ import annotations
 
@@ -24,28 +35,29 @@ from .errors import (
 from .graph_core import BoundaryTree, build_tree
 from .spectra import steklov_eigenvalue_bisect
 
-Edge = tuple[int, int]
 
+def _parent_edges(parent) -> np.ndarray:
+    """The edges ``(parent[i], i + 1)`` as an ``(m, 2)`` int64 array.
 
-def _ball_edges(d: int, r: int) -> list[Edge]:
-    """Edges of the radius-``r`` ball in the degree-``d`` tree, breadth-first.
-
-    Each edge is ``(parent, child)``; ids are breadth-first from the
-    center (id 0), so a parent always precedes its children.
+    For a tree that numbers each vertex after its parent, ``parent``
+    lists the parents of vertices ``1 .. m`` in order.
     """
-    edges: list[Edge] = []
-    level = [0]
-    nxt = 1
-    for depth in range(r):
-        new_level = []
-        for v in level:
-            fanout = d if depth == 0 else d - 1
-            for _ in range(fanout):
-                edges.append((v, nxt))
-                new_level.append(nxt)
-                nxt += 1
-        level = new_level
-    return edges
+    p = np.asarray(parent, dtype=np.int64)
+    return np.column_stack((p, np.arange(1, len(p) + 1)))
+
+
+def _ball_parents(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parents of vertices ``1 ..`` of the radius-``r`` ball in the degree-``d`` tree.
+
+    Ids are breadth-first from the center (id 0): the center's ``d``
+    children come first, then, vertex by vertex in id order, the ``d - 1``
+    children of each vertex above depth ``r``.  Also returns each vertex's
+    depth.
+    """
+    sizes = [1, *(d * (d - 1) ** k for k in range(r))]  # vertices per depth
+    parent = np.concatenate((np.zeros(d, dtype=np.int64),
+                             np.repeat(np.arange(1, sum(sizes[:-1])), d - 1)))
+    return parent, np.repeat(np.arange(r + 1), sizes)
 
 
 def gen_ball(d: int, r: int) -> BoundaryTree:
@@ -57,7 +69,7 @@ def gen_ball(d: int, r: int) -> BoundaryTree:
     """
     if d < 3 or r < 1:
         raise BadParamsError(f"ball needs degree >= 3 and radius >= 1, got ({d}, {r})")
-    return build_tree(_ball_edges(d, r))
+    return build_tree(_parent_edges(_ball_parents(d, r)[0]))
 
 
 def gen_refined(l: int) -> BoundaryTree:
@@ -66,28 +78,26 @@ def gen_refined(l: int) -> BoundaryTree:
     The edge from depth ``k`` to depth ``k+1`` is subdivided by ``k``
     extra vertices (edges at the center, ``k = 0``, stay single), which
     stretches the tree radially while keeping the same boundary.  Extra
-    ids follow the ball's, in the ball's edge order.
+    ids follow the ball's, in the ball's edge order, each edge's extras
+    numbered from its upper end down.
     """
     if l < 2:
         raise BadParamsError(f"refined ball needs radius >= 2, got {l}")
-    ball = _ball_edges(3, l)
-    nxt = len(ball) + 1
-    depth = [0] * nxt
-    edges: list[Edge] = []
-    for parent, child in ball:
-        k = depth[parent]  # the edge down from depth k gets k extra vertices
-        depth[child] = k + 1
-        chain = [parent, *range(nxt, nxt + k), child]
-        nxt += k
-        edges.extend(zip(chain, chain[1:]))
-    return build_tree(edges)
+    ball, depth = _ball_parents(3, l)
+    k = depth[ball]  # the edge down to ball vertex i + 1 gets k[i] extra vertices
+    ends = len(depth) + np.cumsum(k)  # one past the last extra id of each edge
+    chained = k > 0
+    parent = np.arange(ends[-1] - 1)  # an extra hangs from the id before it,
+    parent[ends[chained] - k[chained] - 1] = ball[chained]  # the first from the ball,
+    parent[:len(ball)] = np.where(chained, ends - 1, ball)  # a ball vertex from its last
+    return build_tree(_parent_edges(parent))
 
 
 def gen_path(length: int) -> BoundaryTree:
     """Path with ``length`` edges, vertices ``0 .. length`` in a line."""
     if length < 2:
         raise BadParamsError(f"path needs length >= 2, got {length}")
-    return build_tree([(i, i + 1) for i in range(length)])
+    return build_tree(_parent_edges(np.arange(length)))
 
 
 # -- extremal middle-attachment caterpillars ------------------------------------------
@@ -110,13 +120,11 @@ def _rooted_shapes(n: int) -> tuple[tuple, ...]:
     return tuple(sorted(found))
 
 
-def _attach_shape(edges: list[Edge], root: int, shape: tuple, next_id: int) -> int:
+def _attach_shape(parent: list[int], root: int, shape: tuple) -> None:
+    """Hang ``shape`` below ``root``, numbering its vertices on from ``len(parent) + 1``."""
     for child in shape:
-        edges.append((root, next_id))
-        cid = next_id
-        next_id += 1
-        next_id = _attach_shape(edges, cid, child, next_id)
-    return next_id
+        parent.append(root)
+        _attach_shape(parent, len(parent), child)
 
 
 _EXTREMAL_SIZES = {"A": 3, "B": 7}
@@ -133,14 +141,14 @@ def gen_extremal_middle(length: int, variant: str, lhat: int | None = None) -> B
     attains the extremal value ``lambda_2 = 2/L`` (the target shapes are
     only characterized by that property); C builds its single shape and
     validates it the same way.  The search runs once per parameter set;
-    every call builds a fresh tree from its remembered edge list.
+    every call builds a fresh tree from its remembered edge array.
     """
     return build_tree(_extremal_edges(length, variant, lhat))
 
 
 @lru_cache(maxsize=None)
-def _extremal_edges(length: int, variant: str, lhat: int | None) -> tuple[Edge, ...]:
-    """Edge list of :func:`gen_extremal_middle`'s tree (the shape search)."""
+def _extremal_edges(length: int, variant: str, lhat: int | None) -> np.ndarray:
+    """Read-only edge array of :func:`gen_extremal_middle`'s tree (the shape search)."""
     if length % 2 != 0 or length < 2:
         raise BadParamsError(f"spine length must be even and >= 2, got {length}")
     mid = length // 2
@@ -165,36 +173,35 @@ def _extremal_edges(length: int, variant: str, lhat: int | None) -> tuple[Edge, 
     else:
         raise BadParamsError(f"unknown variant {variant!r}")
 
-    spine = [(i, i + 1) for i in range(length)]
     for shape in candidates:
-        edges = list(spine)
-        _attach_shape(edges, mid, shape, length + 1)
+        parent = list(range(length))  # the spine
+        _attach_shape(parent, mid, shape)
+        edges = _parent_edges(parent)
         lam2 = steklov_eigenvalue_bisect(build_tree(edges), 2)
         if abs(lam2 - 2.0 / length) <= 1e-9:
-            return tuple(edges)
+            edges.flags.writeable = False
+            return edges
     raise NoExtremalShapeFoundError(
         f"no variant-{variant} attachment at L={length} reaches 2/L")
 
 
 # -- random families -------------------------------------------------------------------
 
-def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
+def _prufer_decode(seq: list[int], n: int) -> np.ndarray:
+    """The edges ``(leaf, s)`` of a Prüfer sequence, then the last two leaves."""
     deg = [1] * n
     for s in seq:
         deg[s] += 1
     leaves = [v for v in range(n) if deg[v] == 1]
     heapq.heapify(leaves)
-    edges: list[Edge] = []
+    ends: list[int] = []  # the leaf ends, in edge order
     for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
+        ends.append(heapq.heappop(leaves))
         deg[s] -= 1
         if deg[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
+    ends.append(heapq.heappop(leaves))
+    return np.array((ends, [*seq, heapq.heappop(leaves)]), dtype=np.int64).T
 
 
 _PRUFER_DRAW_CAP = 10 ** 6
@@ -279,7 +286,8 @@ def gen_random_tree(n: int, max_degree: int, seed: int) -> BoundaryTree:
     if max_degree == 2:
         perm = list(range(n))
         rng.shuffle(perm)
-        return build_tree([(perm[i], perm[i + 1]) for i in range(n - 1)])
+        p = np.array(perm, dtype=np.int64)
+        return build_tree(np.column_stack((p[:-1], p[1:])))
 
     seq, words = _prufer_draw(rng, n, max_degree)
     if seq is not None:
@@ -289,15 +297,15 @@ def gen_random_tree(n: int, max_degree: int, seed: int) -> BoundaryTree:
     rng.seed(seed)
     for skip in range(0, words, _SKIP_WORDS):
         rng.getrandbits(32 * min(_SKIP_WORDS, words - skip))
-    edges: list[Edge] = []
+    parent: list[int] = []
     deg = [0] * n
     for v in range(1, n):
         open_slots = [u for u in range(v) if deg[u] < max_degree]
         u = rng.choice(open_slots)
-        edges.append((u, v))
+        parent.append(u)
         deg[u] += 1
         deg[v] += 1
-    return build_tree(edges)
+    return build_tree(_parent_edges(parent))
 
 
 def gen_random_interior3(n_target: int, max_degree: int, seed: int) -> BoundaryTree:
@@ -313,7 +321,7 @@ def gen_random_interior3(n_target: int, max_degree: int, seed: int) -> BoundaryT
     if n_target < 1:
         raise BadParamsError(f"need a positive target size, got {n_target}")
     rng = random.Random(seed)
-    edges: list[Edge] = [(0, 1), (0, 2), (0, 3)]
+    parent = [0, 0, 0]
     leaves = [1, 2, 3]
     n = 4
     while n < n_target:
@@ -322,11 +330,10 @@ def gen_random_interior3(n_target: int, max_degree: int, seed: int) -> BoundaryT
         leaves[idx] = leaves[-1]
         leaves.pop()
         fanout = rng.randint(2, max_degree - 1)
-        for _ in range(fanout):
-            edges.append((v, n))
-            leaves.append(n)
-            n += 1
-    return build_tree(edges)
+        parent += [v] * fanout
+        leaves += range(n, n + fanout)
+        n += fanout
+    return build_tree(_parent_edges(parent))
 
 
 # -- family dispatch -------------------------------------------------------------------

@@ -11,27 +11,30 @@ sorted, searches visit vertices in ascending id order, and tie-breaking
 rules are written out explicitly.  This determinism is load-bearing; the
 verification harness freezes byte-identical reports for fixed seeds.
 
-Input goes through one int64 edge array.  :func:`build_tree` unpacks the
-pairs and checks their types in one light pass; :func:`tree_from_text`
-converts the whole text into the array at once.  Validation, degrees,
-sorted edges and neighbor lists are then vectorized; only the
-connectivity search walks the tree in Python.  When a check fails, a
-slower edge-by-edge (or line-by-line) pass names the same first fault,
-with the same message, as validating one edge at a time would.  The
-search's BFS order and parents from vertex 0 stay as a weakly held
-per-tree index: :func:`make_subtree` checks a part's connectivity by
-reading one vertex mask at the parents, and the mask also gives the
-part's sorted id array; :func:`diameter` reads both of its searches off
-the order and the parents, running none of its own.  The DFS preorder
-from vertex 0, with each subtree's slice ``[tin, tout)``, is derived
-from the same BFS order and parents on first use, with no search of its
-own: the partition descents read their sides off it, and
-:func:`_spine_labels` gives every vertex its place along a diameter
-path from the preorder slices of the path's vertices, for the diameter
-witness and :func:`branch_components`.  The one leaf-first
-elimination, :func:`_eliminate`, runs on the whole tree for the
-spectral count and on the interiors of a batch of trees for the
-harmonic solver.
+Input goes through one int64 edge array.  :func:`build_tree` takes a
+signed-integer ``(m, 2)`` array as it is (the generators hand it one),
+and unpacks any other edge list, checking the pairs' types in one light
+pass; :func:`tree_from_text` converts the whole text into the array at
+once and hands it to :func:`build_tree`.  Validation, degrees, sorted
+edges and neighbor lists are then vectorized; only the connectivity
+search walks the tree in Python.  A tree stores its sorted edges as the
+two int64 arrays ``edge_u`` and ``edge_v``; the tuple of pairs ``edges``
+is derived from them on first read, which the bounds and sweep routes
+never make.  When a check fails, a slower edge-by-edge (or line-by-line)
+pass names the same first fault, with the same message, as validating
+one edge at a time would.  The search's BFS order and parents from
+vertex 0 stay as a weakly held per-tree index: :func:`make_subtree`
+checks a part's connectivity by reading one vertex mask at the parents,
+and the mask also gives the part's sorted id array; :func:`diameter`
+reads both of its searches off the order and the parents, running none
+of its own.  The DFS preorder from vertex 0, with each subtree's slice
+``[tin, tout)``, is derived from the same BFS order and parents on first
+use, with no search of its own: the partition descents read their sides
+off it, and :func:`_spine_labels` gives every vertex its place along a
+diameter path from the preorder slices of the path's vertices, for the
+diameter witness and :func:`branch_components`.  The one leaf-first
+elimination, :func:`_eliminate`, runs on the whole tree for the spectral
+count and on the interiors of a batch of trees for the harmonic solver.
 """
 from __future__ import annotations
 
@@ -65,20 +68,22 @@ class BoundaryTree:
 
     Attributes:
         n: number of vertices; ids are exactly ``0..n-1``.
-        edges: the ``n-1`` edges as ``(min, max)`` pairs in lexicographic
-            order.
+        edge_u, edge_v: the ``n-1`` edges as int64 arrays of their smaller
+            and larger ends, in lexicographic order: the stored form of
+            the edge list.
+        edges: the same edges as ``(min, max)`` pairs, derived from
+            ``edge_u`` and ``edge_v`` on first read.
         boundary: degree-one vertices, ascending.
         interior: the complement, ascending.
         max_degree: maximum vertex degree ``D``.
 
-    The numpy members are precomputed conveniences for the solvers and
-    carry no information beyond ``edges``.  Do not construct instances
-    directly; go through :func:`build_tree`, which performs all
+    The other numpy members are precomputed conveniences for the solvers
+    and carry no information beyond the edge arrays.  Do not construct
+    instances directly; go through :func:`build_tree`, which performs all
     validation.
     """
 
     n: int
-    edges: tuple[Edge, ...]
     boundary: tuple[int, ...]
     interior: tuple[int, ...]
     max_degree: int
@@ -87,6 +92,17 @@ class BoundaryTree:
     edge_v: np.ndarray = field(repr=False)
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     boundary_pos: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+
+    @functools.cached_property
+    def _boundary_ids(self) -> np.ndarray:
+        """``boundary`` as a read-only int64 array, for gathers."""
+        ids = np.array(self.boundary, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     @property
     def n_boundary(self) -> int:
@@ -358,12 +374,13 @@ def _raise_shape_fault(lo: np.ndarray, hi: np.ndarray) -> NoReturn:
     raise NotATreeError("graph is disconnected")
 
 
-def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
+def build_tree(edges: Iterable[Edge] | np.ndarray) -> BoundaryTree:
     """Validate an edge list and build a :class:`BoundaryTree`.
 
     Python and numpy integers are ids; ``bool`` and every other type are
-    not.  One pass unpacks the pairs; everything after the conversion to
-    an int64 array is vectorized.
+    not.  A signed-integer ``(m, 2)`` array is taken as the int64 edge
+    array at once; any other input is unpacked pair by pair in one pass.
+    Everything after the conversion to an int64 array is vectorized.
 
     Raises:
         MalformedError: self-loop, duplicate edge, non-integer or negative
@@ -372,6 +389,8 @@ def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
         NotATreeError: edge count is not ``n-1`` or the graph is
             disconnected.
     """
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "i" and edges.shape[1:] == (2,):
+        return _tree_from_array(np.asarray(edges, dtype=np.int64))
     pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
     try:
         flat = [x for u, v in pairs for x in (u, v)]
@@ -385,6 +404,8 @@ def build_tree(edges: Iterable[Edge]) -> BoundaryTree:
 
 def _tree_from_array(a: np.ndarray) -> BoundaryTree:
     """Build a tree from an ``(m, 2)`` int64 array of edges in input order.
+
+    The array is only read; the tree holds none of its memory.
 
     The checks here certify a tree: no self-loop or negative id, ids
     ``0..m`` all present, and every vertex reached from vertex 0 (a
@@ -436,7 +457,6 @@ def _tree_from_array(a: np.ndarray) -> BoundaryTree:
 
     t = BoundaryTree(
         n=n,
-        edges=tuple(zip(lo.tolist(), hi.tolist())),
         boundary=tuple(boundary.tolist()),
         interior=tuple((~leaf).nonzero()[0].tolist()),
         max_degree=int(deg.max()),
@@ -694,13 +714,13 @@ def tree_from_text(text: str) -> BoundaryTree:
 
     The whole text is checked and converted at once (see
     :func:`_edge_array`).  Only when that fails does a line-by-line pass
-    run, to name the first bad line.
+    run, to name the first bad line.  The array goes to :func:`build_tree`.
     """
     try:
         a = _edge_array(text)
     except (ValueError, OverflowError):
         _raise_text_fault(text)
-    return _tree_from_array(a)
+    return build_tree(a)
 
 
 def _edge_array(text: str) -> np.ndarray:

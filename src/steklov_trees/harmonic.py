@@ -70,7 +70,7 @@ class VertexFunction:
         object.__setattr__(self, "values", vals)
 
     def boundary_values(self) -> np.ndarray:
-        return self.values[self.tree.boundary_pos >= 0]  # ascending ids
+        return self.values[self.tree._boundary_ids]  # ascending ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +102,7 @@ def normal_derivative(f: VertexFunction) -> BoundaryFunction:
     vertex has degree one and its single neighbor is interior.
     """
     lap = laplacian_apply(f)
-    return BoundaryFunction(f.tree, lap.values[np.array(f.tree.boundary)])
+    return BoundaryFunction(f.tree, lap.values[f.tree._boundary_ids])
 
 
 # a set of rows: a slice where consecutive, so that indexing makes no copy

@@ -134,7 +134,7 @@ def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
     are its boundary, so the boundary fills slots ``[0, m)`` (checked).
     """
     peel, _, levels = _eliminate((t,), np.zeros(t.n, dtype=bool), t.degrees)
-    if peel[:t.n_boundary].tolist() != list(t.boundary):
+    if not np.array_equal(peel[:t.n_boundary], t._boundary_ids):
         raise InvariantViolationError("the elimination does not peel the boundary first")
     return t.degrees[peel].astype(np.float64), levels
 
@@ -495,7 +495,7 @@ def _check_spectrum(
     # eigen-equation residual: normal derivative == lambda * boundary values
     interior_res = float(np.abs(lap[np.array(t.interior)]).max(initial=0.0))
     # residuals formed in place: two (m, m) buffers bound the extra memory
-    res = lap[np.array(t.boundary, dtype=np.int64), :]
+    res = lap[t._boundary_ids, :]
     buf = np.multiply(q, w)
     res -= buf
     eig_res = float(np.abs(res, out=res).max(initial=0.0))
@@ -602,7 +602,7 @@ def _span_rayleigh_max(t: BoundaryTree, basis: np.ndarray) -> float:
     a direction in which ``B`` (numerically) vanishes has ``R = +inf``.
     """
     diffs = basis[:, t.edge_u] - basis[:, t.edge_v]
-    bvals = basis[:, np.array(t.boundary, dtype=np.int64)]
+    bvals = basis[:, t._boundary_ids]
     w, v = np.linalg.eigh(bvals @ bvals.T)
     if float(w[0]) <= 1e-12 * float(w[-1]):
         return float("inf")

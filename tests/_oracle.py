@@ -50,10 +50,17 @@ the brackets that replaced it.
 The literal double BFS, with the documented tie-breaks, is the reference
 for every byte of ``diameter``, which reads both searches off the
 rooted index.
+The generators' lists of edge pairs as they stood before each family
+handed ``build_tree`` one int64 array (the breadth-first ball, the
+refined ball's chain loop, the Prüfer decode, the interior-3 growth and
+the extremal shape search) are the reference for every field of the
+generated trees.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -80,10 +87,11 @@ from steklov_trees.graph_core import (
     SubtreeRef,
     _Preorder,
     _preorder,
+    _rooted_index,
     build_tree,
     diameter,
 )
-from steklov_trees.generators import _prufer_decode
+from steklov_trees.generators import _rooted_shapes
 from steklov_trees.harmonic import VertexFunction
 from steklov_trees.partitions import PartitionCertificate
 
@@ -435,9 +443,8 @@ def build_tree_oracle(edges) -> BoundaryTree:
     for i, b in enumerate(boundary):
         pos[b] = i
 
-    return BoundaryTree(
+    t = BoundaryTree(
         n=n,
-        edges=edges_sorted,
         boundary=boundary,
         interior=interior,
         max_degree=max(deg),
@@ -447,6 +454,25 @@ def build_tree_oracle(edges) -> BoundaryTree:
         neighbors=neighbors,
         boundary_pos=np.array(pos, dtype=np.int64),
     )
+    # ``edges`` is derived from the arrays; it must read back as the sorted pairs
+    assert t.edges == edges_sorted
+    return t
+
+
+def tree_record(t: BoundaryTree) -> list:
+    """Every field of ``t``, then ``edges`` and the rooted index, for comparison.
+
+    ``repr`` tells ``np.int64`` from ``int`` inside tuples; arrays compare
+    by dtype, shape and bytes.
+    """
+    out = []
+    for name in [f.name for f in dataclasses.fields(t)] + ["edges"]:
+        x = getattr(t, name)
+        out.append((name, x.dtype.str, x.shape, x.tobytes())
+                   if isinstance(x, np.ndarray) else (name, repr(x)))
+    idx = _rooted_index(t)
+    out.append(("rooted index", repr(idx.order), repr(idx.parent)))
+    return out
 
 
 def tree_from_text_oracle(text: str) -> BoundaryTree:
@@ -1151,6 +1177,25 @@ def diameter_test_function_oracle(t: BoundaryTree) -> VertexFunction:
 _PRUFER_DRAW_CAP = 10 ** 6
 
 
+def _prufer_decode_pairs(seq: list[int], n: int) -> list[Edge]:
+    deg = [1] * n
+    for s in seq:
+        deg[s] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges: list[Edge] = []
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, s))
+        deg[s] -= 1
+        if deg[s] == 1:
+            heapq.heappush(leaves, s)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return edges
+
+
 def gen_random_tree_oracle(n: int, max_degree: int, seed: int) -> BoundaryTree:
     """Seeded uniform random tree, rejection-sampled to the degree cap.
 
@@ -1173,7 +1218,7 @@ def gen_random_tree_oracle(n: int, max_degree: int, seed: int) -> BoundaryTree:
         for s in seq:
             counts[s] += 1
         if max(counts) <= max_degree:
-            return build_tree(_prufer_decode(seq, n))
+            return build_tree(_prufer_decode_pairs(seq, n))
 
     edges: list[Edge] = []
     deg = [0] * n
@@ -1183,4 +1228,91 @@ def gen_random_tree_oracle(n: int, max_degree: int, seed: int) -> BoundaryTree:
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
+    return build_tree(edges)
+
+
+# -- generators' pair lists -------------------------------------------------------
+# each family's list of edge pairs as it stood before the generators handed
+# build_tree one int64 array, verbatim apart from their names; the trees go
+# through build_tree's pair path
+
+def ball_edges_oracle(d: int, r: int) -> list[Edge]:
+    edges: list[Edge] = []
+    level = [0]
+    nxt = 1
+    for depth in range(r):
+        new_level = []
+        for v in level:
+            fanout = d if depth == 0 else d - 1
+            for _ in range(fanout):
+                edges.append((v, nxt))
+                new_level.append(nxt)
+                nxt += 1
+        level = new_level
+    return edges
+
+
+def gen_refined_oracle(l: int) -> BoundaryTree:
+    ball = ball_edges_oracle(3, l)
+    nxt = len(ball) + 1
+    depth = [0] * nxt
+    edges: list[Edge] = []
+    for parent, child in ball:
+        k = depth[parent]  # the edge down from depth k gets k extra vertices
+        depth[child] = k + 1
+        chain = [parent, *range(nxt, nxt + k), child]
+        nxt += k
+        edges.extend(zip(chain, chain[1:]))
+    return build_tree(edges)
+
+
+def gen_path_oracle(length: int) -> BoundaryTree:
+    return build_tree([(i, i + 1) for i in range(length)])
+
+
+def _attach_shape_oracle(edges: list[Edge], root: int, shape: tuple, next_id: int) -> int:
+    for child in shape:
+        edges.append((root, next_id))
+        cid = next_id
+        next_id += 1
+        next_id = _attach_shape_oracle(edges, cid, child, next_id)
+    return next_id
+
+
+def gen_extremal_middle_oracle(length: int, variant: str, lhat: int | None = None
+                               ) -> BoundaryTree:
+    """The shape search on pair lists; valid parameters only."""
+    mid = length // 2
+    if variant == "C":
+        brush: tuple = ()
+        for _ in range(lhat - 1):
+            brush = (brush, brush)
+        candidates = ((brush,),)
+    else:
+        candidates = _rooted_shapes({"A": 3, "B": 7}[variant])
+    spine = [(i, i + 1) for i in range(length)]
+    for shape in candidates:
+        edges = list(spine)
+        _attach_shape_oracle(edges, mid, shape, length + 1)
+        lam2 = spectra.steklov_eigenvalue_bisect(build_tree(edges), 2)
+        if abs(lam2 - 2.0 / length) <= 1e-9:
+            return build_tree(edges)
+    raise AssertionError(f"no variant-{variant} attachment at L={length} reaches 2/L")
+
+
+def gen_random_interior3_oracle(n_target: int, max_degree: int, seed: int) -> BoundaryTree:
+    rng = random.Random(seed)
+    edges: list[Edge] = [(0, 1), (0, 2), (0, 3)]
+    leaves = [1, 2, 3]
+    n = 4
+    while n < n_target:
+        idx = rng.randrange(len(leaves))
+        v = leaves[idx]
+        leaves[idx] = leaves[-1]
+        leaves.pop()
+        fanout = rng.randint(2, max_degree - 1)
+        for _ in range(fanout):
+            edges.append((v, n))
+            leaves.append(n)
+            n += 1
     return build_tree(edges)

@@ -237,6 +237,16 @@ def test_decay_short_family_fails_threshold():
     assert not rep.passed
 
 
+def test_bounds_and_decay_never_read_the_edge_pairs():
+    # the pairs are derived on first read; the large-tree routes run on the arrays
+    t = gen_random_interior3(3000, 5, 11)
+    small = gen_ball(3, 3)
+    reports = audit(t, (3, 5))
+    assert all(r.holds for r in reports if r.preconditions_met)
+    assert asymptotic_decay_check([small, t]).decreasing
+    assert "edges" not in vars(t) and "edges" not in vars(small)
+
+
 def test_decay_rejects_bad_families(ball32):
     with pytest.raises(ValueError):
         asymptotic_decay_check([ball32])

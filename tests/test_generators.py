@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +27,15 @@ from steklov_trees import (
 from steklov_trees import generators
 
 import _oracle
-from _oracle import gen_random_tree_oracle
+from _oracle import (
+    ball_edges_oracle,
+    gen_extremal_middle_oracle,
+    gen_path_oracle,
+    gen_random_interior3_oracle,
+    gen_random_tree_oracle,
+    gen_refined_oracle,
+    tree_record,
+)
 
 
 def ball_size(d: int, r: int) -> int:
@@ -229,9 +238,72 @@ def test_random_tree_falls_back_at_the_same_attempt(draw_cap, monkeypatch):
     for seed in range(25):
         for n, cap in ((12, 3), (40, 3), (60, 3), (60, 4)):
             fell_back += generators._prufer_draw(random.Random(seed), n, cap)[0] is None
-            assert gen_random_tree(n, cap, seed).edges == \
-                gen_random_tree_oracle(n, cap, seed).edges
+            assert tree_record(gen_random_tree(n, cap, seed)) == \
+                tree_record(gen_random_tree_oracle(n, cap, seed))
     assert fell_back  # some seeds use up every attempt at these caps
+
+
+# -- generated trees against the pair-list trees -------------------------------------
+# every field, the derived edges and the rooted index, arrays by dtype and bytes
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_ball_is_the_pair_list_tree(d, r):
+    t = gen_ball(d, r)
+    assert tree_record(t) == tree_record(generators.build_tree(ball_edges_oracle(d, r)))
+    assert t.n == ball_size(d, r)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7])
+def test_refined_is_the_pair_list_tree(l):
+    assert tree_record(gen_refined(l)) == tree_record(gen_refined_oracle(l))
+
+
+def test_path_is_the_pair_list_tree():
+    for length in range(2, 201):
+        assert tree_record(gen_path(length)) == tree_record(gen_path_oracle(length))
+
+
+@pytest.mark.parametrize("length,variant,lhat", [
+    (2, "A", None), (4, "A", None), (8, "A", None), (6, "B", None), (10, "B", None),
+    (2, "C", 1), (6, "C", 2), (14, "C", 3)])
+def test_extremal_is_the_pair_list_tree(length, variant, lhat):
+    t = gen_extremal_middle(length, variant, lhat)
+    assert tree_record(t) == tree_record(gen_extremal_middle_oracle(length, variant, lhat))
+    assert not generators._extremal_edges(length, variant, lhat).flags.writeable
+
+
+def test_random_tree_is_the_pair_list_tree():
+    draws = _harness_draws(3, 300)
+    assert {cap for _, cap, _ in draws} == {2, 3, 4, 5, 6}
+    for n, cap, seed in draws:
+        assert tree_record(gen_random_tree(n, cap, seed)) == \
+            tree_record(gen_random_tree_oracle(n, cap, seed))
+
+
+def test_random_interior3_is_the_pair_list_tree():
+    for seed in range(100):
+        n_target, cap = 1 + (seed * 37) % 300, 3 + seed % 4
+        assert tree_record(gen_random_interior3(n_target, cap, seed)) == \
+            tree_record(gen_random_interior3_oracle(n_target, cap, seed))
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "BALL", "D": 3, "r": 3}, {"family": "REFINED", "l": 3},
+    {"family": "PATH", "L": 5}, {"family": "EXTREMAL_MIDDLE", "L": 6, "variant": "B"},
+    {"family": "RANDOM", "n": 20, "max_degree": 2, "seed": 1},
+    {"family": "RANDOM", "n": 20, "max_degree": 4, "seed": 1},
+    {"family": "RANDOM_INTERIOR3", "n_target": 20, "max_degree": 4, "seed": 1}])
+def test_generators_hand_build_tree_one_int64_array(spec, monkeypatch):
+    seen = []
+    real = generators.build_tree
+    monkeypatch.setattr(generators, "build_tree", lambda a: seen.append(a) or real(a))
+    generators._extremal_edges.cache_clear()
+    t = generate_family(spec)
+    assert seen
+    for a in seen:
+        assert type(a) is np.ndarray and a.dtype == np.int64 and a.shape[1:] == (2,)
+    assert seen[-1].shape == (t.n - 1, 2)
 
 
 def test_random_interior3_rejects():

@@ -38,6 +38,7 @@ from _oracle import (
     diameter_oracle,
     make_subtree_oracle,
     tree_from_text_oracle,
+    tree_record,
 )
 from conftest import BALL32_EDGES, CATERPILLAR_EDGES, PATH4_EDGES, shapes
 
@@ -117,18 +118,16 @@ def tree_edges(draw, max_n: int = 40) -> list[tuple[int, int]]:
 
 
 def outcome(fn, arg):
-    """``("tree", every field)`` on success, else the exception type and message."""
+    """``("tree", every field and edges)`` on success, else the exception type and message.
+
+    ``edges`` is no dataclass field (it is derived from the edge arrays),
+    so :func:`tree_record` lists it explicitly, after the fields.
+    """
     try:
         t = fn(arg)
     except Exception as exc:  # the comparison is the point
         return type(exc).__name__, str(exc)
-    fields = []
-    for f in dataclasses.fields(t):
-        x = getattr(t, f.name)
-        # repr tells np.int64 from int inside tuples; arrays also carry their dtype
-        fields.append((f.name, x.dtype.str, x.shape, x.tolist())
-                      if isinstance(x, np.ndarray) else (f.name, repr(x)))
-    return "tree", fields
+    return "tree", tree_record(t)
 
 
 @given(edges=tree_edges(), data=st.data())
@@ -146,6 +145,79 @@ def test_build_tree_matches_oracle_on_valid_trees(edges, data):
     assert got[0] == "tree"
     assert got == outcome(build_tree_oracle, given_edges)
     assert outcome(build_tree, iter(given_edges)) == got
+
+
+@given(edges=tree_edges(), data=st.data())
+def test_build_tree_takes_signed_integer_arrays_as_their_pairs(edges, data):
+    a = np.array(edges, dtype=data.draw(st.sampled_from([np.int8, np.int32, np.int64])))
+    wide = np.zeros((len(edges), 4), dtype=a.dtype)
+    wide[:, 1::2] = a
+    layout = data.draw(st.sampled_from(["C", "F", "reversed", "strided"]))
+    a = {"C": a, "F": np.asfortranarray(a), "reversed": a[::-1],
+         "strided": wide[:, 1::2]}[layout]
+    before = a.copy()
+    got = outcome(build_tree, a)
+    assert got[0] == "tree"
+    assert got == outcome(build_tree, [tuple(row) for row in a.tolist()])
+    # the array is only read, and the tree keeps none of its memory
+    assert np.array_equal(a, before)
+    t = build_tree(a)
+    for x in (t.edge_u, t.edge_v, t.degrees, t.boundary_pos):
+        assert not np.shares_memory(x, a)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0, 1], [1, 2]], dtype=np.uint64),            # ids, but not signed
+    np.array([[0, 2**63], [0, 1]], dtype=np.uint64),        # an id beyond int64
+    np.array([[0, 1], [1, 2]], dtype=float),
+    np.array([[0, 1], [1, 0]], dtype=bool),
+    np.array([[0, 1, 2], [1, 2, 3]]),
+    np.array([0, 1, 1, 2]),
+    np.zeros((0, 2), dtype=np.int64),
+    np.zeros((0, 2)),
+    np.array([[0, 1], [1, 1], [1, 2]]),                     # signed, each fault
+    np.array([[0, 1], [-1, 2]], dtype=np.int32),
+    np.array([[0, 1], [1, 2], [2, 1]]),
+    np.array([[0, 1], [1, 3]]),
+    np.array([[0, 1]]),
+    np.array([[0, 1], [2, 3], [3, 4]]),
+])
+def test_build_tree_gives_an_array_what_its_rows_give(a):
+    # the rows as a list take the pair path, as every array did before the
+    # array entry; a signed (m, 2) array must end the same way
+    assert outcome(build_tree, a) == outcome(build_tree, list(a))
+    if a.dtype.kind == "u" and a.size and a.max() < 2**63:
+        assert outcome(build_tree, a) == outcome(build_tree, a.astype(np.int64))
+
+
+def test_tree_from_text_goes_through_build_tree(monkeypatch):
+    seen = []
+    real = graph_core.build_tree
+    monkeypatch.setattr(graph_core, "build_tree", lambda a: seen.append(a) or real(a))
+    t = tree_from_text("0 1\n1 2  # a comment\n\n2 3\n")
+    assert t.edges == ((0, 1), (1, 2), (2, 3))
+    (a,) = seen
+    assert a.dtype == np.int64 and a.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
+def test_edges_are_derived_from_the_edge_arrays():
+    t = gen_random_tree(40, 4, 3)
+    assert "edges" not in vars(t)
+    assert t.edges == tuple(zip(t.edge_u.tolist(), t.edge_v.tolist()))
+    assert all(type(x) is int for e in t.edges for x in e)
+    assert t.edges is t.edges  # derived once
+    copy = dataclasses.replace(t)
+    assert "edges" not in vars(copy)
+    assert copy.edges == t.edges
+    assert "edges" not in {f.name for f in dataclasses.fields(t)}
+
+
+def test_boundary_ids_are_the_boundary_as_a_read_only_array():
+    t = gen_random_tree(40, 4, 3)
+    ids = t._boundary_ids
+    assert ids.dtype == np.int64 and ids.tolist() == list(t.boundary)
+    assert not ids.flags.writeable
+    assert t._boundary_ids is ids
 
 
 # each fault turns an edge list into an invalid one at position i; the ids it uses
