@@ -257,6 +257,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs, trees = _growing_members(_expand_family_range(json.loads(args.family)))
     report = bnd.asymptotic_decay_check(trees, threshold=args.threshold, tol=tol)
 
+    if args.format == "json":
+        payload = {"schema": SCHEMA, "command": "sweep",
+                   "family": json.loads(args.family),
+                   **report.to_json_dict()}
+        _emit(_json_text(payload), args.out)
+        return 0 if report.passed else 1
     lines = ["tree_id,n,boundary,D,L,lambda2,bound_boundary,tightness_boundary,"
              "bound_volume,tightness_volume,bound_diameter,tightness_diameter"]
     for s, t, row in zip(specs, trees, report.rows):
@@ -270,14 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _fmt(bv) if volume_ok else "", _fmt(row.lam2 / bv) if volume_ok else "",
             _fmt(row.diameter_bound), _fmt(row.lam2 / row.diameter_bound),
         ]))
-    csv_text = "\n".join(lines) + "\n"
-    if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "sweep",
-                   "family": json.loads(args.family),
-                   **report.to_json_dict()}
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(csv_text, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.passed else 1
 
 

@@ -173,6 +173,15 @@ class _Sides:
             return pre[lo:hi][mask[lo:hi]]
         return np.concatenate((pre[:lo][mask[:lo]], pre[hi:][mask[hi:]]))
 
+    def min_id(self, e: Edge) -> int:
+        """The smallest vertex of a side, by masked minima over its slices."""
+        lo, hi, inside = self._span(e)
+        pre, mask, n = self.idx.pre, self.mask, len(self.mask)
+        if inside:
+            return int(pre[lo:hi].min(where=mask[lo:hi], initial=n))
+        return min(int(pre[:lo].min(where=mask[:lo], initial=n)),
+                   int(pre[hi:].min(where=mask[hi:], initial=n)))
+
 
 def _pick(sides: _Sides, candidates: list[Edge]) -> tuple[int, Edge]:
     """The side with the most boundary vertices, as ``(count, edge)``.
@@ -201,7 +210,7 @@ def _pick(sides: _Sides, candidates: list[Edge]) -> tuple[int, Edge]:
         if clean:
             pool = clean
     if len(pool) > 1:
-        return best, min(pool, key=lambda e: int(sides.members(e).min()))
+        return best, min(pool, key=sides.min_id)
     return best, pool[0]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import random
 import re
 import weakref
 
@@ -212,6 +213,15 @@ def test_edges_are_derived_from_the_edge_arrays():
     assert "edges" not in {f.name for f in dataclasses.fields(t)}
 
 
+def test_writers_read_the_edge_arrays():
+    t = gen_random_tree(40, 4, 3)
+    text, obj = tree_to_text(t), tree_to_json_dict(t)
+    assert "edges" not in vars(t)
+    assert text == "".join(f"{u} {v}\n" for u, v in t.edges)
+    assert obj == {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
+    assert all(type(x) is int for e in obj["edges"] for x in e)
+
+
 def test_boundary_ids_are_the_boundary_as_a_read_only_array():
     t = gen_random_tree(40, 4, 3)
     ids = t._boundary_ids
@@ -316,15 +326,118 @@ def test_tree_from_text_matches_oracle(text):
     "+0 1\n1 +2\n", "0_0 1\n1 2\n", "٠ ١\n١ ٢\n", "0\t1\n 1  2 \n",
     "0 1\n1 2 3\n", "0 1\n1\n", "0 1\n1 x\n", "0 1\n1 2.0\n", "0 1 # c\n1 2#d\n",
     "0 1\n1 2\n2 2\n", "0 1\n1 99999999999999999999\n", "0 1\n1\x1c2\n",
-    "0 1\x1f\n1 2\n", "0 1\n\x00 2\n",
+    "0 1\x1f\n1 2\n", "0 1\n\x00 2\n", " \t\r\n", "# c\n  \r\n\t", "0",
+    "0 1 # \x0b 2\n1 2\n", "0 1 #\x7f\n1 2\n", "0 1\n1 2 # ##  +-_.\n",
 ])
 def test_tree_from_text_cases_match_oracle(text):
+    assert_text_matches_oracle(text)
+
+
+def assert_text_matches_oracle(text: str) -> None:
     got = outcome(tree_from_text, text)
     expected = outcome(tree_from_text_oracle, text)
     if "out of range" in str(got[1]):
+        # ids beyond int64: the edge-by-edge build overflowed building range(n)
         assert expected[0] == "OverflowError"
     else:
         assert got == expected
+
+
+# the two parse tiers: a plain text is read in one bytes pass, any other
+# line by line, and both end as the line-by-line oracle does
+
+_PRINTABLE = "".join(map(chr, range(0x20, 0x7F))) + "\t"
+
+
+@st.composite
+def plain_lines(draw) -> list[list[str]]:
+    """A random tree in the plain format, as the pieces of each of its lines.
+
+    An edge's line is ``[blank, u, blank, v, blank, comment, break]`` and
+    a line without ids ``[blank, comment, break]``; the blanks mix spaces
+    and tabs, the ids may have leading zeros, the comments are printable
+    ASCII, the breaks are LF, CR or CRLF, and the last may be missing.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    text = tree_to_text(build_tree(draw(tree_edges(max_n=25))))
+
+    def blank(at_least: int) -> str:
+        return "".join(rnd.choice(" \t") for _ in range(at_least + rnd.randrange(3)))
+
+    def comment() -> str:
+        if rnd.random() < 0.7:
+            return ""
+        return "#" + "".join(rnd.choice(_PRINTABLE) for _ in range(rnd.randrange(12)))
+
+    def brk() -> str:
+        return rnd.choice(["\n", "\r", "\r\n"])
+
+    lines = []
+    for row in text.splitlines():
+        while rnd.random() < 0.15:
+            lines.append([blank(0), comment(), brk()])
+        u, v = ("0" * rnd.choice([0, 0, 0, 1, 5]) + x for x in row.split())
+        lines.append([blank(0), u, blank(1), v, blank(0), comment(), brk()])
+    if rnd.random() < 0.3:
+        lines[-1][-1] = ""
+    return lines
+
+
+def _joined(lines: list[list[str]]) -> str:
+    return "".join(piece for line in lines for piece in line)
+
+
+def _tier_calls(text: str) -> int:
+    """How often ``tree_from_text(text)`` calls the line-by-line pass."""
+    calls = []
+    real = graph_core._edges_by_line
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_edges_by_line", lambda s: calls.append(s) or real(s))
+        try:
+            tree_from_text(text)
+        except Exception:  # the outcome is compared separately
+            pass
+    return len(calls)
+
+
+@given(lines=plain_lines())
+def test_plain_texts_take_the_bytes_pass(lines):
+    text = _joined(lines)
+    assert_text_matches_oracle(text)
+    assert outcome(tree_from_text, text)[0] == "tree"
+    assert _tier_calls(text) == 0
+
+
+# one change to a plain text: the pieces of an edge's line it may change
+# (1 and 3 are the ids, 5 the comment), the new piece, and whether the
+# bytes pass still reads the text
+MUTATIONS = {
+    "one token": ((3,), lambda s, rnd: "", False),
+    "three tokens": ((3,), lambda s, rnd: s + " 7", False),
+    "18 digits": ((1, 3), lambda s, rnd: s.zfill(18), True),
+    # an id past the zero-padded ones is past int64 too: a smaller stray id
+    # sizes the id-gap check's degree count, which the oracle cannot allocate
+    "19 digits": ((1, 3), lambda s, rnd: rnd.choice(
+        [s.zfill(19), str(rnd.randrange(2**63, 10**19))]), False),
+    "20 digits": ((1, 3), lambda s, rnd: rnd.choice(
+        [s.zfill(20), str(rnd.randrange(10**19, 10**20))]), False),
+    **{f"byte {c!r}": ((1, 3), lambda s, rnd, c=c: c + s, False)
+       for c in ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "+", "-", "_", "."]},
+    "non-ASCII in a comment": ((5,), lambda s, rnd: (s or "#") + rnd.choice(
+        ["é", "\xa0", "\u2028", "\x85", "٣"]), False),
+}
+
+
+@given(lines=plain_lines(), name=st.sampled_from(sorted(MUTATIONS)), seed=st.integers(0, 2**32))
+def test_mutated_texts_match_oracle_in_their_tier(lines, name, seed):
+    rnd = random.Random(seed)
+    pieces, change, plain = MUTATIONS[name]
+    line = rnd.choice([line for line in lines if len(line) == 7])
+    at = rnd.choice(pieces)
+    line[at] = change(line[at], rnd)
+    text = _joined(lines)
+    assert_text_matches_oracle(text)
+    assert _tier_calls(text) == (0 if plain else 1)
 
 
 @given(edges=tree_edges(max_n=200), data=st.data())

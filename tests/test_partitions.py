@@ -396,6 +396,20 @@ def test_descent_matches_fraction_oracle(t, enter_at_equal):
             ports |= {v for v in edge if remaining[v]}
 
 
+@given(t=_WITNESS_TREES, seed=st.integers(0, 2**32))
+def test_side_minimum_is_the_gathered_side_minimum(t, seed):
+    # _pick breaks ties by each side's smallest id, read by masked minima
+    u, v = random.Random(seed).choice(t.edges)
+    for part in (range(t.n), graph_core.component_avoiding(t, u, v)):
+        allowed = np.zeros(t.n, dtype=bool)
+        allowed[list(part)] = True
+        sides = partitions._Sides(t, allowed, frozenset())
+        for a, b in t.edges:
+            if allowed[a] and allowed[b]:
+                for e in ((a, b), (b, a)):
+                    assert sides.min_id(e) == int(sides.members(e).min())
+
+
 def test_diameter_witness_zero_is_positive_under_a_negative_lead():
     # two leaves at x_1 of a 6-spine: the kernel's largest entry is
     # negative and a_2 is 0, which the Fraction converts to +0.0
