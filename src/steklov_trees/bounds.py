@@ -15,7 +15,9 @@ reports here, by the witness chains of :mod:`.verify` and by the
 takes each bound's precondition and witness from one table beside the
 values, and decides every upper-bound ``holds`` by the one comparison
 ``lambda_k <= value + slack``.  :func:`audit` calls it once per (bound,
-k) pair.
+k) pair.  Each ``lambda_k`` comes from
+:func:`.spectra.steklov_lambda`: off a spectrum the caller passes, else
+bisected, so no BLAS build or thread count moves a report's floats.
 """
 from __future__ import annotations
 
@@ -37,13 +39,7 @@ from .partitions import (
     partition_two,
     two_level_test_function,
 )
-from .spectra import (
-    DENSE_BOUNDARY_LIMIT,
-    SteklovSpectrum,
-    steklov_eigenvalue_bisect,
-    steklov_lambda,
-    steklov_spectrum,
-)
+from .spectra import SteklovSpectrum, steklov_lambda
 
 LAM2_BOUNDARY = "LAM2_BOUNDARY"
 LAM2_VOLUME = "LAM2_VOLUME"
@@ -257,14 +253,13 @@ def audit(
     spectrum: SteklovSpectrum | None = None,
     with_witness: bool = True,
 ) -> list[BoundReport]:
-    """All bound reports for one tree, sharing a single spectrum.
+    """All bound reports for one tree.
 
     ``ks`` selects the higher eigenvalue indices to audit.  Order is
     stable: the three lambda_2 bounds, the two lambda_k bounds per k,
-    then the structural checks.
+    then the structural checks.  Every ``lambda_k`` is read off
+    ``spectrum`` when given and bisected at every size otherwise.
     """
-    if spectrum is None and t.n_boundary <= DENSE_BOUNDARY_LIMIT:
-        spectrum = steklov_spectrum(t, tol)
     pairs = [(b, 2) for b, row in _UPPER.items() if not row.lamk]
     pairs += [(b, k) for k in ks for b, row in _UPPER.items() if row.lamk]
     out = [bound_report(b, t, k, spectrum=spectrum, tol=tol, with_witness=with_witness)
@@ -332,8 +327,7 @@ def asymptotic_decay_check(
     rows = []
     lams = []
     for t in family:
-        # only lambda_2 is needed, so the sparse pencil route wins at any size
-        lam2 = steklov_eigenvalue_bisect(t, 2)
+        lam2 = steklov_lambda(t, 2)
         lams.append(lam2)
         bound = float(bound_value(LAM2_DIAMETER, t))
         rows.append(DecayRow(

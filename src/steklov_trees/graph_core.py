@@ -45,7 +45,7 @@ import functools
 import json
 import re
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
@@ -318,22 +318,28 @@ def _is_id_type(tp: type) -> bool:
 
 
 def _id_fault(u: int, v: int) -> MalformedError | None:
-    """Why the edge ``(u, v)`` of integer ids is invalid on its own, if it is."""
+    """Why the edge ``(u, v)`` of integer ids is invalid on its own, if it is.
+
+    An id beyond int64 is not a fault here: it is named only after every
+    edge has passed this check and no edge repeats.
+    """
     if u == v:
         return MalformedError(f"self-loop at vertex {u}")
     if u < 0 or v < 0:
         return MalformedError(f"negative vertex id in edge {(u, v)}")
-    if max(u, v) > _MAX_ID:
-        return MalformedError(f"vertex id out of range in edge {(u, v)}")
     return None
 
 
 def _raise_edge_fault(pairs: Sequence) -> NoReturn:
-    """Raise for the first edge, in input order, that is not a valid pair of ids.
+    """Raise for the fault an edge-by-edge validation of ``pairs`` names first.
 
-    Only reached once the bulk conversion in :func:`build_tree` has
-    failed, so some edge is at fault.
+    In order: the first edge, in input order, that is not a pair, has a
+    non-integer endpoint, is a self-loop or has a negative id; then every
+    repeated edge; then the first edge with an id beyond int64.  Only
+    reached once the bulk conversion in :func:`build_tree` has failed, so
+    some edge is at fault.
     """
+    ints = []
     for e in pairs:
         try:
             u, v = e
@@ -341,10 +347,34 @@ def _raise_edge_fault(pairs: Sequence) -> NoReturn:
             raise MalformedError(f"edge {e!r} is not a pair") from exc
         if not (_is_id_type(type(u)) and _is_id_type(type(v))):
             raise MalformedError(f"edge {e!r} has non-integer endpoint")
-        err = _id_fault(int(u), int(v))
+        u, v = int(u), int(v)
+        err = _id_fault(u, v)
         if err is not None:
             raise err
+        ints.append((u, v))
+    times = Counter((min(u, v), max(u, v)) for u, v in ints)
+    if len(times) < len(ints):
+        raise MalformedError(f"duplicate edge(s) {sorted(e for e, c in times.items() if c > 1)}")
+    for u, v in ints:
+        if max(u, v) > _MAX_ID:
+            raise MalformedError(f"vertex id out of range in edge {(u, v)}")
     raise InvariantViolationError("edge conversion failed on a valid edge list")
+
+
+def _missing_ids(ids: np.ndarray, limit: int) -> list[int]:
+    """The first ``limit`` non-negative integers absent from the sorted distinct ``ids``.
+
+    Walks the gaps between consecutive ids, so the work is bounded by
+    the number of ids and ``limit``, never by the ids' values.
+    """
+    prev = np.concatenate(([-1], ids[:-1]))
+    at = np.flatnonzero(ids - prev > 1)
+    out: list[int] = []
+    for a, b in zip(prev[at].tolist(), ids[at].tolist()):
+        out.extend(range(a + 1, min(b, a + 1 + limit - len(out))))
+        if len(out) == limit:
+            break
+    return out
 
 
 def _raise_shape_fault(lo: np.ndarray, hi: np.ndarray) -> NoReturn:
@@ -352,7 +382,9 @@ def _raise_shape_fault(lo: np.ndarray, hi: np.ndarray) -> NoReturn:
 
     Checked in order: repeated edges, no edges, gaps in the id range,
     fewer than three vertices, an edge count other than ``n - 1``, and
-    last, since nothing else is left, a disconnected graph.
+    last, since nothing else is left, a disconnected graph.  The gaps
+    are found from the sorted distinct ids, so one stray large id costs
+    no more time or memory than a small one.
     """
     perm = np.lexsort((hi, lo))
     lo, hi = lo[perm], hi[perm]
@@ -364,10 +396,13 @@ def _raise_shape_fault(lo: np.ndarray, hi: np.ndarray) -> NoReturn:
     if not len(lo):
         raise TooSmallError("empty edge list")
     n = int(hi.max()) + 1
-    deg = np.bincount(np.concatenate((lo, hi)), minlength=n)
-    if not deg.all():
-        raise MalformedError(
-            f"vertex ids not contiguous; missing {(deg == 0).nonzero()[0].tolist()}")
+    ids = np.unique(np.concatenate((lo, hi)))
+    gap = n - len(ids)
+    if gap:
+        # every missing id, unless there are more of them than edges and ten
+        shown = _missing_ids(ids, gap if gap <= max(len(lo), 10) else 10)
+        what = shown if len(shown) == gap else f"{gap} ids, the first ten {shown}"
+        raise MalformedError(f"vertex ids not contiguous; missing {what}")
     if n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {n}")
     if len(lo) != n - 1:

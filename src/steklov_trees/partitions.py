@@ -49,9 +49,9 @@ from .errors import (
 from .graph_core import (
     BoundaryTree,
     SubtreeRef,
-    _bfs,
     _is_edge,
     _preorder,
+    _rooted_index,
     _spine_labels,
     component_avoiding,
     diameter,
@@ -298,10 +298,12 @@ def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
     never worse than the descent's certified part, which makes this the
     oracle for it.  The part is the side holding at most half of the
     boundary, and at exactly half the side holding vertex 0 (the smaller
-    minimum id).  One BFS from vertex 0 gives every subtree's boundary
-    count, so each edge costs O(1) and the scan O(n).
+    minimum id).  The rooted index (the BFS from vertex 0 that
+    :func:`.graph_core.build_tree` stores) gives every subtree's
+    boundary count, so each edge costs O(1) and the scan O(n).
     """
-    order, parent = _bfs(t.neighbors, 0)
+    idx = _rooted_index(t)
+    order, parent = idx.order, idx.parent
     below = (t.boundary_pos >= 0).astype(np.int64).tolist()
     for x in reversed(order[1:]):
         below[parent[x]] += below[x]

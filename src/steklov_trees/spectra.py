@@ -18,9 +18,11 @@ certify the other:
   so each count has no fill-in and touches neither the dense matrix nor
   its assembly.  It serves in two ways.  :func:`steklov_eigenvalue_bisect`
   finds ``lambda_k`` by bisection, which also scales to trees whose
-  boundary is far too large for a dense matrix.  Counts at given shifts,
-  :func:`_steklov_count_below`, certify a known ``lambda_k``: since the
-  count does not decrease as the shift grows,
+  boundary is far too large for a dense matrix; :func:`steklov_lambda`
+  takes it at every size unless handed a spectrum, so no BLAS build or
+  thread count moves a ``lambda_k`` that ``bounds`` or ``sweep`` print.
+  Counts at given shifts, :func:`_steklov_count_below`, certify a known
+  ``lambda_k``: since the count does not decrease as the shift grows,
   ``count(x - delta) < k <= count(x + delta)`` puts the count's k-th
   eigenvalue within ``delta`` of ``x``, in two counts (Demmel, Dhillon
   and Ren, *ETNA* 3 (1995)); the ``verify`` harness certifies the dense
@@ -71,7 +73,8 @@ from .errors import (
 from .graph_core import BoundaryTree, _eliminate, _Level, per_tree_cache
 from .harmonic import DtnMatrix, VertexFunction, _batch, _extend, _laplacian, dtn_matrix
 
-# dense route above this boundary size would dominate runtime; bisect instead
+# the ``spectrum`` command prints the whole dense spectrum up to this
+# boundary size and bisects the first few eigenvalues above it
 DENSE_BOUNDARY_LIMIT = 220
 # largest asymmetry a dense eigensolve accepts, relative to the largest entry
 _SYM_TOL = 1e-8
@@ -556,15 +559,14 @@ def steklov_lambda(
     *,
     spectrum: SteklovSpectrum | None = None,
 ) -> float:
-    """The k-th smallest Steklov eigenvalue via the cheapest sound route.
+    """The k-th smallest Steklov eigenvalue.
 
-    Read off ``spectrum`` when given; otherwise dense up to
-    ``DENSE_BOUNDARY_LIMIT`` boundary vertices, bisection above.
+    Read off ``spectrum`` when given; otherwise found by
+    :func:`steklov_eigenvalue_bisect` at every size, so the float is
+    the same whatever the BLAS and however large the tree.
     """
     if spectrum is not None:
         return spectrum.eigenvalue(k)
-    if t.n_boundary <= DENSE_BOUNDARY_LIMIT:
-        return steklov_spectrum(t).eigenvalue(k)
     return steklov_eigenvalue_bisect(t, k)
 
 

@@ -385,6 +385,7 @@ def _bfs_oracle(neighbors, source: int) -> tuple[list[int], list[int]]:
 
 
 def build_tree_oracle(edges) -> BoundaryTree:
+    raw: list = []
     norm: list = []
     for e in edges:
         try:
@@ -400,19 +401,32 @@ def build_tree_oracle(edges) -> BoundaryTree:
             raise MalformedError(f"self-loop at vertex {u}")
         if u < 0 or v < 0:
             raise MalformedError(f"negative vertex id in edge {(u, v)}")
+        raw.append((u, v))
         norm.append((min(u, v), max(u, v)))
 
     if len(set(norm)) != len(norm):
         dupes = sorted({e for e in norm if norm.count(e) > 1})
         raise MalformedError(f"duplicate edge(s) {dupes}")
+    for u, v in raw:
+        if max(u, v) > 2**63 - 1:
+            raise MalformedError(f"vertex id out of range in edge {(u, v)}")
 
     seen = sorted({x for e in norm for x in e})
     if not seen:
         raise TooSmallError("empty edge list")
     n = seen[-1] + 1
-    if seen != list(range(n)):
-        missing = sorted(set(range(n)) - set(seen))
-        raise MalformedError(f"vertex ids not contiguous; missing {missing}")
+    gap = n - len(seen)
+    if gap:
+        # every missing id, unless there are more of them than edges and ten;
+        # read off the gaps between the ids, never a range up to the largest
+        limit = gap if gap <= max(len(norm), 10) else 10
+        missing: list[int] = []
+        prev = -1
+        for x in seen:
+            missing += range(prev + 1, min(x, prev + 1 + limit - len(missing)))
+            prev = x
+        what = missing if len(missing) == gap else f"{gap} ids, the first ten {missing}"
+        raise MalformedError(f"vertex ids not contiguous; missing {what}")
     if n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {n}")
     if len(norm) != n - 1:

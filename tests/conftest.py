@@ -3,8 +3,8 @@ from __future__ import annotations
 import os
 
 # eigh's rounding depends on the number of BLAS threads, and the pinned
-# dense-route report digests were recorded under two; this must run
-# before numpy is first imported
+# digests of dense-route spectrum reports were recorded under two (bounds
+# and sweep print no eigh float); this must run before numpy is first imported
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "2"
 

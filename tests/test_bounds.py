@@ -18,6 +18,7 @@ from steklov_trees import (
     LAMK_VOLUME,
     LEMMA_DV,
     PROP_L,
+    DEFAULT_TOL,
     asymptotic_decay_check,
     audit,
     BadParamsError,
@@ -28,12 +29,16 @@ from steklov_trees import (
     gen_path,
     gen_random_interior3,
     gen_random_tree,
+    generate_family,
     lemma_dv_check,
     preconditions_met,
     prop_l_check,
     rayleigh_quotient,
+    steklov_eigenvalue_bisect,
     steklov_spectrum,
 )
+
+from test_verify import _harness_trees
 
 
 # -- individual bounds, frozen examples -----------------------------------------------
@@ -210,6 +215,37 @@ def test_audit_all_hold_interior3(n, cap, seed):
         if rep.bound_id in (LAM2_VOLUME, LEMMA_DV):
             assert rep.preconditions_met is True
             assert rep.holds is True
+
+
+# the trees whose bounds reports tests/test_cli.py pins (m = 108, 151, 199)
+_PINNED_SPECS = (
+    {"family": "BALL", "D": 4, "r": 4},
+    {"family": "RANDOM_INTERIOR3", "n_target": 250, "max_degree": 4, "seed": 7},
+    {"family": "RANDOM_INTERIOR3", "n_target": 333, "max_degree": 4, "seed": 2},
+)
+
+
+def test_audit_bisects_every_lambda_k_unless_handed_a_spectrum():
+    trees = [generate_family(spec) for spec in _PINNED_SPECS]
+    trees += _harness_trees(5, 40, 10)
+    ks = [2, 2, 2, 3, 3, 5, 5]  # of the upper-bound reports, in audit order
+    for t in trees:
+        spectrum = steklov_spectrum(t)
+        reports = audit(t, (3, 5))
+        handed = audit(t, (3, 5), spectrum=spectrum)
+        for rep, with_spec, k in zip(reports, handed, ks):
+            if math.isnan(rep.measured):
+                assert math.isnan(with_spec.measured)
+            else:
+                assert _bits(rep.measured) == _bits(steklov_eigenvalue_bisect(t, k))
+                assert abs(rep.measured - spectrum.eigenvalue(k)) \
+                    <= DEFAULT_TOL.oracle_agreement
+                assert with_spec.measured == spectrum.eigenvalue(k)
+        for rep, with_spec in zip(reports, handed, strict=True):
+            a, b = rep.to_json_dict(), with_spec.to_json_dict()
+            for key in ("measured", "tightness"):
+                del a[key], b[key]
+            assert a == b
 
 
 # -- decay ------------------------------------------------------------------------------

@@ -2,10 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from steklov_trees import harmonic
 from steklov_trees.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BALL32 = '{"family":"BALL","D":3,"r":2}'
 
@@ -30,26 +38,28 @@ PENCIL_REPORT_DIGESTS = [
      "98e60365f0e5fb0af6921e527441c712dc8eae138e29b895753e4f73fbae1303"),
 ]
 
-# sha256 of dense-route reports (boundary sizes 108, 151, 199 and 24),
-# recorded with the one-vertex-at-a-time interior elimination and the
-# np.add.at Laplacian; the level-scheduled harmonic layer must keep every
-# byte, eigenfunctions included
+# sha256 of reports within the dense limit (boundary sizes 108, 151, 199
+# and 24).  The spectrum pin was recorded with the one-vertex-at-a-time
+# interior elimination and the np.add.at Laplacian; the level-scheduled
+# harmonic layer must keep every byte, eigenfunctions included.  The
+# bounds pins were recorded once bounds bisected every lambda_k at every
+# size; against the dense route's reports only measured and tightness moved
 _BALL44 = '{"family":"BALL","D":4,"r":4}'
 _INTERIOR3_M151 = '{"family":"RANDOM_INTERIOR3","n_target":250,"max_degree":4,"seed":7}'
 _INTERIOR3_M199 = '{"family":"RANDOM_INTERIOR3","n_target":333,"max_degree":4,"seed":2}'
 DENSE_REPORT_DIGESTS = [
     (["bounds", "--family", _BALL44, "--k", "3,5", "--format", "json"],
-     "323936f5d0a9f5972f730effa5b12d6cbd170a229e0ac41357367ed5407a9001"),
+     "b24b43c9c2cf26ffc221785614247325807f38ca8c32da7cf5072dea2179783d"),
     (["bounds", "--family", _BALL44, "--k", "3,5", "--format", "csv"],
-     "c96ff86f30c976830d7b8a2b949577116face78de95d33880110eae4a796c112"),
+     "3d90a0c6283291c5c153bd28ae2f5ef4c7058a18933f057843d734b407e5fe90"),
     (["bounds", "--family", _INTERIOR3_M151, "--k", "3,5", "--format", "json"],
-     "6c17194fce1821dfcb69febb9ab22f6fed659843e482d3c0cc90e1c48a2695b2"),
+     "63605a72978e2ff974424bc1ee17d187db99b87f0122931f58fc0c0cf9debfdc"),
     (["bounds", "--family", _INTERIOR3_M151, "--k", "3,5", "--format", "csv"],
-     "030c035915fa1ecbd8fa8701e9dc15197a15ade8ae0f5ed88fabe56e3b367dd7"),
+     "c1a5b2fb900a9ad5c879a82f6e00b18a4e767b87f83a5236903a2133bd9baf63"),
     (["bounds", "--family", _INTERIOR3_M199, "--k", "3,5", "--format", "json"],
-     "8f38c1a834f56ed5d1790a79e372797c446dffef6a06d1b30019237d916558c2"),
+     "482e3f66b2e8b169c38e6e714e16a38df22c586990335fae32b2f7df67c16ece"),
     (["bounds", "--family", _INTERIOR3_M199, "--k", "3,5", "--format", "csv"],
-     "34d78f6305833c9b61bb7db730180387c4d36ab0b4f198cc097ba94f2b5a1b27"),
+     "db5a27020f5fa89859a7e33fd570d2348d339f9e42c09276fe2948c9e720dd26"),
     (["spectrum", "--family", '{"family":"BALL","D":3,"r":4}', "--eigenfunctions"],
      "f5aeb6a1a446c6f4b4d9d7f547e2187827e7c5f3594455174c92e4e9f308517f"),
 ]
@@ -411,6 +421,15 @@ def test_malformed_input_file(tmp_path, capsys):
     assert code == 2 and "expected 'u v'" in err
 
 
+def test_a_stray_large_id_in_an_input_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "stray.txt"
+    bad.write_text("0 1\n1 1000000000000000\n")
+    code, out, err = run(capsys, "bounds", "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err == ("error: vertex ids not contiguous; missing 999999999999998 ids, "
+                   "the first ten [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"n":3,"edges":[1,2]}', "edge 1 is not a pair"),
     ('{"n":3,"edges":5}', "'edges' must be a list"),
@@ -465,3 +484,43 @@ def test_dense_route_report_bytes_match_recorded_digests(argv, digest, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- one route for the eigenvalues of bounds and sweep ------------------------------
+
+def test_bounds_and_sweep_run_without_the_dense_route(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("bounds and sweep must not reach the dense route")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(harmonic, "dtn_matrices", refuse)
+    assert run(capsys, "bounds", "--family", _BALL44, "--k", "3,5")[0] == 0
+    # lambda_2 of BALL(3,6) is 1/63, under the threshold
+    assert run(capsys, "sweep", "--family", '{"family":"BALL","D":3,"r":[1,6]}',
+               "--threshold", "0.02")[0] == 0
+
+
+# the first tree's report differed between one BLAS thread and two while
+# bounds read lambda_k off eigh for boundary sizes up to the dense limit
+_BLAS_PINNED_BOUNDS = [
+    '{"family":"RANDOM_INTERIOR3","n_target":300,"max_degree":4,"seed":3}',
+    _BALL44, _INTERIOR3_M151, _INTERIOR3_M199,
+]
+
+
+def test_bounds_bytes_do_not_depend_on_the_blas_thread_count():
+    code = ("from steklov_trees.cli import main\n"
+            f"for family in {_BLAS_PINNED_BOUNDS!r}:\n"
+            "    assert main(['bounds', '--family', family, '--k', '3,5']) == 0\n")
+    outs = []
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        env.pop("STEKLOV_TOL", None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0].count('"command": "bounds"') == len(_BLAS_PINNED_BOUNDS)

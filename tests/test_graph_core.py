@@ -268,15 +268,14 @@ def test_build_tree_matches_oracle_on_malformed_lists(edges, data):
     [(0, 1)], [], [(0, 1), (1, 2), (2, 0)],
     [(0, 2**70), (1, 2)], [(3, 3), (0, -2**70)], [(0, np.int64(1)), (np.int64(1), 2)],
     [(0, 1), (1, np.bool_(True))], [(0, 1), [1, 2]], [(0, 1), "12"], [(0, 1), 5],
+    [(1, 2**70), (3, 3)],                        # a self-loop after an id past int64
+    [(0, 1), (1, 0), (1, 2**64)],                # a repeat before an id past int64
+    [(0, i) for i in range(1, 12)] + [(0, 24)],  # as many missing ids as edges
+    [(0, i) for i in range(1, 12)] + [(0, 25)],  # one more: the first ten are named
+    [(0, 5)], [(3, 4), (4, 9)],                  # more missing ids than edges, under ten
 ])
 def test_build_tree_error_order_matches_oracle(edges):
-    expected = outcome(build_tree_oracle, edges)
-    got = outcome(build_tree, edges)
-    if "out of range" in str(got[1]):
-        # ids beyond int64: the edge-by-edge build overflowed building range(n)
-        assert expected[0] == "OverflowError"
-    else:
-        assert got == expected
+    assert outcome(build_tree, edges) == outcome(build_tree_oracle, edges)
 
 
 @st.composite
@@ -328,19 +327,40 @@ def test_tree_from_text_matches_oracle(text):
     "0 1\n1 2\n2 2\n", "0 1\n1 99999999999999999999\n", "0 1\n1\x1c2\n",
     "0 1\x1f\n1 2\n", "0 1\n\x00 2\n", " \t\r\n", "# c\n  \r\n\t", "0",
     "0 1 # \x0b 2\n1 2\n", "0 1 #\x7f\n1 2\n", "0 1\n1 2 # ##  +-_.\n",
+    "0 1\n0 1\n1 99999999999999999999\n", "0 1\n1 1000000000000000\n",
 ])
 def test_tree_from_text_cases_match_oracle(text):
     assert_text_matches_oracle(text)
 
 
 def assert_text_matches_oracle(text: str) -> None:
-    got = outcome(tree_from_text, text)
-    expected = outcome(tree_from_text_oracle, text)
-    if "out of range" in str(got[1]):
-        # ids beyond int64: the edge-by-edge build overflowed building range(n)
-        assert expected[0] == "OverflowError"
-    else:
-        assert got == expected
+    assert outcome(tree_from_text, text) == outcome(tree_from_text_oracle, text)
+
+
+# one stray large id: the missing ids come from the distinct ids, so the
+# time and memory it takes to name them do not grow with the id's value
+@pytest.mark.parametrize("edges,gap", [
+    ("0 1\n1 1000000000000000\n", 10**15 - 2),
+    ([(0, 1), (1, 10**15)], 10**15 - 2),
+    (np.array([[0, 1], [1, 10**15]], dtype=np.int64), 10**15 - 2),
+    (np.array([[2**63 - 1, 1], [1, 0]], dtype=np.int64), 2**63 - 3),
+], ids=["text", "pairs", "int64-array", "int64-max"])
+def test_a_stray_large_id_is_named_with_the_first_ten_missing(edges, gap):
+    text = isinstance(edges, str)
+    got = outcome(tree_from_text if text else build_tree, edges)
+    assert got == ("MalformedError", f"vertex ids not contiguous; missing {gap} ids, "
+                                     "the first ten [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]")
+    pairs = edges if text or isinstance(edges, list) else edges.tolist()
+    assert got == outcome(tree_from_text_oracle if text else build_tree_oracle, pairs)
+
+
+def test_missing_ids_are_listed_up_to_the_edge_count():
+    # 12 missing ids on 12 edges are all listed; one more and ten are named
+    edges = [(0, i) for i in range(1, 12)]
+    with pytest.raises(MalformedError, match=r"missing \[12, 13, .*, 23\]$"):
+        build_tree(edges + [(0, 24)])
+    with pytest.raises(MalformedError, match=r"missing 13 ids, the first ten \[12, .*, 21\]$"):
+        build_tree(edges + [(0, 25)])
 
 
 # the two parse tiers: a plain text is read in one bytes pass, any other

@@ -585,11 +585,11 @@ def test_spectrum_matches_brute_force(n, cap, seed):
 def test_steklov_lambda_routes_agree(ball32):
     spec = steklov_spectrum(ball32)
     for k in (1, 2, 6):
-        dense = steklov_lambda(ball32, k)  # 6 boundary vertices: the dense route
+        alone = steklov_lambda(ball32, k)  # no spectrum given: bisected, at any size
         bis = steklov_eigenvalue_bisect(ball32, k)
         cached = steklov_lambda(ball32, k, spectrum=spec)
-        assert dense == pytest.approx(bis, abs=1e-9)
-        assert cached == pytest.approx(dense, abs=1e-12)
+        assert alone == pytest.approx(bis, abs=1e-9)
+        assert cached == pytest.approx(alone, abs=1e-12)
 
 
 # -- Rayleigh quotients ----------------------------------------------------------------
