@@ -35,9 +35,9 @@ from the same BFS order and parents on first use, with no search of its
 own: the partition descents read their sides off it, and
 :func:`_spine_labels` gives every vertex its place along a diameter path
 from the preorder slices of the path's vertices, for the diameter
-witness and :func:`branch_components`.  The one leaf-first elimination,
-:func:`_eliminate`, runs on the whole tree for the spectral count and on
-the interiors of a batch of trees for the harmonic solver.
+witness and :func:`branch_components`.  The spectral count and the
+harmonic solver eliminate along one schedule, :func:`_centre_layers`: a
+search over the interior from the diameter path's centre, by layers.
 """
 from __future__ import annotations
 
@@ -205,106 +205,6 @@ def _preorder(t: BoundaryTree) -> _Preorder:
     pre = np.array(order, dtype=np.int64)
     return _Preorder(order, pre, tin, [a + b for a, b in zip(tin, size)], parent,
                      t.boundary_pos[pre] >= 0)
-
-
-# one level of an elimination: the slots [start, stop) of its vertices,
-# the slots of their parents, and whether those parents are all distinct
-_Level = tuple[int, int, np.ndarray, bool]
-
-
-def _peel(
-    neighbors: Sequence[Sequence[int]], seeds: list[int], rem: list[int], done: list[bool],
-) -> tuple[list[int], list[int], list[int]]:
-    """Peel one tree leaf-first from ``seeds``; ``rem`` and ``done`` are updated.
-
-    Returns the peel order and each vertex's parent (``len(rem)`` for the
-    root and for vertices not peeled) and height.  A vertex is queued
-    once, as a seed or when its count of neighbours left drops to one,
-    so the queue, walked while it grows, is the peel order.
-    """
-    n = len(rem)
-    order = list(seeds)
-    parent = [n] * n
-    height = [0] * n
-    for v in order:
-        done[v] = True
-        for w in neighbors[v]:
-            if not done[w]:
-                parent[v] = w
-                if height[w] <= height[v]:
-                    height[w] = height[v] + 1
-                rem[w] -= 1
-                if rem[w] == 1:
-                    order.append(w)
-                break
-    return order, parent, height
-
-
-def _eliminate(
-    trees: Sequence[BoundaryTree], outside: np.ndarray, rem: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
-    """Leaf-first elimination of the forest on the trees' vertices not ``outside``.
-
-    The trees' vertices are numbered one tree after another: vertex ``v``
-    of a tree is ``v`` plus the sizes of the trees before it, and
-    ``outside`` and ``rem`` are indexed so.  ``rem[v]`` counts the
-    neighbours of ``v`` that are not ``outside``.  Each tree peels leaves
-    off a queue, seeded with its leaves ascending; each vertex's parent is
-    its first neighbour still present when it is peeled, and its height is
-    one more than the largest among its children's (leaves have height 0).
-    Returns the vertex in each slot, each slot's parent slot (a root's is
-    the sink, the forest's size) and the levels by height, ascending.
-
-    Each tree's peel order is sorted by height (checked below): by
-    induction, a vertex enters the queue when its last child is peeled,
-    which is also its tallest, so it sits one level above the vertex just
-    peeled; the root is peeled last, above its last-peeled child.  The
-    slots take that order for one tree; for several, each tree's order is
-    merged with the others' by a stable sort on height, roots last within
-    their height.  So each height is a contiguous run of slots, with its
-    roots at the end, every vertex follows all its children, and each
-    parent receives its children's updates in the slot order of its own
-    tree's elimination.
-    """
-    n = len(rem)
-    size = n - int(np.count_nonzero(outside))
-    stops = [0, *np.cumsum([t.n for t in trees]).tolist()]
-    leaves = np.flatnonzero(~outside & (rem <= 1))
-    cuts = np.searchsorted(leaves, stops).tolist()
-    leaves, rem, done = leaves.tolist(), rem.tolist(), outside.tolist()
-    peeled = [_peel(t.neighbors, [v - a for v in leaves[lo:hi]] if a else leaves[lo:hi],
-                    rem[a:b], done[a:b])
-              for t, a, b, lo, hi in zip(trees, stops, stops[1:], cuts, cuts[1:])]
-    if len(peeled) == 1:
-        (order, parent, height), = peeled
-    else:  # to the forest's numbering
-        order = [v + a for (o, _, _), a in zip(peeled, stops) for v in o]
-        parent = [p + a if p < t.n else n
-                  for (_, ps, _), t, a in zip(peeled, trees, stops) for p in ps]
-        height = [h for _, _, hs in peeled for h in hs]
-    k = len(order)
-    if k != size:
-        raise InvariantViolationError(f"elimination reached {k} of {size} vertices")
-    peel = np.array(order, dtype=np.int64)
-    hp = np.array(height, dtype=np.int64)[peel]
-    unsorted = hp[1:] < hp[:-1]
-    if len(peeled) > 1:  # a new tree starts over at height 0
-        unsorted[np.cumsum([len(o) for o, _, _ in peeled[:-1]]) - 1] = False
-    if np.any(unsorted):
-        raise InvariantViolationError("elimination order is not sorted by height")
-    pv = np.array(parent, dtype=np.int64)[peel]
-    if len(peeled) > 1:
-        merged = np.lexsort((pv == n, hp))
-        peel, hp, pv = peel[merged], hp[merged], pv[merged]
-    slot = np.full(n + 1, k, dtype=np.int64)
-    slot[peel] = np.arange(k)
-    parent_slot = slot[pv]
-    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), k]
-    levels = []
-    for start, stop in zip(bounds, bounds[1:]):
-        ps = parent_slot[start:stop]
-        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
-    return peel, parent_slot, tuple(levels)
 
 
 def _is_edge(t: BoundaryTree, e: Edge) -> bool:
@@ -585,6 +485,65 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     if len(path) != L + 1 or not (t.is_boundary(path[0]) and t.is_boundary(path[-1])):
         raise InvariantViolationError("diameter path must join two boundary vertices")
     return DiameterPath(L, tuple(path))
+
+
+class _Layers(NamedTuple):
+    """The interior in breadth-first layers from the tree's centre, deepest first.
+
+    ``order`` holds the layers, the centre alone last, each in search
+    order; ``stops`` is where each ends.  ``parent`` is every vertex's
+    neighbour toward the centre, and the centre's is ``n``.
+    """
+
+    order: np.ndarray
+    stops: list[int]
+    parent: np.ndarray
+
+
+@per_tree_cache
+def _centre_layers(t: BoundaryTree) -> _Layers:
+    """The one elimination schedule of ``t``: its interior in layers from the centre.
+
+    The centre ``c = diameter(t).path[L // 2]`` is within ``(L + 1) // 2``
+    of every vertex, and the farthest are leaves, so the interior has
+    ``(L + 1) // 2`` layers; with the boundary below them, as many levels
+    as a leaf-first peel.  One search from ``c`` over the interior,
+    neighbours ascending, gives the layers and every vertex's parent.
+    Deepest first, each vertex follows its children: a perfect
+    elimination order of the tree (Jacobs and Trevisan), which
+    :mod:`.spectra` counts along and :mod:`.harmonic` solves along.
+
+    Raises:
+        InvariantViolationError: the search misses an interior vertex.
+    """
+    path = diameter(t).path
+    c = path[(len(path) - 1) // 2]
+    inner = (t.boundary_pos < 0).tolist()
+    neighbors = t.neighbors
+    parent = [-1] * t.n
+    parent[c] = t.n
+    order = [c]
+    stops = []
+    lo = 0
+    while lo < len(order):
+        hi = len(order)
+        for x in order[lo:hi]:
+            for y in neighbors[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    if inner[y]:
+                        order.append(y)
+        stops.append(hi)
+        lo = hi
+    k = len(order)
+    if k != len(t.interior):
+        raise InvariantViolationError(
+            f"the search from the centre reached {k} of {len(t.interior)} interior vertices")
+    # the layers deepest first, each keeping its order
+    sizes = np.diff(stops, prepend=0)[::-1]
+    ends = np.cumsum(sizes)
+    deep = np.array(order)[np.arange(k) + np.repeat(k + sizes - 2 * ends, sizes)]
+    return _Layers(deep, ends.tolist(), np.array(parent, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

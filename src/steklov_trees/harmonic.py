@@ -10,35 +10,34 @@ derivative at a boundary vertex ``x`` is
 ``n >= 3`` coincides with ``(L f)(x)`` since boundary vertices have no
 boundary neighbors.
 
-The solver eliminates interior vertices leaf-first along the interior
-subtree (Jacobs and Trevisan's no-fill-in elimination of a tree).  Each
-elimination touches one parent, all pivots stay positive (the interior
-block is diagonally dominant with at least one strict row per pendant
-subtree), so the solve is exact Gaussian elimination in a perfect order:
-O(n), no fill-in, no iteration.  The order is the one leaf-first
-elimination of :mod:`.graph_core`, which runs here on the interior and
-in :mod:`.spectra` on the whole tree.  It is found once and then
-replayed level by level: all vertices of one height are eliminated in
-one numpy step across every right-hand side.  The Laplacian sums
+The solver eliminates interior vertices from the leaves of the interior
+subtree toward its centre (Jacobs and Trevisan's no-fill-in elimination
+of a tree).  Each elimination touches one parent, all pivots stay
+positive (the interior block is diagonally dominant with at least one
+strict row per pendant subtree), so the solve is exact Gaussian
+elimination in a perfect order: O(n), no fill-in, no iteration.  The
+order is the layers of :func:`.graph_core._centre_layers`, deepest
+first, the schedule :mod:`.spectra` counts along on the whole tree.  It
+is found once and then replayed level by level: a layer is eliminated
+in one numpy step across every right-hand side.  The Laplacian sums
 neighbors by one numpy step per neighbor rank.  Both do the
 one-at-a-time arithmetic in its order, so their floats are bit-identical
 to it.
 
 Trees are solved in batches.  A batch numbers its trees' vertices one
-tree after another, runs one elimination over all their interiors (each
-tree's peel order merged with the others' by height) and one Laplacian
-schedule over all their edges, so a level's step covers that height in
-every tree.  :func:`dtn_matrices` assembles the response matrices of a
-batch at once, with the identity right-hand sides padded to the widest
-boundary, and :func:`.spectra.spectra_from_matrices` extends their
-eigenvectors through the same batch.  Each row sees the scalar
-operations of its own tree, in their order, on each column, so every
-tree's floats are, bit for bit, those it gets alone; :func:`dtn_matrix`,
-:func:`harmonic_extension` and :func:`laplacian_apply_matrix` are the
-batch of one.  A batch's schedules are built once and kept while its
-first tree lives.  The caller bounds the size of a batch: the ``verify``
-harness caps its vertex count times its widest boundary at
-``verify.BATCH_ENTRIES``.
+tree after another, runs one elimination over all their interiors (their
+layers aligned at the deepest) and one Laplacian schedule over all their
+edges, so one step takes a layer of every tree.  :func:`dtn_matrices`
+assembles the response matrices of a batch at once, with the identity
+right-hand sides padded to the widest boundary, and
+:func:`.spectra.spectra_from_matrices` extends their eigenvectors through
+the same batch.  Each row sees the scalar operations of its own tree, in
+their order, on each column, so every tree's floats are, bit for bit,
+those it gets alone; :func:`dtn_matrix`, :func:`harmonic_extension` and
+:func:`laplacian_apply_matrix` are the batch of one.  A batch's schedules
+are built once and kept while its first tree lives.  The caller bounds a
+batch's size: the ``verify`` harness caps its vertex count times its
+widest boundary at ``verify.BATCH_ENTRIES``.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, HarmonicResidualError, InvariantViolationError
-from .graph_core import BoundaryTree, _eliminate
+from .graph_core import BoundaryTree, _centre_layers
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +176,7 @@ def _ordered_adds(dst: np.ndarray, src: np.ndarray) -> _OrderedAdds:
 
 # one level of the elimination: the slots [start, stop) of its vertices
 # and the rounds (parent slots, child slots) that add the rows of those
-# that are not roots into their parents' rows, one round per rank among
+# that are not centres into their parents' rows, one round per rank among
 # siblings (a single round when the parents are distinct); slot sets are
 # slices where consecutive
 _Level = tuple[int, int, tuple[tuple[_Rows, _Rows], ...]]
@@ -189,8 +188,9 @@ class _InteriorSolver:
 
     ``vertices[s]`` is the interior vertex in slot ``s`` of the
     elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot.
-    ``back`` lists, for the back substitution, each level's non-root
-    slots ``[start, stop)`` with their parents' slots, top level first.
+    ``levels`` are the trees' layers from their centres, deepest first.
+    ``back`` lists, for the back substitution, each level's slots but the
+    centres' ``[start, stop)`` with their parents' slots, top level first.
     ``rhs`` adds each boundary vertex's data into the slot of its unique
     interior neighbour, in boundary order, which is how Dirichlet data
     enters the right-hand side.
@@ -235,18 +235,34 @@ class _Batch:
         return g
 
 
-def _interior_solver(trees: Sequence[BoundaryTree], is_boundary: np.ndarray,
-                     owner: np.ndarray, degrees: np.ndarray) -> _InteriorSolver:
-    """The interiors' leaf-first elimination, with its pivots and rounds.
+def _interior_solver(trees: Sequence[BoundaryTree], vertex_stops: list[int],
+                     boundary: np.ndarray, degrees: np.ndarray) -> _InteriorSolver:
+    """The interiors' elimination from each tree's centre, with its pivots and rounds.
 
-    ``owner`` is each boundary vertex's one neighbour, which is interior.
-    Every vertex follows all its children, so one pass in slot order gives
-    each its pivot and updates its parent's, in elimination order; each
-    tree's pivots are those of its own elimination.
+    Each tree takes the layers of :func:`.graph_core._centre_layers`,
+    deepest first, aligned at the bottom: level ``j`` of the batch holds
+    every tree's ``j``-th layer, tree by tree, with the trees' centres,
+    which add into no row, last.  Every vertex follows all its children,
+    so one pass in slot order gives each its pivot and updates its
+    parent's; a stable sort keeps each tree's own order, so its pivots
+    are those of its own elimination.
     """
-    order, parents, peel_levels = _eliminate(
-        trees, is_boundary, degrees - np.bincount(owner, minlength=len(degrees)))
+    layers = [_centre_layers(t) for t in trees]
+    verts = np.concatenate([lay.order + a for lay, a in zip(layers, vertex_stops)])
+    parent = np.concatenate([lay.parent + a for lay, a in zip(layers, vertex_stops)])
+    # twice a layer's place from the deepest, and one more at the centre:
+    # sorted stably, every centre comes last in its level
+    key = np.concatenate([np.repeat(np.arange(0, 2 * len(lay.stops), 2),
+                                    np.diff(lay.stops, prepend=0)) for lay in layers])
+    centres = np.cumsum([len(lay.order) for lay in layers]) - 1
+    key[centres] += 1
+    by_level = np.argsort(key, kind="stable")
+    order = verts[by_level]
     sink = len(order)
+    slot = np.full(vertex_stops[-1] + 1, sink, dtype=np.int64)
+    slot[order] = np.arange(sink)
+    parent[verts[centres]] = vertex_stops[-1]  # to the sink's slot
+    parents = slot[parent[order]]
     piv = [*degrees[order].astype(np.float64).tolist(), 0.0]  # and the sink
     inv_piv = []
     for s, p in enumerate(parents.tolist()):
@@ -254,10 +270,12 @@ def _interior_solver(trees: Sequence[BoundaryTree], is_boundary: np.ndarray,
             raise InvariantViolationError(f"interior pivot {piv[s]} is not positive")
         inv_piv.append(1.0 / piv[s])
         piv[p] -= inv_piv[-1]
+    key = key[by_level] >> 1
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), sink]
     levels, back = [], []
-    for start, stop, ps, _ in peel_levels:
-        ps = ps.tolist()
-        inner = stop - ps.count(sink)  # roots come last, and add into no row
+    for start, stop in zip(bounds, bounds[1:]):
+        ps = parents[start:stop].tolist()
+        inner = stop - ps.count(sink)  # centres come last, and add into no row
         ps = ps[:inner - start]
         if not ps:
             levels.append((start, stop, ()))
@@ -275,14 +293,12 @@ def _interior_solver(trees: Sequence[BoundaryTree], is_boundary: np.ndarray,
             rounds = tuple(tuple(map(np.array, zip(*pairs))) for pairs in by_round.values())
         levels.append((start, stop, rounds))
         back.append((start, inner, idx))
-    slot = np.empty(len(degrees), dtype=np.int64)
-    slot[order] = np.arange(len(order))
     return _InteriorSolver(
         vertices=order,
         inv_piv=np.array(inv_piv)[:, None],
         levels=tuple(levels),
         back=tuple(reversed(back)),
-        rhs=_ordered_adds(slot[owner], np.arange(len(owner))),
+        rhs=_ordered_adds(slot[parent[boundary]], np.arange(len(boundary))),
     )
 
 
@@ -292,10 +308,7 @@ def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
     row_stops = [0, *np.cumsum([t.n_boundary for t in trees]).tolist()]
     is_boundary = np.concatenate([t.boundary_pos >= 0 for t in trees])
     degrees = np.concatenate([t.degrees for t in trees])
-    # each boundary vertex's one neighbour, which is interior
-    owner = np.array([t.neighbors[v][0] + off for t, off in zip(trees, vertex_stops)
-                      for v in t.boundary], dtype=np.int64)
-    solver = _interior_solver(trees, is_boundary, owner, degrees)
+    boundary = np.flatnonzero(is_boundary)
     shift = np.repeat(vertex_stops[:-1], [len(t.edge_u) for t in trees])
     eu = np.concatenate([t.edge_u for t in trees]) + shift
     ev = np.concatenate([t.edge_v for t in trees]) + shift
@@ -303,11 +316,11 @@ def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
     return _Batch(
         vertex_stops=vertex_stops,
         row_stops=row_stops,
-        boundary=np.flatnonzero(is_boundary),
+        boundary=boundary,
         interior=interior,
         interior_starts=np.searchsorted(interior, vertex_stops[:-1]),
         degrees=degrees,
-        solver=solver,
+        solver=_interior_solver(trees, vertex_stops, boundary, degrees),
         # each vertex takes its neighbours above it, then those below it,
         # each ascending: the order of one scatter-add over the sorted edge
         # list from the ``edge_u`` ends, then one from the ``edge_v`` ends
@@ -442,7 +455,7 @@ def dtn_matrices(trees: Sequence[BoundaryTree],
 
     Column ``j`` of a tree's matrix is the normal derivative of the
     harmonic extension of its ``j``-th boundary indicator.  The trees sit
-    side by side: one leaf-first elimination of all their interiors
+    side by side: one elimination of all their interiors from the centres
     solves every tree's identity right-hand side at once, padded to the
     largest boundary, one numpy step per level, and the Laplacian of all
     of them is one more pass.  Each tree's matrix is its own boundary rows

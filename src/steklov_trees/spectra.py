@@ -28,12 +28,12 @@ certify the other:
   and Ren, *ETNA* 3 (1995)); the ``verify`` harness certifies the dense
   spectrum this way.
 
-Each count is one leaf-to-root sweep over the levels of the leaf-first
-elimination of :mod:`.graph_core`, which runs here on the whole tree
-and in :mod:`.harmonic` on the interior: O(n) work in O(height) numpy
-steps.  Bushy trees have a few dozen levels even at n = 8000; path-like
-trees, with about n/2 levels, are the slow case.  The sweep does the scalar elimination's
-arithmetic in the scalar order, so counts are bit-identical to it.
+Each count is one sweep from the boundary to the tree's centre over the
+layers of :func:`.graph_core._centre_layers`, which :mod:`.harmonic`
+solves along too: O(n) work in ``(L + 1) // 2 + 1`` numpy steps for
+diameter L, a few dozen for bushy trees even at n = 8000 and about n/2
+for path-like ones, the slow case.  Each parent takes its children's
+updates in slot order, bit for bit as one vertex at a time.
 Counts are memoized per tree on their shift, the bisection's only memo:
 a repeated bisection walks its memoized probes again to the same float.
 
@@ -70,7 +70,7 @@ from .errors import (
     NotSymmetricError,
     ZeroFunctionError,
 )
-from .graph_core import BoundaryTree, _eliminate, _Level, per_tree_cache
+from .graph_core import BoundaryTree, _centre_layers, per_tree_cache
 from .harmonic import DtnMatrix, VertexFunction, _batch, _extend, _laplacian, dtn_matrix
 
 # the ``spectrum`` command prints the whole dense spectrum up to this
@@ -129,22 +129,45 @@ _TINY = 1e-280
 _MAX_PROBES = 64
 
 
+# one level of the count's sweep: the slots [start, stop) of its vertices,
+# the slots of their parents, and whether those parents are all distinct
+_Level = tuple[int, int, np.ndarray, bool]
+
+
 @per_tree_cache
-def _peel_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
+def _pencil_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
     """The whole tree's elimination levels, with degrees by slot.
 
-    The elimination seeds its queue with the tree's leaves ascending, which
-    are its boundary, so the boundary fills slots ``[0, m)`` (checked).
+    The boundary fills slots ``[0, m)`` in ascending order (checked
+    against ``boundary_pos``), one level; then each interior layer of
+    :func:`.graph_core._centre_layers` is a level, the centre's parent
+    slot the sink ``n``.  A layer's parent slots never decrease (the
+    search lists children in their parents' order), so they are distinct
+    when they strictly increase: one ``reduceat`` flags every layer, and
+    the levels take a fixed number of numpy calls.
     """
-    peel, _, levels = _eliminate((t,), np.zeros(t.n, dtype=bool), t.degrees)
-    if not np.array_equal(peel[:t.n_boundary], t._boundary_ids):
-        raise InvariantViolationError("the elimination does not peel the boundary first")
-    return t.degrees[peel].astype(np.float64), levels
+    lay = _centre_layers(t)
+    n, m = t.n, t.n_boundary
+    by_slot = np.concatenate((t._boundary_ids, lay.order))
+    slot = np.append(t.boundary_pos, n)
+    slot[lay.order] = np.arange(m, n)
+    if not np.array_equal(slot[by_slot], np.arange(n)):
+        raise InvariantViolationError("the boundary does not fill the first slots in order")
+    parent_slot = slot[lay.parent[by_slot]]
+    bounds = [0, m, *(m + s for s in lay.stops)]
+    # a slot whose parent is the one before's, within its level
+    repeat = np.append(False, parent_slot[1:] == parent_slot[:-1])
+    repeat[bounds[:-1]] = False
+    distinct = (~np.logical_or.reduceat(repeat, bounds[:-1])).tolist()
+    distinct[0] = bool(np.bincount(parent_slot[:m]).max() == 1)  # the boundary's, unsorted
+    levels = tuple((a, b, parent_slot[a:b], d)
+                   for a, b, d in zip(bounds, bounds[1:], distinct))
+    return t.degrees[by_slot].astype(np.float64), levels
 
 
 def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
     """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
-    degrees, levels = _peel_levels(t)
+    degrees, levels = _pencil_levels(t)
     n = t.n
     diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
     diag[:n] = degrees
@@ -160,7 +183,7 @@ def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
             diag[ps] -= 1.0 / d
         else:
             # ufunc.at applies repeated parents in order: each parent sees
-            # its children's updates in peel order, as a scalar sweep would
+            # its children's updates in slot order, as a scalar sweep would
             np.subtract.at(diag, ps, 1.0 / d)
     return diag[:n]
 
@@ -190,8 +213,8 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     Counts negative pivots of the tree-ordered factorization of
     ``L - shift * B``; the positive-definite interior block contributes
     none, so the count equals the inertia of the boundary response
-    matrix shifted by ``shift``.  One leaf-to-root sweep over the peel
-    levels: O(n) work in O(height) numpy steps.
+    matrix shifted by ``shift``.  One sweep over :func:`_pencil_levels`:
+    O(n) work in one numpy step per level.
 
     A pivot vanishes only at special shifts (within rounding of an
     eigenvalue of the pencil on the subtree below it, e.g. path(4) at
@@ -203,20 +226,23 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pencil_pivots(t, shift, clamp=False)
-        vanished = bool(np.any(np.abs(pivots) < _TINY))
-    if vanished:
+    neg = np.count_nonzero(pivots <= -_TINY)
+    # a pivot vanished iff it is in (-_TINY, _TINY), between the two counts;
+    # if none did, the first count is the negatives (NaN is in neither)
+    if np.count_nonzero(pivots < _TINY) != neg:
         pivots = _pencil_pivots(t, shift, clamp=True)
+        neg = np.count_nonzero(pivots < 0.0)
     recent = _counts(t).pivots
     recent[shift] = pivots
     if len(recent) > 2:
         del recent[next(iter(recent))]
-    return int(np.count_nonzero(pivots < 0.0))
+    return int(neg)
 
 
 @per_tree_cache
 def _boundary_children(t: BoundaryTree) -> np.ndarray:
     """How many boundary vertices hang from each slot (the sink included)."""
-    _, levels = _peel_levels(t)
+    _, levels = _pencil_levels(t)
     return np.bincount(levels[0][2], minlength=t.n + 1).astype(np.float64)
 
 
@@ -236,7 +262,7 @@ def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, fl
     rounding nor the order of their sums matters; they are non-finite
     near a vanished pivot.
     """
-    _, levels = _peel_levels(t)
+    _, levels = _pencil_levels(t)
     n, m = t.n, t.n_boundary
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pivots
@@ -387,11 +413,13 @@ def steklov_eigenvalue_bisect(
 
     *The count does not decrease as the shift grows*, bit for bit, which
     makes the replay's decisions those of the loop (the argument Demmel,
-    Dhillon and Ren give for Sturm counts, *ETNA* 3 (1995)).  Work in the
+    Dhillon and Ren give for Sturm counts, *ETNA* 3 (1995)), for any order
+    in which each vertex follows its children and each parent subtracts
+    their reciprocals in a fixed order, as the sweep's slots do.  Work in the
     clamped elimination: it has no zero pivot, and it agrees bit for bit
     with the unclamped one whenever no pivot vanished, which is when the
     count reads the latter.  Take shifts ``s1 < s2``.  By induction up the
-    levels, a subtree's negative count grows, or it stays equal and
+    elimination, a subtree's negative count grows, or it stays equal and
     either its root pivot keeps its sign and does not increase, or the
     pivot goes from negative to non-negative.  At a leaf the pivot
     ``fl(1 - s)`` does not increase, and the count grows if it turns

@@ -11,17 +11,16 @@ and, edge by edge, the O(n) optimal split.
 The partition descent as it stood before the preorder index (one
 component search per candidate side) is the reference for the
 package's prefix-sum descent.
-A scalar one-vertex-at-a-time pencil count is the reference for the
-package's level-by-level inertia count, and the whole-tree peel and level
-sweep as they stood before the shared elimination are the reference for
-its pivot bits.
+A scalar one-vertex-at-a-time pencil count, along its own search from
+the centre, is the reference for the package's level-by-level inertia
+count, its schedule and its pivot bits.
 The edge-by-edge ``build_tree`` and line-by-line text parser as they
 stood before the int64 input layer are the reference for its trees and
 its error messages, and a boolean mask over all vertices is the
 reference for ``make_subtree``.
-The one-vertex-at-a-time interior elimination and the ``np.add.at``
-Laplacian as they stood before the level schedule are the reference
-for the harmonic layer's bits.
+The one-vertex-at-a-time interior elimination from the centre and the
+``np.add.at`` Laplacian as it stood before the level schedule are the
+reference for the harmonic layer's bits.
 The branch components, the two- and k-way splits and the multiway test
 functions as they stood before the vertex masks and the shared
 preorder (one component search per spine vertex, one set per remainder)
@@ -259,42 +258,64 @@ def diameter_oracle(n: int, edges) -> tuple[int, tuple[int, ...]]:
     return da[b], tuple(path)
 
 
-def count_below_brute(n: int, edges, shift: float) -> int:
-    """Negative pivots of ``L - shift * B`` by a scalar leaf-first sweep.
+def centre_order_oracle(n: int, edges) -> tuple[list[int], list[int]]:
+    """The interior deepest first from the centre, and every vertex's parent toward it.
 
-    The reference for the package's level-by-level count: the same
-    elimination (peel leaves off a queue in ascending id order; each
-    vertex's parent is its smallest-id neighbour still present; a pivot
-    below 1e-280 in magnitude counts as -1e-280), one vertex at a time.
+    The centre is ``path[L // 2]`` of :func:`diameter_oracle`.  A queue
+    search from it over the interior, neighbours ascending, gives each
+    vertex its depth and parent (boundary vertices are reached but not
+    searched from); the interior is then sorted by depth, deepest first,
+    ties in search order.  The centre's parent is ``-1``.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     adj = [sorted(a) for a in adj]
-    diag = [float(len(a)) - (shift if len(a) == 1 else 0.0) for a in adj]
-    rem = [len(a) for a in adj]
-    done = [False] * n
-    queue = deque(v for v in range(n) if rem[v] <= 1)
-    neg = 0
+    L, path = diameter_oracle(n, edges)
+    c = path[L // 2]
+    depth = [-1] * n
+    parent = [-1] * n
+    depth[c] = 0
+    searched: list[int] = []
+    queue = deque([c])
     while queue:
-        v = queue.popleft()
-        if done[v]:
-            continue
-        done[v] = True
+        x = queue.popleft()
+        searched.append(x)
+        for y in adj[x]:
+            if depth[y] < 0:
+                depth[y] = depth[x] + 1
+                parent[y] = x
+                if len(adj[y]) > 1:
+                    queue.append(y)
+    interior = sum(1 for a in adj if len(a) > 1)
+    if len(searched) != interior:
+        raise InvariantViolationError(f"search reached {len(searched)} of {interior} interior vertices")
+    return sorted(searched, key=lambda v: -depth[v]), parent
+
+
+def count_below_brute(n: int, edges, shift: float) -> int:
+    """Negative pivots of ``L - shift * B`` by a scalar sweep from the leaves to the centre.
+
+    The reference for the package's level-by-level count: the boundary
+    in ascending id order, then the interior deepest first from the
+    centre (:func:`centre_order_oracle`), each vertex's parent its
+    neighbour toward the centre; a pivot below 1e-280 in magnitude counts
+    as -1e-280; one vertex at a time.
+    """
+    order, parent = centre_order_oracle(n, edges)
+    deg = degrees_brute(n, edges)
+    boundary = [v for v in range(n) if deg[v] == 1]
+    diag = [float(d) - (shift if d == 1 else 0.0) for d in deg]
+    neg = 0
+    for v in boundary + order:
         d = diag[v]
         if abs(d) < 1e-280:
             d = -1e-280
         if d < 0.0:
             neg += 1
-        for w in adj[v]:
-            if not done[w]:
-                diag[w] -= 1.0 / d
-                rem[w] -= 1
-                if rem[w] <= 1:
-                    queue.append(w)
-                break
-    assert all(done)
+        if parent[v] >= 0:
+            diag[parent[v]] -= 1.0 / d
     return neg
 
 
@@ -523,9 +544,8 @@ def make_subtree_oracle(t, vertices) -> SubtreeRef:
 
 
 # -- pencil count -----------------------------------------------------------------
-# the whole-tree peel and level sweep of the spectral count as they stood
-# before the shared elimination, verbatim apart from their names and the
-# per-tree cache
+# the count's schedule and pivots, one vertex at a time along the search from
+# the centre of centre_order_oracle
 
 _TINY = 1e-280
 
@@ -534,85 +554,52 @@ _TINY = 1e-280
 _Level = tuple[int, int, np.ndarray, bool]
 
 
-def peel_levels_oracle(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
-    """Leaf-first elimination schedule of the whole tree, level by level.
+def pencil_levels_oracle(t: BoundaryTree) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
+    """The whole tree's elimination schedule, level by level.
 
-    Peels leaves off a queue; each vertex's parent is its one neighbour
-    still present when it is peeled, and its height is one more than the
-    largest height among its children (leaves have height 0).  Vertices
-    are renumbered into slots by peel order, so each height is a
-    contiguous run of slots.  Returns the degrees and the boundary mask
-    by slot, and ``(start, stop, parents, distinct)`` per height,
-    ascending.  The last vertex peeled (the root, alone on the top
-    level) has no parent; its parent slot is the sink ``n``.
-
-    The peel order is already sorted by height (checked below): by
-    induction, a vertex enters the queue when its last child is peeled,
-    which is also its tallest, so it sits one level above the vertex just
-    peeled; the root is peeled last, above its last-peeled child.  So
-    every vertex is eliminated after all its children, and each parent
-    receives its children's updates in peel order.
+    Slots: the boundary ascending, then the interior deepest first from
+    the centre.  The boundary is one level, and each depth of the
+    interior one more.  Returns the degrees and the boundary mask by
+    slot, and ``(start, stop, parents, distinct)`` per level; the
+    centre's parent slot is the sink ``n``.
     """
     n = t.n
-    rem = t.degrees.tolist()
-    parent = [n] * n
-    height = [0] * n
-    done = [False] * n
-    order: list[int] = []
-    dq = deque(v for v in range(n) if rem[v] <= 1)
-    while dq:
-        v = dq.popleft()
-        if done[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for w in t.neighbors[v]:
-            if not done[w]:
-                parent[v] = w
-                height[w] = max(height[w], height[v] + 1)
-                rem[w] -= 1
-                if rem[w] <= 1:
-                    dq.append(w)
-                break
-    if len(order) != n:
-        raise InvariantViolationError(f"peel reached {len(order)} of {n} vertices")
-    peel = np.array(order, dtype=np.int64)
-    hp = np.array(height, dtype=np.int64)[peel]
-    if np.any(hp[1:] < hp[:-1]):
-        raise InvariantViolationError("peel order is not sorted by height")
-    slot = np.empty(n + 1, dtype=np.int64)
-    slot[peel] = np.arange(n)
-    slot[n] = n
-    parent_slot = slot[np.array(parent, dtype=np.int64)[peel]]
-    bounds = [0, *(np.flatnonzero(hp[1:] != hp[:-1]) + 1).tolist(), n]
+    order, parent = centre_order_oracle(n, t.edges)
+    slots = list(t.boundary) + order
+    slot = {v: s for s, v in enumerate(slots)}
+    slot[-1] = n
+    depth = {}
+    for v in reversed(order):  # parents first
+        depth[v] = 0 if parent[v] < 0 else depth[parent[v]] + 1
+    level = [0 if t.degrees[v] == 1 else 1 + depth[order[0]] - depth[v] for v in slots]
     levels = []
-    for start, stop in zip(bounds, bounds[1:]):
-        ps = parent_slot[start:stop]
-        levels.append((start, stop, ps, len(set(ps.tolist())) == len(ps)))
-    return (t.degrees[peel].astype(np.float64), t.boundary_pos[peel] >= 0,
+    start = 0
+    for s in range(1, n + 1):
+        if s == n or level[s] != level[start]:
+            ps = [slot[parent[v]] for v in slots[start:s]]
+            levels.append((start, s, np.array(ps, dtype=np.int64), len(set(ps)) == len(ps)))
+            start = s
+    by_slot = np.array(slots, dtype=np.int64)
+    return (t.degrees[by_slot].astype(np.float64), t.boundary_pos[by_slot] >= 0,
             tuple(levels))
 
 
 def pencil_pivots_oracle(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
-    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
-    degrees, boundary, levels = peel_levels_oracle(t)
+    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot.
+
+    One vertex at a time in slot order, in float64 scalars, so a
+    vanished pivot divides to an infinity as numpy's arrays do.
+    """
+    degrees, boundary, levels = pencil_levels_oracle(t)
     n = t.n
-    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
+    diag = np.empty(n + 1)  # slot n absorbs the centre's (discarded) update
     diag[:n] = degrees
     diag[:n][boundary] -= shift
-    for start, stop, ps, distinct in levels:
-        # only children update a vertex, so its slot holds its pivot by now
-        d = diag[start:stop]
-        if clamp:
-            d[np.abs(d) < _TINY] = -_TINY
-        if distinct:
-            # one update per parent: fancy indexing does the same
-            # arithmetic as ufunc.at, at a fraction of its cost
-            diag[ps] -= 1.0 / d
-        else:
-            # ufunc.at applies repeated parents in order: each parent sees
-            # its children's updates in peel order, as a scalar sweep would
-            np.subtract.at(diag, ps, 1.0 / d)
+    for start, stop, ps, _ in levels:
+        for s, p in zip(range(start, stop), ps.tolist()):
+            if clamp and abs(diag[s]) < _TINY:
+                diag[s] = -_TINY
+            diag[p] -= 1.0 / diag[s]
     return diag[:n]
 
 
@@ -671,9 +658,8 @@ def oracle_agreement_bisect(t: BoundaryTree, spectrum, ks: tuple[int, ...],
 
 
 # -- harmonic layer ---------------------------------------------------------------
-# the one-vertex-at-a-time interior elimination, its column extension and the
-# np.add.at Laplacian as they stood before the level schedule, verbatim apart
-# from their names and the per-tree cache
+# the one-vertex-at-a-time interior elimination from the centre, its column
+# extension, and the np.add.at Laplacian as it stood before the level schedule
 
 @dataclass(frozen=True, eq=False)
 class _InteriorSolverOracle:
@@ -684,48 +670,21 @@ class _InteriorSolverOracle:
 
 
 def interior_solver_oracle(t: BoundaryTree) -> _InteriorSolverOracle:
-    n = t.n
-    interior = t.degrees > 1
-    # count of interior neighbors, interior vertices only
-    rem = np.zeros(n, dtype=np.int64)
-    for v in t.interior:
-        rem[v] = sum(1 for w in t.neighbors[v] if interior[w])
-
+    """The interior eliminated one vertex at a time, deepest first from the centre."""
+    order, parent = centre_order_oracle(t.n, t.edges)
     piv = t.degrees.astype(np.float64).copy()
-    parent = np.full(n, -1, dtype=np.int64)
-    inv_piv = np.zeros(n)
-    eliminated = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    dq = deque(v for v in t.interior if rem[v] <= 1)
-    while dq:
-        v = dq.popleft()
-        if eliminated[v]:
-            continue
-        eliminated[v] = True
-        order.append(v)
+    inv_piv = np.zeros(t.n)
+    for v in order:
         if not piv[v] > 0.0:
             raise InvariantViolationError(f"interior pivot {piv[v]} is not positive")
         inv_piv[v] = 1.0 / piv[v]
-        p = -1
-        for w in t.neighbors[v]:
-            if interior[w] and not eliminated[w]:
-                p = w
-                break
-        if p >= 0:
-            parent[v] = p
-            piv[p] -= inv_piv[v]
-            rem[p] -= 1
-            if rem[p] <= 1:
-                dq.append(p)
-    if len(order) != len(t.interior):
-        raise InvariantViolationError(
-            f"interior elimination reached {len(order)} of {len(t.interior)} vertices")
-
+        if parent[v] >= 0:
+            piv[parent[v]] -= inv_piv[v]
     boundary_owner = np.array(
         [t.neighbors[b][0] for b in t.boundary], dtype=np.int64)
     return _InteriorSolverOracle(
         order=np.array(order, dtype=np.int64),
-        parent=parent,
+        parent=np.array(parent, dtype=np.int64),
         inv_piv=inv_piv,
         boundary_owner=boundary_owner,
     )

@@ -235,11 +235,12 @@ def test_interior_pivot_check_raises_without_assert():
 
 
 def test_interior_elimination_check_raises_on_a_cycle(ball32):
-    # bypasses build_tree's validation: an interior triangle has no leaf
+    # bypasses build_tree's validation: an interior triangle has no leaf,
+    # so the diameter that finds the elimination's centre has no boundary ends
     cyc = dataclasses.replace(
         ball32, n=3, degrees=np.array([2, 2, 2]), neighbors=((1, 2), (0, 2), (0, 1)),
         boundary=(), interior=(0, 1, 2), boundary_pos=np.full(3, -1))
-    with pytest.raises(InvariantViolationError, match="elimination"):
+    with pytest.raises(InvariantViolationError, match="diameter path"):
         dtn_matrix(cyc)
 
 
@@ -280,14 +281,14 @@ def test_interior_order_and_pivot_bytes_match_the_scalar_elimination(t):
 
 def test_interior_height_order_check_raises_without_assert(ball32):
     # a real check, not an ``assert``: in a forest of two interior parts the
-    # queue reaches the second part's lone vertex, at height 0, after the
-    # first part's root at height 1
+    # search from the centre, vertex 0, never reaches the second part's
+    # lone vertex
     forest = dataclasses.replace(
         ball32, n=7, degrees=np.array([2, 2, 2, 1, 1, 1, 1]),
         neighbors=((1, 3), (0, 4), (5, 6), (0,), (1,), (2,), (2,)),
         boundary=(3, 4, 5, 6), interior=(0, 1, 2),
         boundary_pos=np.array([-1, -1, -1, 0, 1, 2, 3]))
-    with pytest.raises(InvariantViolationError, match="sorted by height"):
+    with pytest.raises(InvariantViolationError, match="reached 2 of 3"):
         dtn_matrix(forest)
 
 

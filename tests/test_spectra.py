@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import os
 import random
 import subprocess
@@ -40,13 +41,15 @@ from steklov_trees import (
     variational_upper_check,
 )
 from steklov_trees import spectra
-from steklov_trees.harmonic import laplacian_apply_matrix
+from steklov_trees.generators import generate_family
+from steklov_trees.graph_core import _centre_layers, diameter
+from steklov_trees.harmonic import _batch, laplacian_apply_matrix
 
 from _oracle import (
     bisect_oracle,
     count_below_brute,
     laplacian_brute,
-    peel_levels_oracle,
+    pencil_levels_oracle,
     pencil_pivots_oracle,
     steklov_eigs_brute,
 )
@@ -281,9 +284,17 @@ def test_count_matches_scalar_reference_where_pivots_vanish(name, shift, request
 
 
 # trees on which some count at a LAPACK eigenvalue (or a float next to it)
-# changes when a parent's updates are applied out of the scalar order
+# changes when each parent takes its children's updates in reverse slot
+# order: the first six hits of a seeded search (random.Random(23), n from
+# 5 to 40, caps 3 to 6) over gen_random_tree, then four found for the
+# leaf-first peel order that are sensitive in this order too
 ORDER_SENSITIVE_TREES = (
-    (38, 5, 3934166345),
+    (23, 3, 73343450),
+    (35, 6, 2902213635),
+    (32, 3, 2439584845),
+    (22, 5, 3524721521),
+    (34, 4, 1109899118),
+    (38, 4, 2966145322),
     (7, 6, 3877110562),
     (18, 6, 1869226390),
     (23, 3, 4009128249),
@@ -304,8 +315,9 @@ def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
 
 @given(t=shapes)
 def test_peel_schedule_matches_the_whole_tree_peel(t):
-    degrees, levels = spectra._peel_levels(t)
-    want_degrees, want_boundary, want_levels = peel_levels_oracle(t)
+    # the schedule from the centre, against one built a vertex at a time
+    degrees, levels = spectra._pencil_levels(t)
+    want_degrees, want_boundary, want_levels = pencil_levels_oracle(t)
     assert degrees.tobytes() == want_degrees.tobytes()
     # the boundary fills the first m slots, so the sweep needs no mask
     assert want_boundary.tobytes() == (np.arange(t.n) < t.n_boundary).tobytes()
@@ -330,6 +342,55 @@ def test_pencil_pivot_bytes_match_the_whole_tree_peel(t, seed):
                 got = spectra._pencil_pivots(t, shift, clamp)
                 want = pencil_pivots_oracle(t, shift, clamp)
             assert got.tobytes() == want.tobytes()
+
+
+def _level_count_trees():
+    yield gen_path(2000)
+    yield generate_family({"family": "EXTREMAL_MIDDLE", "L": 2000, "variant": "B"})
+    yield gen_ball(3, 9)
+    yield generate_family({"family": "REFINED", "l": 8})
+
+
+def _assert_centre_level_counts(t):
+    # from the centre, the whole tree takes the peel's (L + 1) // 2 + 1
+    # levels and the interior one fewer; from vertex 0 a path would take L + 1
+    half = (diameter(t).length + 1) // 2
+    assert len(spectra._pencil_levels(t)[1]) == half + 1
+    assert len(_centre_layers(t).stops) == half
+    assert len(_batch((t,)).solver.levels) == half
+
+
+@pytest.mark.parametrize("t", _level_count_trees(), ids=["path-2000", "extremal-B-2000",
+                                                          "ball-3-9", "refined-8"])
+def test_schedules_have_the_peel_level_count(t):
+    _assert_centre_level_counts(t)
+
+
+@given(t=shapes)
+def test_shape_schedules_have_the_peel_level_count(t):
+    _assert_centre_level_counts(t)
+
+
+# each decision the count makes on its unclamped pivots: whether a pivot
+# vanished and, if none did, how many are negative
+_CRAFTED_PIVOTS = (-0.0, 0.0, spectra._TINY, -spectra._TINY, spectra._TINY / 2,
+                   -spectra._TINY / 2, math.nan, -math.nan, math.inf, -math.inf,
+                   5e-324, -5e-324, 1.0, -1.0, 2.5e-280, -2.5e-280)
+
+
+def test_count_decides_vanished_pivots_as_the_absolute_test(path4, monkeypatch):
+    clamped = np.array([-1.0, 2.0, -3.0, 4.0, 5.0])  # the rerun's pivots: 2 negative
+    rng = np.random.default_rng(5)
+    cases = [np.array([x]) for x in _CRAFTED_PIVOTS]
+    cases += [rng.choice(_CRAFTED_PIVOTS, size=int(rng.integers(1, 8))) for _ in range(400)]
+    for i, p in enumerate(cases):
+        monkeypatch.setattr(spectra, "_pencil_pivots",
+                            lambda t, shift, clamp, p=p: clamped if clamp else p)
+        # the decision and the count as they stood before the folded test
+        with np.errstate(invalid="ignore"):
+            vanished = bool(np.any(np.abs(p) < spectra._TINY))
+        want = 2 if vanished else int(np.count_nonzero(p < 0.0))
+        assert spectra._steklov_count_below(path4, 0.25 + i) == want, p
 
 
 @given(n=st.integers(3, 40), cap=st.integers(2, 6), seed=st.integers(0, 2**32),
@@ -403,7 +464,8 @@ def test_bisect_start_check_raises_without_assert(ball32, monkeypatch):
 
 
 def test_peel_check_raises_on_a_cycle(ball32):
-    # bypasses build_tree's validation: a triangle has no leaf to peel
+    # bypasses build_tree's validation: a triangle has no boundary, so the
+    # diameter that finds the centre has no boundary ends
     cyc = dataclasses.replace(
         ball32, n=3, degrees=np.array([2, 2, 2]), neighbors=((1, 2), (0, 2), (0, 1)),
         boundary_pos=np.full(3, -1))
@@ -413,10 +475,22 @@ def test_peel_check_raises_on_a_cycle(ball32):
 
 def test_peel_check_raises_when_the_boundary_is_not_peeled_first(ball32):
     # the sweep writes the boundary's diagonal as the first m slots: a
-    # boundary out of step with the elimination is refused, not misread
+    # boundary out of step with its positions is refused, not misread
     shuffled = dataclasses.replace(ball32, boundary=tuple(reversed(ball32.boundary)))
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="first slots"):
         spectra._steklov_count_below(shuffled, 0.5)
+
+
+def test_count_check_raises_when_the_interior_is_disconnected(ball32):
+    # bypasses build_tree's validation: two interior parts, 0-1 and 2; the
+    # search from the centre, vertex 0, never reaches vertex 2
+    forest = dataclasses.replace(
+        ball32, n=7, degrees=np.array([2, 2, 2, 1, 1, 1, 1]),
+        neighbors=((1, 3), (0, 4), (5, 6), (0,), (1,), (2,), (2,)),
+        boundary=(3, 4, 5, 6), interior=(0, 1, 2),
+        boundary_pos=np.array([-1, -1, -1, 0, 1, 2, 3]))
+    with pytest.raises(InvariantViolationError, match="reached 2 of 3"):
+        spectra._steklov_count_below(forest, 0.5)
 
 
 # -- the replay from count-certified brackets ------------------------------------------
