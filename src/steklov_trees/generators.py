@@ -102,24 +102,6 @@ def gen_path(length: int) -> BoundaryTree:
 
 # -- extremal middle-attachment caterpillars ------------------------------------------
 
-@lru_cache(maxsize=None)
-def _rooted_shapes(n: int) -> tuple[tuple, ...]:
-    """All rooted tree shapes on ``n`` nodes as canonical nested tuples.
-
-    A shape is the sorted tuple of its child shapes; building every
-    (child, rest-of-root) combination and deduplicating the canonical
-    forms yields each shape exactly once (1, 1, 2, 4, 9, 20, 48, ... ).
-    """
-    if n == 1:
-        return ((),)
-    found = set()
-    for k in range(1, n):
-        for child in _rooted_shapes(k):
-            for rest in _rooted_shapes(n - k):
-                found.add(tuple(sorted(rest + (child,))))
-    return tuple(sorted(found))
-
-
 def _attach_shape(parent: list[int], root: int, shape: tuple) -> None:
     """Hang ``shape`` below ``root``, numbering its vertices on from ``len(parent) + 1``."""
     for child in shape:
@@ -136,22 +118,30 @@ def gen_extremal_middle(length: int, variant: str, lhat: int | None = None) -> B
     The attachment has 3 vertices (variant A), 7 (variant B), or is a
     depth-``lhat`` binary brush (variant C, needing ``L/2 >= 2^lhat - 1``
     so the spine still carries the slowest mode), all counted including
-    the midpoint vertex itself.  A and B search the rooted shapes of the
-    declared size in canonical order and return the first one whose tree
-    attains the extremal value ``lambda_2 = 2/L`` (the target shapes are
-    only characterized by that property); C builds its single shape and
-    validates it the same way.  The search runs once per parameter set;
-    every call builds a fresh tree from its remembered edge array.
+    the midpoint vertex itself.  A and B hang 2 and 6 leaves on the
+    midpoint, a star, which attains the extremal value ``lambda_2 = 2/L``
+    exactly, for any number of leaves.  Eliminating the spine's interior
+    reduces the tree to a star around the midpoint ``c`` with conductance
+    ``1/m`` to each of ``x_0`` and ``x_L`` (``m = L/2`` unit edges in
+    series) and ``1`` to each leaf.  Eliminating ``c`` leaves the
+    response matrix ``D - w w^T / sum(w)`` with ``w = (1/m, 1/m, 1, ...,
+    1)`` and ``D = diag(w)``.  The eigenvalues of this rank-one downdate
+    interlace with ``D``'s, so ``lambda_1(D) <= lambda_2 <= lambda_2(D)``;
+    as ``1/m <= 1``, both ends are ``1/m``, and ``lambda_2 = 1/m = 2/L``.
+    C builds its single shape and checks
+    ``lambda_2`` by bisection.  The edges are built once per parameter
+    set; every call builds a fresh tree from the remembered edge array.
     """
     return build_tree(_extremal_edges(length, variant, lhat))
 
 
 @lru_cache(maxsize=None)
 def _extremal_edges(length: int, variant: str, lhat: int | None) -> np.ndarray:
-    """Read-only edge array of :func:`gen_extremal_middle`'s tree (the shape search)."""
+    """Read-only edge array of :func:`gen_extremal_middle`'s tree."""
     if length % 2 != 0 or length < 2:
         raise BadParamsError(f"spine length must be even and >= 2, got {length}")
     mid = length // 2
+    parent = list(range(length))  # the spine
     if variant in _EXTREMAL_SIZES:
         if lhat is not None:
             raise BadParamsError(f"variant {variant} takes no depth parameter")
@@ -159,7 +149,7 @@ def _extremal_edges(length: int, variant: str, lhat: int | None) -> np.ndarray:
         if mid < (size - 1) // 2:
             raise BadParamsError(
                 f"variant {variant} needs L/2 >= {(size - 1) // 2}, got L={length}")
-        candidates = _rooted_shapes(size)
+        edges = _parent_edges(parent + [mid] * (size - 1))
     elif variant == "C":
         if lhat is None or lhat < 1:
             raise BadParamsError("variant C needs a depth lhat >= 1")
@@ -169,20 +159,16 @@ def _extremal_edges(length: int, variant: str, lhat: int | None) -> np.ndarray:
         brush: tuple = ()
         for _ in range(lhat - 1):
             brush = (brush, brush)
-        candidates = ((brush,),)
-    else:
-        raise BadParamsError(f"unknown variant {variant!r}")
-
-    for shape in candidates:
-        parent = list(range(length))  # the spine
-        _attach_shape(parent, mid, shape)
+        _attach_shape(parent, mid, (brush,))
         edges = _parent_edges(parent)
         lam2 = steklov_eigenvalue_bisect(build_tree(edges), 2)
-        if abs(lam2 - 2.0 / length) <= 1e-9:
-            edges.flags.writeable = False
-            return edges
-    raise NoExtremalShapeFoundError(
-        f"no variant-{variant} attachment at L={length} reaches 2/L")
+        if not abs(lam2 - 2.0 / length) <= 1e-9:
+            raise NoExtremalShapeFoundError(
+                f"no variant-C attachment at L={length} reaches 2/L")
+    else:
+        raise BadParamsError(f"unknown variant {variant!r}")
+    edges.flags.writeable = False
+    return edges
 
 
 # -- random families -------------------------------------------------------------------

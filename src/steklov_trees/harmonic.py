@@ -19,23 +19,25 @@ elimination in a perfect order: O(n), no fill-in, no iteration.  The
 order is the layers of :func:`.graph_core._centre_layers`, deepest
 first, the schedule :mod:`.spectra` counts along on the whole tree.  It
 is found once and then replayed level by level: a layer is eliminated
-in one numpy step across every right-hand side.  The Laplacian sums
-neighbors by one numpy step per neighbor rank.  Both do the
+across every right-hand side by a scaling and one ordered scatter-add
+(``np.add.at``, which adds each entry's terms one at a time in index
+order) of its rows into its parents' rows.  The Laplacian sums
+neighbours by two such scatter-adds over the edge list.  Both do the
 one-at-a-time arithmetic in its order, so their floats are bit-identical
 to it.
 
 Trees are solved in batches.  A batch numbers its trees' vertices one
 tree after another, runs one elimination over all their interiors (their
-layers aligned at the deepest) and one Laplacian schedule over all their
-edges, so one step takes a layer of every tree.  :func:`dtn_matrices`
+layers aligned at the deepest) and one Laplacian over all their edges,
+so one step takes a layer of every tree.  :func:`dtn_matrices`
 assembles the response matrices of a batch at once, with the identity
 right-hand sides padded to the widest boundary, and
 :func:`.spectra.spectra_from_matrices` extends their eigenvectors through
 the same batch.  Each row sees the scalar operations of its own tree, in
 their order, on each column, so every tree's floats are, bit for bit,
 those it gets alone; :func:`dtn_matrix`, :func:`harmonic_extension` and
-:func:`laplacian_apply_matrix` are the batch of one.  A batch's schedules
-are built once and kept while its first tree lives.  The caller bounds a
+:func:`laplacian_apply_matrix` are the batch of one.  A batch's schedule
+is built once and kept while its first tree lives.  The caller bounds a
 batch's size: the ``verify`` harness caps its vertex count times its
 widest boundary at ``verify.BATCH_ENTRIES``.
 """
@@ -104,82 +106,21 @@ def normal_derivative(f: VertexFunction) -> BoundaryFunction:
     return BoundaryFunction(f.tree, lap.values[f.tree._boundary_ids])
 
 
-# a set of rows: a slice where consecutive, so that indexing makes no copy
-_Rows = slice | np.ndarray
+def _add_rows(out: np.ndarray, dst: np.ndarray, blk: np.ndarray) -> None:
+    """``out[dst[i]] += blk[i]`` for ``i = 0, 1, ...``, in that order.
 
-
-@dataclass(frozen=True, eq=False)
-class _OrderedAdds:
-    """``out[dst[i]] += blk[src[i]]`` for ``i = 0, 1, ...`` in a few numpy steps.
-
-    Each target receives its terms one at a time in the given order, so
-    the sums are bit-identical to a scalar loop over ``i``.  A round adds
-    one term to each of a set of distinct targets; a run adds all the
-    terms of one target by a single ``np.add.accumulate``, which is
-    sequential.
+    ``np.add.at`` adds the terms of each entry one at a time in index
+    order, so every sum is bit-identical to the scalar loop over ``i``.
+    It runs on the flattened rows of ``out``, which must be C-contiguous
+    (allocate it with ``np.zeros(shape)``, not ``np.zeros_like``): the
+    flattening of any other layout is a copy, which would take the sums
+    and drop them.
     """
-
-    rounds: tuple[tuple[_Rows, _Rows], ...]
-    runs: tuple[tuple[int, _Rows], ...]
-
-    def __call__(self, out: np.ndarray, blk: np.ndarray) -> None:
-        for tgt, rows in self.rounds:
-            out[tgt] += blk[rows]
-        for tgt, rows in self.runs:
-            acc = np.concatenate((out[tgt:tgt + 1], blk[rows]))
-            np.add.accumulate(acc, axis=0, out=acc)
-            out[tgt] = acc[-1]
-
-
-def _as_index(ids: list[int]) -> _Rows:
-    """Row ids as a slice when they are consecutive and ascending (no gather)."""
-    if ids == list(range(ids[0], ids[0] + len(ids))):
-        return slice(ids[0], ids[0] + len(ids))
-    return np.array(ids, dtype=np.int64)
-
-
-def _ordered_adds(dst: np.ndarray, src: np.ndarray) -> _OrderedAdds:
-    """Schedule ``out[dst[i]] += blk[src[i]]`` in order, in the fewest steps.
-
-    Round ``j`` adds the ``j``-th term of every target; a target with
-    more terms than there are rounds gets a run of its own instead.  The
-    number of rounds minimizes the steps, counting a run as two (it
-    copies its target's terms once more), so a star is one run, not one
-    round per leaf.
-    """
-    by_dst = np.argsort(dst, kind="stable")
-    d = dst[by_dst]
-    new = np.ones(len(d), dtype=bool)
-    np.not_equal(d[1:], d[:-1], out=new[1:])
-    rank = np.empty(len(d), dtype=np.int64)  # earlier terms of the same target
-    rank[by_dst] = np.arange(len(d)) - np.flatnonzero(new)[np.cumsum(new) - 1]
-    sizes = np.bincount(dst)
-    # longer[r]: targets with more than r terms
-    longer = np.append(np.cumsum(np.bincount(sizes)[:0:-1])[::-1], 0)
-    n_rounds = int(np.argmin(np.arange(len(longer)) + 2 * longer))
-    in_run = sizes[dst] > n_rounds
-    # by round, then by target, so that a round's targets ascend
-    light = np.flatnonzero(~in_run)
-    light = light[np.lexsort((dst[light], rank[light]))]
-    stops = np.cumsum(np.bincount(rank[light], minlength=n_rounds)).tolist()
-    rounds = tuple((_as_index(dst[light[a:b]].tolist()), src[light[a:b]])
-                   for a, b in zip([0, *stops], stops))
-    runs = []
-    if in_run.any():
-        heavy = by_dst[in_run[by_dst]]  # by target, each target's terms in order
-        targets = np.flatnonzero(sizes > n_rounds)
-        stops = np.cumsum(sizes[targets]).tolist()
-        runs = [(tgt, _as_index(src[heavy[a:b]].tolist()))
-                for tgt, a, b in zip(targets.tolist(), [0, *stops], stops)]
-    return _OrderedAdds(rounds, tuple(runs))
-
-
-# one level of the elimination: the slots [start, stop) of its vertices
-# and the rounds (parent slots, child slots) that add the rows of those
-# that are not centres into their parents' rows, one round per rank among
-# siblings (a single round when the parents are distinct); slot sets are
-# slices where consecutive
-_Level = tuple[int, int, tuple[tuple[_Rows, _Rows], ...]]
+    if not out.flags.c_contiguous:
+        raise ValueError("the rows to add into must be C-contiguous")
+    k = out[:1].size
+    idx = (dst[:, None] * k + np.arange(k)).reshape(-1)
+    np.add.at(out.reshape(-1), idx, blk.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,31 +129,32 @@ class _InteriorSolver:
 
     ``vertices[s]`` is the interior vertex in slot ``s`` of the
     elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot.
-    ``levels`` are the trees' layers from their centres, deepest first.
-    ``back`` lists, for the back substitution, each level's slots but the
-    centres' ``[start, stop)`` with their parents' slots, top level first.
-    ``rhs`` adds each boundary vertex's data into the slot of its unique
-    interior neighbour, in boundary order, which is how Dirichlet data
+    ``levels`` are the trees' layers from their centres, deepest first:
+    level ``(start, stop, inner, parents)`` holds the slots
+    ``[start, stop)``, of which the trees' centres, which have no parent,
+    take ``[inner, stop)``; ``parents`` are the slots of the others'
+    parents.  ``rhs`` is the slot of each boundary vertex's unique
+    interior neighbour, in boundary order, into which its Dirichlet data
     enters the right-hand side.
     """
 
     vertices: np.ndarray
     inv_piv: np.ndarray
-    levels: tuple[_Level, ...]
-    back: tuple[tuple[int, int, _Rows], ...]
-    rhs: _OrderedAdds
+    levels: tuple[tuple[int, int, int, np.ndarray], ...]
+    rhs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
-    """Trees side by side, with the schedules of their interior solve and Laplacian.
+    """Trees side by side, with the schedule of their interior solve and their edges.
 
     Vertex ``v`` of the ``i``-th tree is ``vertex_stops[i] + v``, and its
     boundary takes the rows ``[row_stops[i], row_stops[i + 1])`` of the
     batch's boundary data, in ascending vertex id.  ``boundary`` and
     ``interior`` list the vertices of each kind, tree by tree;
     ``interior_starts`` is where each tree's interior begins in the
-    latter.  Holds no reference to its trees.
+    latter.  ``edge_u`` and ``edge_v`` are the trees' sorted edge lists,
+    one after another.  Holds no reference to its trees.
     """
 
     vertex_stops: list[int]
@@ -221,8 +163,9 @@ class _Batch:
     interior: np.ndarray
     interior_starts: np.ndarray
     degrees: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
     solver: _InteriorSolver
-    neighbor_adds: _OrderedAdds
 
     def stack(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
         """Each tree's ``(m_i, k_i)`` boundary block in its rows, zero-padded to the widest."""
@@ -237,24 +180,30 @@ class _Batch:
 
 def _interior_solver(trees: Sequence[BoundaryTree], vertex_stops: list[int],
                      boundary: np.ndarray, degrees: np.ndarray) -> _InteriorSolver:
-    """The interiors' elimination from each tree's centre, with its pivots and rounds.
+    """The interiors' elimination from each tree's centre, with its pivots.
 
     Each tree takes the layers of :func:`.graph_core._centre_layers`,
     deepest first, aligned at the bottom: level ``j`` of the batch holds
-    every tree's ``j``-th layer, tree by tree, with the trees' centres,
-    which add into no row, last.  Every vertex follows all its children,
-    so one pass in slot order gives each its pivot and updates its
-    parent's; a stable sort keeps each tree's own order, so its pivots
-    are those of its own elimination.
+    every tree's ``j``-th layer, tree by tree, with the trees' centres
+    last.  Every vertex's children lie on lower levels, so a level's
+    pivots are final when it is reached, and subtracting their
+    reciprocals from their parents' in slot order gives each tree the
+    pivots of its own one-vertex-at-a-time elimination.
     """
     layers = [_centre_layers(t) for t in trees]
+    sizes = [len(lay.order) for lay in layers]
+    n_layers = [len(lay.stops) for lay in layers]
+    ends = np.cumsum(sizes)
     verts = np.concatenate([lay.order + a for lay, a in zip(layers, vertex_stops)])
     parent = np.concatenate([lay.parent + a for lay, a in zip(layers, vertex_stops)])
-    # twice a layer's place from the deepest, and one more at the centre:
-    # sorted stably, every centre comes last in its level
-    key = np.concatenate([np.repeat(np.arange(0, 2 * len(lay.stops), 2),
-                                    np.diff(lay.stops, prepend=0)) for lay in layers])
-    centres = np.cumsum([len(lay.order) for lay in layers]) - 1
+    # each slot's layer within its tree, from the stops of all the layers
+    stops = np.concatenate([lay.stops for lay in layers]) + np.repeat(ends - sizes, n_layers)
+    layer = (np.searchsorted(stops, np.arange(ends[-1]), side="right")
+             - np.repeat(np.cumsum(n_layers) - n_layers, sizes))
+    # twice the layer, and one more at the centre: sorted stably, every
+    # centre comes last in its level
+    key = 2 * layer
+    centres = ends - 1
     key[centres] += 1
     by_level = np.argsort(key, kind="stable")
     order = verts[by_level]
@@ -263,55 +212,35 @@ def _interior_solver(trees: Sequence[BoundaryTree], vertex_stops: list[int],
     slot[order] = np.arange(sink)
     parent[verts[centres]] = vertex_stops[-1]  # to the sink's slot
     parents = slot[parent[order]]
-    piv = [*degrees[order].astype(np.float64).tolist(), 0.0]  # and the sink
-    inv_piv = []
-    for s, p in enumerate(parents.tolist()):
-        if not piv[s] > 0.0:
-            raise InvariantViolationError(f"interior pivot {piv[s]} is not positive")
-        inv_piv.append(1.0 / piv[s])
-        piv[p] -= inv_piv[-1]
-    key = key[by_level] >> 1
-    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), sink]
-    levels, back = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        ps = parents[start:stop].tolist()
-        inner = stop - ps.count(sink)  # centres come last, and add into no row
-        ps = ps[:inner - start]
-        if not ps:
-            levels.append((start, stop, ()))
-            continue
-        idx = _as_index(ps)
-        if len(set(ps)) == len(ps):
-            rounds = ((idx, slice(start, inner)),)
-        else:
-            # round j adds each parent's j-th child on this level, in slot order
-            rank: dict[int, int] = {}
-            by_round: dict[int, list[tuple[int, int]]] = {}
-            for s, p in enumerate(ps, start):
-                j = rank[p] = rank.get(p, -1) + 1
-                by_round.setdefault(j, []).append((p, s))
-            rounds = tuple(tuple(map(np.array, zip(*pairs))) for pairs in by_round.values())
-        levels.append((start, stop, rounds))
-        back.append((start, inner, idx))
+    level_stops = np.cumsum(np.bincount(layer)).tolist()
+    inners = np.array(level_stops) - np.bincount(layer[centres], minlength=len(level_stops))
+    levels = tuple((start, stop, inner, parents[start:inner]) for start, stop, inner in
+                   zip([0, *level_stops], level_stops, inners.tolist()))
+    piv = degrees[order].astype(np.float64)
+    inv_piv = np.empty((sink, 1))
+    for start, stop, inner, ps in levels:
+        d = piv[start:stop]
+        bad = np.flatnonzero(~(d > 0.0))  # a NaN pivot is bad too
+        if len(bad):
+            raise InvariantViolationError(f"interior pivot {float(d[bad[0]])} is not positive")
+        np.divide(1.0, d, out=inv_piv[start:stop, 0])
+        np.subtract.at(piv, ps, inv_piv[start:inner, 0])
     return _InteriorSolver(
         vertices=order,
-        inv_piv=np.array(inv_piv)[:, None],
-        levels=tuple(levels),
-        back=tuple(reversed(back)),
-        rhs=_ordered_adds(slot[parent[boundary]], np.arange(len(boundary))),
+        inv_piv=inv_piv,
+        levels=levels,
+        rhs=slot[parent[boundary]],
     )
 
 
 def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
-    """Number ``trees`` one after another and schedule their solve and Laplacian."""
+    """Number ``trees`` one after another and schedule their interior solve."""
     vertex_stops = [0, *np.cumsum([t.n for t in trees]).tolist()]
     row_stops = [0, *np.cumsum([t.n_boundary for t in trees]).tolist()]
     is_boundary = np.concatenate([t.boundary_pos >= 0 for t in trees])
     degrees = np.concatenate([t.degrees for t in trees])
     boundary = np.flatnonzero(is_boundary)
     shift = np.repeat(vertex_stops[:-1], [len(t.edge_u) for t in trees])
-    eu = np.concatenate([t.edge_u for t in trees]) + shift
-    ev = np.concatenate([t.edge_v for t in trees]) + shift
     interior = np.flatnonzero(~is_boundary)
     return _Batch(
         vertex_stops=vertex_stops,
@@ -320,11 +249,9 @@ def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
         interior=interior,
         interior_starts=np.searchsorted(interior, vertex_stops[:-1]),
         degrees=degrees,
+        edge_u=np.concatenate([t.edge_u for t in trees]) + shift,
+        edge_v=np.concatenate([t.edge_v for t in trees]) + shift,
         solver=_interior_solver(trees, vertex_stops, boundary, degrees),
-        # each vertex takes its neighbours above it, then those below it,
-        # each ascending: the order of one scatter-add over the sorted edge
-        # list from the ``edge_u`` ends, then one from the ``edge_v`` ends
-        neighbor_adds=_ordered_adds(np.concatenate((eu, ev)), np.concatenate((ev, eu))),
     )
 
 
@@ -355,22 +282,21 @@ def _extend(b: _Batch, g: np.ndarray) -> np.ndarray:
 
     ``g`` has one row per boundary vertex of the batch and one column per
     right-hand side; returns one row per vertex.  Works on one row per
-    interior slot, one numpy step per level: the rows hold the right-hand
-    side, then the forward-eliminated values, then the solution, which is
-    scattered back to vertex order.  Every entry is the same float, bit
-    for bit, as eliminating one vertex of one tree at a time: each step
-    does a row's scalar operations, in their order, on each column.
+    interior slot, a few numpy steps per level: the rows hold the
+    right-hand side, then the forward-eliminated values, then the
+    solution, which is scattered back to vertex order.  Every entry is
+    the same float, bit for bit, as eliminating one vertex of one tree at
+    a time: each step does a row's scalar operations, in their order, on
+    each column.
     """
     sol = b.solver
     w = np.zeros((len(sol.vertices), g.shape[1]))
-    sol.rhs(w, g)
-    for start, stop, rounds in sol.levels:
-        blk = w[start:stop]
-        blk *= sol.inv_piv[start:stop]
-        for parents, children in rounds:
-            w[parents] += w[children]
-    for start, stop, parents in sol.back:
-        w[start:stop] += sol.inv_piv[start:stop] * w[parents]
+    _add_rows(w, sol.rhs, g)
+    for start, stop, inner, parents in sol.levels:
+        w[start:stop] *= sol.inv_piv[start:stop]
+        _add_rows(w, parents, w[start:inner])
+    for start, _, inner, parents in reversed(sol.levels):
+        w[start:inner] += sol.inv_piv[start:inner] * w[parents]
     out = np.empty((b.vertex_stops[-1], g.shape[1]))
     out[sol.vertices] = w
     out[b.boundary] = g
@@ -378,9 +304,15 @@ def _extend(b: _Batch, g: np.ndarray) -> np.ndarray:
 
 
 def _laplacian(b: _Batch, vals: np.ndarray) -> np.ndarray:
-    """Laplacian of an ``(n,)`` vector, or of each column of an ``(n, k)`` array."""
-    nbr_sum = np.zeros_like(vals)
-    b.neighbor_adds(nbr_sum, vals)
+    """Laplacian of an ``(n,)`` vector, or of each column of an ``(n, k)`` array.
+
+    Each vertex sums its neighbours above it, then those below it, each
+    ascending: one scatter-add over the sorted edge list into the
+    ``edge_u`` ends, then one into the ``edge_v`` ends.
+    """
+    nbr_sum = np.zeros(vals.shape, vals.dtype)
+    _add_rows(nbr_sum, b.edge_u, vals[b.edge_v])
+    _add_rows(nbr_sum, b.edge_v, vals[b.edge_u])
     out = b.degrees.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
     out -= nbr_sum
     return out
@@ -457,8 +389,8 @@ def dtn_matrices(trees: Sequence[BoundaryTree],
     harmonic extension of its ``j``-th boundary indicator.  The trees sit
     side by side: one elimination of all their interiors from the centres
     solves every tree's identity right-hand side at once, padded to the
-    largest boundary, one numpy step per level, and the Laplacian of all
-    of them is one more pass.  Each tree's matrix is its own boundary rows
+    largest boundary, a few numpy steps per level, and the Laplacian of
+    all of them is one more pass.  Each tree's matrix is its own boundary rows
     and first ``m`` columns, and equals, bit for bit, the one assembled
     alone.  Each matrix's interior residual is checked and it is
     validated; the first tree to fail raises, so a caller that must know

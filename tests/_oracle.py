@@ -53,7 +53,8 @@ The generators' lists of edge pairs as they stood before each family
 handed ``build_tree`` one int64 array (the breadth-first ball, the
 refined ball's chain loop, the Prüfer decode, the interior-3 growth and
 the extremal shape search) are the reference for every field of the
-generated trees.
+generated trees; the shape search, over its own rooted shapes, is the
+reference for the closed-form extremal stars.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -90,7 +92,6 @@ from steklov_trees.graph_core import (
     build_tree,
     diameter,
 )
-from steklov_trees.generators import _rooted_shapes
 from steklov_trees.harmonic import VertexFunction
 from steklov_trees.partitions import PartitionCertificate
 
@@ -146,15 +147,6 @@ def harmonic_extension_brute(n: int, edges, boundary_values) -> np.ndarray:
         lib = lap[np.ix_(inn, bnd)]
         f[inn] = np.linalg.solve(lii, -lib @ np.asarray(boundary_values, float))
     return f
-
-
-def rayleigh_brute(n: int, edges, values) -> float:
-    f = np.asarray(values, float)
-    energy = sum((f[u] - f[v]) ** 2 for u, v in edges)
-    mass = sum(f[v] ** 2 for v in boundary_brute(n, edges))
-    if mass == 0.0:
-        return float("inf")
-    return energy / mass
 
 
 def components_brute(n: int, edges, removed=()) -> list[frozenset[int]]:
@@ -1250,6 +1242,24 @@ def _attach_shape_oracle(edges: list[Edge], root: int, shape: tuple, next_id: in
         next_id += 1
         next_id = _attach_shape_oracle(edges, cid, child, next_id)
     return next_id
+
+
+@lru_cache(maxsize=None)
+def _rooted_shapes(n: int) -> tuple[tuple, ...]:
+    """All rooted tree shapes on ``n`` nodes as canonical nested tuples.
+
+    A shape is the sorted tuple of its child shapes; building every
+    (child, rest-of-root) combination and deduplicating the canonical
+    forms yields each shape exactly once (1, 1, 2, 4, 9, 20, 48, ... ).
+    """
+    if n == 1:
+        return ((),)
+    found = set()
+    for k in range(1, n):
+        for child in _rooted_shapes(k):
+            for rest in _rooted_shapes(n - k):
+                found.add(tuple(sorted(rest + (child,))))
+    return tuple(sorted(found))
 
 
 def gen_extremal_middle_oracle(length: int, variant: str, lhat: int | None = None

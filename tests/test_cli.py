@@ -39,10 +39,11 @@ PENCIL_REPORT_DIGESTS = [
 ]
 
 # sha256 of reports within the dense limit (boundary sizes 108, 151, 199
-# and 24).  The spectrum pin was recorded with the one-vertex-at-a-time
-# interior elimination and the np.add.at Laplacian; the level-scheduled
-# harmonic layer must keep every byte, eigenfunctions included.  The
-# bounds pins were recorded once bounds bisected every lambda_k at every
+# and 24).  The ball's spectrum pin was recorded with the one-vertex-at-a-time
+# interior elimination and the np.add.at Laplacian, the two trees' without
+# symmetry with the level rounds before the ordered scatter-add replaced
+# them; the harmonic layer must keep every byte, eigenfunctions included.
+# The bounds pins were recorded once bounds bisected every lambda_k at every
 # size; against the dense route's reports only measured and tightness moved
 _BALL44 = '{"family":"BALL","D":4,"r":4}'
 _INTERIOR3_M151 = '{"family":"RANDOM_INTERIOR3","n_target":250,"max_degree":4,"seed":7}'
@@ -62,6 +63,10 @@ DENSE_REPORT_DIGESTS = [
      "db5a27020f5fa89859a7e33fd570d2348d339f9e42c09276fe2948c9e720dd26"),
     (["spectrum", "--family", '{"family":"BALL","D":3,"r":4}', "--eigenfunctions"],
      "f5aeb6a1a446c6f4b4d9d7f547e2187827e7c5f3594455174c92e4e9f308517f"),
+    (["spectrum", "--family", _INTERIOR3_M151, "--eigenfunctions"],
+     "eca40ff291b0d54ed43111b3d91712690b416fea8250d06b02dd7a12eedca5e5"),
+    (["spectrum", "--family", _INTERIOR3_M199, "--format", "csv"],
+     "9b6e2487475500958e3695f9dca8061e6fc06fefdea83cc4434a69325baee27b"),
 ]
 
 
@@ -479,7 +484,9 @@ def test_pencil_route_report_bytes_match_recorded_digests(argv, digest, capsys):
                          ids=["bounds-ball44-json", "bounds-ball44-csv",
                               "bounds-interior3-m151-json", "bounds-interior3-m151-csv",
                               "bounds-interior3-m199-json", "bounds-interior3-m199-csv",
-                              "spectrum-ball34-eigenfunctions"])
+                              "spectrum-ball34-eigenfunctions",
+                              "spectrum-interior3-m151-eigenfunctions",
+                              "spectrum-interior3-m199-csv"])
 def test_dense_route_report_bytes_match_recorded_digests(argv, digest, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -266,11 +266,15 @@ def test_path_is_the_pair_list_tree():
 
 @pytest.mark.parametrize("length,variant,lhat", [
     (2, "A", None), (4, "A", None), (8, "A", None), (6, "B", None), (10, "B", None),
-    (2, "C", 1), (6, "C", 2), (14, "C", 3)])
+    (2, "C", 1), (6, "C", 2), (14, "C", 3),
+    (6, "A", None), (40, "A", None), (200, "A", None), (2000, "A", None),
+    (8, "B", None), (40, "B", None), (200, "B", None), (2000, "B", None)])
 def test_extremal_is_the_pair_list_tree(length, variant, lhat):
+    # A and B: the closed-form star on the midpoint is the search's first shape
     t = gen_extremal_middle(length, variant, lhat)
     assert tree_record(t) == tree_record(gen_extremal_middle_oracle(length, variant, lhat))
     assert not generators._extremal_edges(length, variant, lhat).flags.writeable
+    assert abs(steklov_eigenvalue_bisect(t, 2) - 2.0 / length) <= 1e-9
 
 
 def test_random_tree_is_the_pair_list_tree():

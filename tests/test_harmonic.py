@@ -279,6 +279,50 @@ def test_interior_order_and_pivot_bytes_match_the_scalar_elimination(t):
     _same_bytes(sol.inv_piv[:, 0], want.inv_piv[want.order])
 
 
+def _layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a`` C-ordered, Fortran-ordered and as a strided view, all equal."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), wide[..., ::2]]
+
+
+@pytest.mark.parametrize("t", [gen_ball(3, 4), gen_random_tree(40, 5, 3)])
+def test_harmonic_layer_bytes_do_not_depend_on_the_input_layout(t):
+    # the scatter-adds run on flattened rows: an accumulator laid out like
+    # a Fortran-ordered input would flatten to a copy and drop the sums
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((t.n, 5))
+    g = rng.standard_normal((t.n_boundary, 4))
+    want_lap = laplacian_apply_matrix_oracle(t, vals)
+    want_ext = extend_columns_oracle(t, g)
+    for v in _layouts(vals):
+        _same_bytes(laplacian_apply_matrix(t, v), want_lap)
+        _same_bytes(laplacian_apply(VertexFunction(t, v[:, 1])).values, want_lap[:, 1])
+    for h in _layouts(g):
+        _same_bytes(_extend(_batch((t,)), h), want_ext)
+        _same_bytes(harmonic_extension(t, h[:, 2]).values, want_ext[:, 2])
+    # and the sums keep the input's dtype, as the scalar Laplacian's do
+    ints = rng.integers(-9, 9, (t.n, 3))
+    for v in _layouts(ints):
+        _same_bytes(laplacian_apply_matrix(t, v), laplacian_apply_matrix_oracle(t, ints))
+
+
+def test_a_non_positive_pivot_is_named_as_the_scalar_elimination_names_it():
+    # an interior vertex's degree cut to its boundary neighbours drives
+    # pivots to zero or below, several on one level, of several values:
+    # the first in slot order is named, not the least or the last
+    for seed in range(40):
+        t = gen_random_tree(30 + seed, 6, seed)
+        on_boundary = t.boundary_pos >= 0
+        cut = [sum(on_boundary[list(nbrs)]) for nbrs in t.neighbors]
+        broken = dataclasses.replace(t, degrees=np.where(on_boundary, 1, cut))
+        with pytest.raises(InvariantViolationError) as want:
+            interior_solver_oracle(broken)
+        with pytest.raises(InvariantViolationError) as got:
+            dtn_matrix(broken)
+        assert str(got.value) == str(want.value)
+
+
 def test_interior_height_order_check_raises_without_assert(ball32):
     # a real check, not an ``assert``: in a forest of two interior parts the
     # search from the centre, vertex 0, never reaches the second part's
