@@ -67,7 +67,6 @@ from .graph_core import (
     SubtreeRef,
     branch_components,
     build_tree,
-    component_avoiding,
     diameter,
     make_subtree,
     tree_from_json,

@@ -318,22 +318,23 @@ def asymptotic_decay_check(
     threshold: float = 0.01,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DecayReport:
-    """Check lambda_2 decay along a family ordered by increasing size."""
+    """Check lambda_2 decay along a family ordered by increasing size.
+
+    Each row reads one witness-free :func:`bound_report` of ``LAM2_DIAMETER``.
+    """
     if len(family) < 2:
         raise ValueError("decay check needs at least two family members")
     sizes = [t.n for t in family]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("family must be strictly increasing in vertex count")
     rows = []
-    lams = []
     for t in family:
-        lam2 = steklov_lambda(t, 2)
-        lams.append(lam2)
-        bound = float(bound_value(LAM2_DIAMETER, t))
+        rep = bound_report(LAM2_DIAMETER, t, tol=tol, with_witness=False)
         rows.append(DecayRow(
-            n=t.n, n_boundary=t.n_boundary, diameter=diameter(t).length, lam2=lam2,
-            diameter_bound=bound, within_bound=lam2 <= bound + tol.bound_slack,
+            n=t.n, n_boundary=t.n_boundary, diameter=diameter(t).length,
+            lam2=rep.measured, diameter_bound=rep.bound_value, within_bound=rep.holds,
         ))
+    lams = [r.lam2 for r in rows]
     decreasing = all(b < a for a, b in zip(lams, lams[1:]))
     tail_below = lams[-1] <= threshold + tol.bound_slack
     return DecayReport(rows=tuple(rows), threshold=threshold,

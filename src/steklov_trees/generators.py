@@ -324,7 +324,21 @@ def gen_random_interior3(n_target: int, max_degree: int, seed: int) -> BoundaryT
 
 # -- family dispatch -------------------------------------------------------------------
 
-FAMILIES = ("BALL", "REFINED", "PATH", "EXTREMAL_MIDDLE", "RANDOM", "RANDOM_INTERIOR3")
+# family -> (builder from the checked parameters, required, optional); the
+# deterministic families tolerate (and ignore) a seed key
+_FAMILY_TABLE = {
+    "BALL": (lambda a: gen_ball(a["D"], a["r"]), ("D", "r"), ("seed",)),
+    "REFINED": (lambda a: gen_refined(a["l"]), ("l",), ("seed",)),
+    "PATH": (lambda a: gen_path(a["L"]), ("L",), ("seed",)),
+    "EXTREMAL_MIDDLE": (lambda a: gen_extremal_middle(a["L"], a["variant"], a.get("lhat")),
+                        ("L", "variant"), ("lhat", "seed")),
+    "RANDOM": (lambda a: gen_random_tree(a["n"], a["max_degree"], a["seed"]),
+               ("n", "max_degree", "seed"), ()),
+    "RANDOM_INTERIOR3": (
+        lambda a: gen_random_interior3(a["n_target"], a["max_degree"], a["seed"]),
+        ("n_target", "max_degree", "seed"), ()),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def generate_family(spec: dict) -> BoundaryTree:
@@ -333,46 +347,28 @@ def generate_family(spec: dict) -> BoundaryTree:
     Examples: ``{"family": "BALL", "D": 3, "r": 2}``,
     ``{"family": "RANDOM", "n": 30, "max_degree": 4, "seed": 7}``,
     ``{"family": "EXTREMAL_MIDDLE", "L": 6, "variant": "B"}``.
+    Each family's builder and parameters come from one table.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise BadParamsError("family spec must be a dict with a 'family' key")
     fam = spec["family"]
+    # membership by ==, so an unhashable family value is named, not a TypeError
+    if fam not in FAMILIES:
+        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    build, required, optional = _FAMILY_TABLE[fam]
     args = {k: v for k, v in spec.items() if k != "family"}
-
-    def take(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-        missing = [k for k in required if k not in args]
-        extra = [k for k in args if k not in required + optional]
-        if missing or extra:
-            raise BadParamsError(
-                f"{fam} takes {required}{' + optional ' + str(optional) if optional else ''};"
-                f" missing {missing}, unexpected {extra}")
-        for k, v in args.items():
-            # bool is an int subclass, but JSON true/false is no parameter value
-            is_int = isinstance(v, int) and not isinstance(v, bool)
-            if not is_int and not (k == "variant" and isinstance(v, str)):
-                raise BadParamsError(f"parameter {k}={v!r} must be an integer")
-        return args
-
-    # deterministic families tolerate (and ignore) a seed key
-    if fam == "BALL":
-        a = take(("D", "r"), ("seed",))
-        return gen_ball(a["D"], a["r"])
-    if fam == "REFINED":
-        a = take(("l",), ("seed",))
-        return gen_refined(a["l"])
-    if fam == "PATH":
-        a = take(("L",), ("seed",))
-        return gen_path(a["L"])
-    if fam == "EXTREMAL_MIDDLE":
-        a = take(("L", "variant"), ("lhat", "seed"))
-        return gen_extremal_middle(a["L"], a["variant"], a.get("lhat"))
-    if fam == "RANDOM":
-        a = take(("n", "max_degree", "seed"))
-        return gen_random_tree(a["n"], a["max_degree"], a["seed"])
-    if fam == "RANDOM_INTERIOR3":
-        a = take(("n_target", "max_degree", "seed"))
-        return gen_random_interior3(a["n_target"], a["max_degree"], a["seed"])
-    raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    missing = [k for k in required if k not in args]
+    extra = [k for k in args if k not in required + optional]
+    if missing or extra:
+        raise BadParamsError(
+            f"{fam} takes {required}{' + optional ' + str(optional) if optional else ''};"
+            f" missing {missing}, unexpected {extra}")
+    for k, v in args.items():
+        # bool is an int subclass, but JSON true/false is no parameter value
+        is_int = isinstance(v, int) and not isinstance(v, bool)
+        if not is_int and not (k == "variant" and isinstance(v, str)):
+            raise BadParamsError(f"parameter {k}={v!r} must be an integer")
+    return build(args)
 
 
 def family_label(spec: dict) -> str:

@@ -21,15 +21,16 @@ Validation, degrees, sorted edges and neighbor lists are then
 vectorized, each neighbor list a slice of one tuple; only the
 connectivity search walks the tree in Python.  A tree stores its sorted
 edges as the two int64 arrays ``edge_u`` and ``edge_v``; the tuple of
-pairs ``edges`` is derived from them on first read, which the bounds
-and sweep routes and the text and JSON writers never make.  When a
-check fails, a slower edge-by-edge pass names the same first fault,
-with the same message, as validating one edge at a time would.  The
-search's BFS order and parents from vertex 0 stay as a weakly held
-per-tree index: :func:`make_subtree` checks a part's connectivity by
-reading one vertex mask at the parents, and the mask also gives the
-part's sorted id array; :func:`diameter` reads both of its searches off
-the order and the parents, running none of its own.  The DFS preorder
+pairs ``edges`` is derived from them on first read, which no route of
+the package makes.  When a check fails, a slower edge-by-edge pass
+names the same first fault, with the same message, as validating one
+edge at a time would.  The search's BFS order and parents from vertex 0
+stay as a weakly held per-tree index: :func:`make_subtree` checks a
+part's connectivity by reading one vertex mask at the parents, and the
+mask also gives the part's sorted id array; :func:`diameter` reads both
+of its searches off the order and the parents, running none of its own,
+and the exhaustive split (:func:`.partitions.partition_two_optimal`)
+reads its subtree counts and its part off them.  The DFS preorder
 from vertex 0, with each subtree's slice ``[tin, tout)``, is derived
 from the same BFS order and parents on first use, with no search of its
 own: the partition descents read their sides off it, and
@@ -45,7 +46,7 @@ import functools
 import json
 import re
 import weakref
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
@@ -568,10 +569,6 @@ class SubtreeRef:
     def vertices(self) -> frozenset[int]:
         return frozenset(self.ids.tolist())
 
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
 
 def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> SubtreeRef:
     """Build a :class:`SubtreeRef`, checking induced connectivity.
@@ -608,25 +605,6 @@ def _parent_ids(t: BoundaryTree) -> np.ndarray:
     parent = np.array(_rooted_index(t).parent, dtype=np.intp)
     parent[0] = t.n
     return parent
-
-
-def component_avoiding(t: BoundaryTree, start: int, blocked: int) -> frozenset[int]:
-    """Vertices reachable from ``start`` without stepping onto ``blocked``.
-
-    Raises:
-        BadVertexError: ``start`` or ``blocked`` is not a vertex of ``t``.
-    """
-    t.check_vertex(start)
-    t.check_vertex(blocked)
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        x = dq.popleft()
-        for y in t.neighbors[x]:
-            if y != blocked and y not in seen:
-                seen.add(y)
-                dq.append(y)
-    return frozenset(seen)
 
 
 def _spine_labels(t: BoundaryTree, path: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -797,7 +775,7 @@ def tree_to_text(t: BoundaryTree) -> str:
 
 
 def tree_from_json_dict(obj: dict) -> BoundaryTree:
-    """Parse ``{"n": int, "edges": [[u, v], ...]}``."""
+    """Parse ``{"n": int, "edges": [[u, v], ...]}``; an ``n`` must be an integer as ids are."""
     if not isinstance(obj, dict) or "edges" not in obj:
         raise MalformedError("expected an object with an 'edges' field")
     if not isinstance(obj["edges"], list):
@@ -805,12 +783,11 @@ def tree_from_json_dict(obj: dict) -> BoundaryTree:
     t = build_tree(obj["edges"])
     if "n" not in obj:
         return t
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedError(f"'n' must be an integer, got {obj['n']!r}") from exc
+    n = obj["n"]
+    if not _is_id_type(type(n)):
+        raise MalformedError(f"'n' must be an integer, got {n!r}")
     if n != t.n:
-        raise MalformedError(f"declared n={obj['n']} but edges span {t.n} vertices")
+        raise MalformedError(f"declared n={n} but edges span {t.n} vertices")
     return t
 
 

@@ -365,10 +365,6 @@ class DtnMatrix:
     tree: BoundaryTree
     entries: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         m = self.entries
         scale = 1.0 + float(np.abs(m).max(initial=0.0))

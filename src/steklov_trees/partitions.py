@@ -29,8 +29,10 @@ and builds no subtree.
 :func:`partition_two_optimal` and :meth:`PartitionCertificate.validate`
 share no code with the preorder, nor the validation with
 :func:`.graph_core.make_subtree`; they are the independent oracle and
-re-derivation.  Every function that builds a certificate validates it
-before returning, so callers need not validate it again.
+re-derivation; the exhaustive split reads the rooted index (the BFS
+order and parents) and runs no search of its own.  Every function that
+builds a certificate validates it before returning, so callers need not
+validate it again.
 """
 from __future__ import annotations
 
@@ -50,10 +52,10 @@ from .graph_core import (
     BoundaryTree,
     SubtreeRef,
     _is_edge,
+    _parent_ids,
     _preorder,
     _rooted_index,
     _spine_labels,
-    component_avoiding,
     diameter,
     make_subtree,
 )
@@ -298,9 +300,12 @@ def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
     never worse than the descent's certified part, which makes this the
     oracle for it.  The part is the side holding at most half of the
     boundary, and at exactly half the side holding vertex 0 (the smaller
-    minimum id).  The rooted index (the BFS from vertex 0 that
-    :func:`.graph_core.build_tree` stores) gives every subtree's
-    boundary count, so each edge costs O(1) and the scan O(n).
+    minimum id).  Everything is read off the rooted index (the BFS from
+    vertex 0 that :func:`.graph_core.build_tree` stores): one reverse
+    pass over its order gives every subtree's boundary count, each
+    edge's lower end is the one whose parent is the other, one
+    ``argmax`` picks the edge, and one forward pass over the order
+    (parents come first) marks the subtree below the cut.
     """
     idx = _rooted_index(t)
     order, parent = idx.order, idx.parent
@@ -308,21 +313,26 @@ def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
     for x in reversed(order[1:]):
         below[parent[x]] += below[x]
     m = t.n_boundary
-    best = -1
-    for u, v in t.edges:
-        child = v if parent[v] == u else u
-        small = min(below[child], m - below[child])
-        if small > best:
-            best, edge, cut = small, (u, v), child
+    eu, ev = t.edge_u, t.edge_v
+    child = np.where(_parent_ids(t)[ev] == eu, ev, eu)
+    held = np.array(below, dtype=np.int64)[child]
+    small = np.minimum(held, m - held)
+    j = int(small.argmax())  # the first edge of the largest smaller share
+    cut = int(child[j])
+    inside = [False] * t.n
+    inside[cut] = True
+    for x in order:
+        if inside[parent[x]]:
+            inside[x] = True
     # the side below the cut, or the side holding vertex 0 (ties at 1/2 too)
-    side = component_avoiding(t, cut, parent[cut])
-    part = side if 2 * below[cut] < m else frozenset(range(t.n)) - side
+    side = np.array(inside)
+    part = side if 2 * below[cut] < m else ~side
     d = t.max_degree
     cert = PartitionCertificate(
         tree=t,
-        removed_edges=(edge,),
-        parts=(make_subtree(t, part),),
-        fractions=(Fraction(best, m),),
+        removed_edges=((int(eu[j]), int(ev[j])),),
+        parts=(make_subtree(t, part.nonzero()[0]),),
+        fractions=(Fraction(int(small[j]), m),),
         interval=(Fraction(1, 2 * (d - 1)), Fraction(1, 2)),
     )
     cert.validate()

@@ -324,6 +324,11 @@ def _component_within_brute(t, allowed, start: int, blocked: int) -> frozenset[i
     return frozenset(seen)
 
 
+def side_brute(t, start: int, blocked: int) -> frozenset[int]:
+    """The side of ``start`` once its edge to the neighbour ``blocked`` is cut."""
+    return _component_within_brute(t, range(t.n), start, blocked)
+
+
 def _boundary_fraction_brute(t, vertices, total: int) -> Fraction:
     return Fraction(sum(1 for v in vertices if t.boundary_pos[v] >= 0), total)
 

@@ -34,6 +34,7 @@ REMOVED = (
     ("bounds", "BOUND_IDS"),
     ("partitions", "diameter_system"),
     ("partitions", "_diameter_kernel"),
+    ("graph_core", "component_avoiding"),
 )
 
 
@@ -58,6 +59,8 @@ def test_removed_knobs_are_gone():
         steklov_trees.eigendecompose_symmetric).parameters
     assert not hasattr(steklov_trees.Tolerances, "scaled")
     assert not hasattr(steklov_trees.SubtreeRef, "min_vertex")
+    assert not hasattr(steklov_trees.SubtreeRef, "size")
+    assert not hasattr(steklov_trees.DtnMatrix, "size")
 
 
 def _names_the_package_reads() -> set[str]:

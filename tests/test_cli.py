@@ -36,6 +36,15 @@ PENCIL_REPORT_DIGESTS = [
      "a7c9568895b4bc54b23c2950142d76d533ceb91a0c238d8f34ce9808949493d0"),
     (["sweep", "--family", '{"family":"PATH","L":[2,200]}'],
      "98e60365f0e5fb0af6921e527441c712dc8eae138e29b895753e4f73fbae1303"),
+    # the CSV's volume columns: filled on every ball, and on the interior-3
+    # family, which also skips members whose vertex count does not grow
+    (["sweep", "--family", '{"family":"BALL","D":3,"r":[1,8]}', "--format", "csv",
+      "--threshold", "0.5"],
+     "a5ca7f53e528053d30250b0666c1aff3f6576b4e52e5d714ab4ca21e4fcf44e9"),
+    (["sweep", "--family",
+      '{"family":"RANDOM_INTERIOR3","n_target":[20,60],"max_degree":4,"seed":1}',
+      "--format", "csv", "--threshold", "0.5"],
+     "b528a12244bcb05d3a195f702f282fa5f7b9b3736f65b266ba10f03b57f5a657"),
 ]
 
 # sha256 of reports within the dense limit (boundary sizes 108, 151, 199
@@ -439,7 +448,14 @@ def test_a_stray_large_id_in_an_input_file_is_a_usage_error(tmp_path, capsys):
     ('{"n":3,"edges":[1,2]}', "edge 1 is not a pair"),
     ('{"n":3,"edges":5}', "'edges' must be a list"),
     ('{"n":[3],"edges":[[0,1],[1,2]]}', "'n' must be an integer"),
-], ids=["edge-not-a-pair", "edges-not-a-list", "n-not-a-number"])
+    # n is checked as the ids are: no float, string or bool is taken for 3
+    ('{"n":3.9,"edges":[[0,1],[1,2]]}', "'n' must be an integer, got 3.9"),
+    ('{"n":3.0,"edges":[[0,1],[1,2]]}', "'n' must be an integer, got 3.0"),
+    ('{"n":"3","edges":[[0,1],[1,2]]}', "'n' must be an integer, got '3'"),
+    ('{"n":" 3 ","edges":[[0,1],[1,2]]}', "'n' must be an integer, got ' 3 '"),
+    ('{"n":true,"edges":[[0,1],[1,2]]}', "'n' must be an integer, got True"),
+], ids=["edge-not-a-pair", "edges-not-a-list", "n-not-a-number", "n-float",
+        "n-integral-float", "n-string", "n-padded-string", "n-bool"])
 def test_malformed_json_tree_is_a_usage_error(text, message, tmp_path, capsys):
     bad = tmp_path / "t.json"
     bad.write_text(text)
@@ -473,7 +489,8 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("argv,digest", PENCIL_REPORT_DIGESTS,
                          ids=["bounds-ball38", "bounds-interior3-m402", "sweep-ball3",
-                              "spectrum-ball38", "sweep-path"])
+                              "spectrum-ball38", "sweep-path", "sweep-ball3-csv",
+                              "sweep-interior3-csv"])
 def test_pencil_route_report_bytes_match_recorded_digests(argv, digest, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0

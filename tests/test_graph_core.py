@@ -20,7 +20,6 @@ from steklov_trees import (
     TooSmallError,
     branch_components,
     build_tree,
-    component_avoiding,
     diameter,
     gen_random_tree,
     make_subtree,
@@ -38,6 +37,7 @@ from _oracle import (
     build_tree_oracle,
     diameter_oracle,
     make_subtree_oracle,
+    side_brute,
     tree_from_text_oracle,
     tree_record,
 )
@@ -467,7 +467,7 @@ def test_make_subtree_matches_mask_oracle(edges, data):
     if data.draw(st.booleans()):
         # a connected part: the side of one end of a random edge
         u, v = data.draw(st.sampled_from(t.edges))
-        vs = set(component_avoiding(t, u, v))
+        vs = set(side_brute(t, u, v))
     else:
         vs = set(data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=t.n)))
     if data.draw(st.booleans()):
@@ -520,7 +520,7 @@ def test_subtree_ref_derives_its_vertices_from_its_ids(ball32):
     ref = make_subtree(ball32, [7, 2, 6, 7])
     assert ref.ids.tolist() == [2, 6, 7]
     assert not ref.ids.flags.writeable
-    assert ref.vertices == frozenset({2, 6, 7}) and ref.size == 3
+    assert ref.vertices == frozenset({2, 6, 7}) and len(ref.ids) == 3
     assert [f.name for f in dataclasses.fields(ref)] == ["tree", "ids", "relative_boundary"]
 
 
@@ -602,7 +602,7 @@ def test_diameter_endpoint_check_raises_without_assert(ball32):
 
 def test_make_subtree_relative_boundary(ball32):
     ref = make_subtree(ball32, {2, 6, 7})
-    assert ref.size == 3
+    assert len(ref.ids) == 3
     assert ref.relative_boundary == (6, 7)
     # vertex 2 is a leaf of the branch but interior to the parent
     assert 2 not in ref.relative_boundary
@@ -614,7 +614,7 @@ def test_make_subtree_relative_boundary_in_tree_order(n, cap, seed, data):
     t = gen_random_tree(n, cap, seed)
     root = data.draw(st.integers(0, t.n - 1))
     blocked = data.draw(st.sampled_from(t.neighbors[root]))
-    vs = component_avoiding(t, root, blocked)
+    vs = side_brute(t, root, blocked)
     assert make_subtree(t, vs).relative_boundary == tuple(
         v for v in t.boundary if v in vs)
 
@@ -636,19 +636,6 @@ def test_make_subtree_rejects_two_disjoint_edges(ball32):
     assert all(any(w in {2, 6, 1, 4} for w in ball32.neighbors[v]) for v in (2, 6, 1, 4))
     with pytest.raises(NotATreeError):
         make_subtree(ball32, {2, 6, 1, 4})
-
-
-def test_component_avoiding(caterpillar):
-    assert component_avoiding(caterpillar, 0, 1) == frozenset({0})
-    assert component_avoiding(caterpillar, 2, 1) == frozenset({2, 3, 4, 6, 7, 8})
-
-
-def test_component_avoiding_checks_its_vertices(ball32):
-    # a negative start used to wrap around, one past n raised IndexError,
-    # and an unknown blocked vertex was ignored
-    for start, blocked in ((-1, 0), (99, 0), (0, 99), (0, -1), (10, 0)):
-        with pytest.raises(BadVertexError):
-            component_avoiding(ball32, start, blocked)
 
 
 def test_branch_components_caterpillar(caterpillar):
@@ -687,7 +674,7 @@ def test_branch_components_partition_property(n, cap, seed):
     t = gen_random_tree(n, cap, seed)
     d = diameter(t)
     refs = branch_components(t, d.path)
-    sizes = sum(r.size for r in refs)
+    sizes = sum(len(r.ids) for r in refs)
     assert sizes == t.n - 2
     # pairwise disjoint
     seen: set[int] = set()

@@ -357,6 +357,17 @@ def _same_counts_and_failures(a: verify.VerificationReport,
     assert a.failures == [{k: v for k, v in f.items() if k != "replay"} for f in b.failures]
 
 
+@pytest.mark.parametrize("t", [gen_random_tree(40, 5, 3), gen_random_tree(60, 4, 8),
+                               gen_random_interior3(30, 5, 2)], ids=["t0", "t1", "t2"])
+def test_the_checks_never_read_the_edge_pairs(t):
+    # the pairs are derived on first read; every check of a harness tree,
+    # the exhaustive split and the full oracle included, runs on the arrays
+    rep = verify.VerificationReport(config={})
+    verify._check_tree(t, "random[0]", rep, DEFAULT_TOL, full_oracle=True)
+    assert rep.overall_pass and rep.counter("partition_two_optimal").passed == 1
+    assert "edges" not in vars(t)
+
+
 def test_a_tree_checked_alone_reports_as_in_its_batch(monkeypatch):
     cfg = small_config(trials=40, interior3_trials=10, max_n=60, max_degree=6, seed=3,
                        oracle_stride=4)
