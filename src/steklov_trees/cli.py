@@ -28,9 +28,8 @@ from .errors import (
 from .generators import family_label, generate_family
 from .graph_core import BoundaryTree, diameter, tree_from_text, tree_to_json_dict, tree_to_text
 from .spectra import DENSE_BOUNDARY_LIMIT, steklov_eigenvalue_bisect, steklov_spectrum
-from .verify import VerifyConfig, run_verification
+from .verify import SCHEMA, VerifyConfig, run_verification
 
-SCHEMA = "steklov-trees/1"
 
 # these signal bad input rather than a failed computation
 _USAGE_ERRORS = (

@@ -37,8 +37,9 @@ own: the partition descents read their sides off it, and
 :func:`_spine_labels` gives every vertex its place along a diameter path
 from the preorder slices of the path's vertices, for the diameter
 witness and :func:`branch_components`.  The spectral count and the
-harmonic solver eliminate along one schedule, :func:`_centre_layers`: a
-search over the interior from the diameter path's centre, by layers.
+harmonic solver eliminate along one schedule, :func:`_centre_layers`:
+the boundary, then a search over the interior from the diameter path's
+centre, by layers, which :func:`.harmonic._schedule` numbers into slots.
 """
 from __future__ import annotations
 
@@ -489,21 +490,23 @@ def diameter(t: BoundaryTree) -> DiameterPath:
 
 
 class _Layers(NamedTuple):
-    """The interior in breadth-first layers from the tree's centre, deepest first.
+    """The tree in the levels of its elimination, from the boundary to the centre.
 
-    ``order`` holds the layers, the centre alone last, each in search
-    order; ``stops`` is where each ends.  ``parent`` is every vertex's
+    ``order`` holds the levels one after another: the boundary in
+    ``boundary`` order, then the interior in breadth-first layers from the
+    centre, deepest first, each in search order, the centre alone last;
+    ``sizes`` are the levels' lengths.  ``parent`` is every vertex's
     neighbour toward the centre, and the centre's is ``n``.
     """
 
     order: np.ndarray
-    stops: list[int]
+    sizes: np.ndarray
     parent: np.ndarray
 
 
 @per_tree_cache
 def _centre_layers(t: BoundaryTree) -> _Layers:
-    """The one elimination schedule of ``t``: its interior in layers from the centre.
+    """The one elimination schedule of ``t``: its boundary, then its interior by layers.
 
     The centre ``c = diameter(t).path[L // 2]`` is within ``(L + 1) // 2``
     of every vertex, and the farthest are leaves, so the interior has
@@ -511,11 +514,14 @@ def _centre_layers(t: BoundaryTree) -> _Layers:
     as a leaf-first peel.  One search from ``c`` over the interior,
     neighbours ascending, gives the layers and every vertex's parent.
     Deepest first, each vertex follows its children: a perfect
-    elimination order of the tree (Jacobs and Trevisan), which
-    :mod:`.spectra` counts along and :mod:`.harmonic` solves along.
+    elimination order of the tree (Jacobs and Trevisan).
+    :func:`.harmonic._schedule` numbers it into slots, alone or beside
+    other trees, for both the spectral count and the harmonic solve.
 
     Raises:
-        InvariantViolationError: the search misses an interior vertex.
+        InvariantViolationError: the search misses an interior vertex, or
+            the boundary, which takes the first slots, is out of step
+            with ``boundary_pos``.
     """
     path = diameter(t).path
     c = path[(len(path) - 1) // 2]
@@ -540,11 +546,15 @@ def _centre_layers(t: BoundaryTree) -> _Layers:
     if k != len(t.interior):
         raise InvariantViolationError(
             f"the search from the centre reached {k} of {len(t.interior)} interior vertices")
+    m = t.n_boundary
+    if not np.array_equal(t.boundary_pos[t._boundary_ids], np.arange(m)):
+        raise InvariantViolationError("the boundary does not fill the first slots in order")
     # the layers deepest first, each keeping its order
     sizes = np.diff(stops, prepend=0)[::-1]
     ends = np.cumsum(sizes)
     deep = np.array(order)[np.arange(k) + np.repeat(k + sizes - 2 * ends, sizes)]
-    return _Layers(deep, ends.tolist(), np.array(parent, dtype=np.int64))
+    return _Layers(np.concatenate((t._boundary_ids, deep)), np.append(m, sizes),
+                   np.array(parent, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,12 @@ subtree toward its centre (Jacobs and Trevisan's no-fill-in elimination
 of a tree).  Each elimination touches one parent, all pivots stay
 positive (the interior block is diagonally dominant with at least one
 strict row per pendant subtree), so the solve is exact Gaussian
-elimination in a perfect order: O(n), no fill-in, no iteration.  The
-order is the layers of :func:`.graph_core._centre_layers`, deepest
-first, the schedule :mod:`.spectra` counts along on the whole tree.  It
-is found once and then replayed level by level: a layer is eliminated
+elimination in a perfect order: O(n), no fill-in, no iteration.
+:func:`_schedule` numbers the levels of :func:`.graph_core._centre_layers`
+into slots, and :func:`_eliminate` is the one pivot recurrence along
+them: swept from level 1 it gives the solve's pivots, and from level 0,
+with the boundary's pivots ``1 - s``, :mod:`.spectra`'s pencil count.
+The solve is then replayed level by level: a layer is eliminated
 across every right-hand side by a scaling and one ordered scatter-add
 (``np.add.at``, which adds each entry's terms one at a time in index
 order) of its rows into its parents' rows.  The Laplacian sums
@@ -27,9 +29,10 @@ one-at-a-time arithmetic in its order, so their floats are bit-identical
 to it.
 
 Trees are solved in batches.  A batch numbers its trees' vertices one
-tree after another, runs one elimination over all their interiors (their
-layers aligned at the deepest) and one Laplacian over all their edges,
-so one step takes a layer of every tree.  :func:`dtn_matrices`
+tree after another, runs one elimination over all of them (their
+boundaries first, then their layers aligned at the top, so that every
+centre is in the last level) and one Laplacian over all their edges, so
+one step takes a layer of every tree.  :func:`dtn_matrices`
 assembles the response matrices of a batch at once, with the identity
 right-hand sides padded to the widest boundary, and
 :func:`.spectra.spectra_from_matrices` extends their eigenvectors through
@@ -46,6 +49,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +118,10 @@ def _add_rows(out: np.ndarray, dst: np.ndarray, blk: np.ndarray) -> None:
     It runs on the flattened rows of ``out``, which must be C-contiguous
     (allocate it with ``np.zeros(shape)``, not ``np.zeros_like``): the
     flattening of any other layout is a copy, which would take the sums
-    and drop them.
+    and drop them.  Pass ``blk`` as a copy, not as a view of ``out``:
+    numpy meets the overlap by copying the whole of ``out`` on every
+    call.  The sums are the same either way when, as in the
+    elimination, ``dst`` lies outside the block's own rows.
     """
     if not out.flags.c_contiguous:
         raise ValueError("the rows to add into must be C-contiguous")
@@ -123,38 +130,103 @@ def _add_rows(out: np.ndarray, dst: np.ndarray, blk: np.ndarray) -> None:
     np.add.at(out.reshape(-1), idx, blk.reshape(-1))
 
 
-@dataclass(frozen=True, eq=False)
-class _InteriorSolver:
-    """Elimination schedule of the interior blocks; reusable across right-hand sides.
+# one level of an elimination: the slots [start, stop) of its vertices, the
+# slots of their parents, and whether those parents are all distinct
+_Level = tuple[int, int, np.ndarray, bool]
 
-    ``vertices[s]`` is the interior vertex in slot ``s`` of the
-    elimination, ``inv_piv[s, 0]`` the reciprocal of its positive pivot.
-    ``levels`` are the trees' layers from their centres, deepest first:
-    level ``(start, stop, inner, parents)`` holds the slots
-    ``[start, stop)``, of which the trees' centres, which have no parent,
-    take ``[inner, stop)``; ``parents`` are the slots of the others'
-    parents.  ``rhs`` is the slot of each boundary vertex's unique
-    interior neighbour, in boundary order, into which its Dirichlet data
-    enters the right-hand side.
+
+class _Schedule(NamedTuple):
+    """The elimination of trees side by side: slots, and the levels that fill them.
+
+    ``vertices[s]`` is the batch vertex in slot ``s`` and ``degrees[s]``
+    its degree, as a float.  ``levels[0]`` is the boundary, and the last
+    level holds the trees' centres, whose parent is the sink slot
+    ``len(vertices)``: the last of ``degrees``, 0.
     """
 
     vertices: np.ndarray
-    inv_piv: np.ndarray
-    levels: tuple[tuple[int, int, int, np.ndarray], ...]
-    rhs: np.ndarray
+    degrees: np.ndarray
+    levels: tuple[_Level, ...]
+
+
+def _schedule(trees: Sequence[BoundaryTree]) -> _Schedule:
+    """The one elimination schedule of ``trees``, numbered one tree after another.
+
+    Level 0 is the boundary, slots ``[0, m)``, tree by tree in ascending
+    id.  The interior layers of :func:`.graph_core._centre_layers`
+    follow, deepest first and aligned at the top, so the last level holds
+    every centre, with the sink ``n`` as its parent.  A level lists its
+    trees in turn, each layer in search order, so a vertex's interior
+    children sit one level below it, in the order its tree alone meets
+    them.  An interior level's parent slots never decrease (the search
+    meets children in their parents' order), so they are distinct where
+    they strictly increase: one ``reduceat`` flags every level but the
+    boundary's, whose unsorted parents are counted.
+    """
+    layers = [_centre_layers(t) for t in trees]
+    sizes = [t.n for t in trees]
+    depths = [len(lay.sizes) for lay in layers]
+    n = sum(sizes)
+    shift = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    order = np.concatenate([lay.order for lay in layers]) + shift
+    parent = np.concatenate([lay.parent for lay in layers]) + shift
+    # each tree's levels in the batch: the boundary's 0, the others' at the top
+    size = np.concatenate([lay.sizes for lay in layers])
+    tops = np.cumsum(depths)
+    level = np.arange(len(size)) + max(depths) - np.repeat(tops, depths)
+    level[tops - depths] = 0
+    vertices = order[np.argsort(np.repeat(level, size), kind="stable")]
+    slot = np.empty(n + 1, dtype=np.int64)
+    slot[vertices] = np.arange(n)
+    slot[n] = n
+    parents = slot[parent[vertices]]
+    bounds = [0, *np.cumsum(np.bincount(level, size)).astype(np.int64).tolist()]
+    # the centres', ``t.n`` in their own tree: the sink
+    parents[bounds[-2]:] = n
+    # a slot whose parent is the one before's, within its level
+    repeat = np.append(False, parents[1:] == parents[:-1])
+    repeat[bounds[:-1]] = False
+    distinct = (~np.logical_or.reduceat(repeat, bounds[:-1])).tolist()
+    distinct[0] = bool(np.bincount(parents[:bounds[1]]).max() == 1)
+    degrees = np.append(np.concatenate([t.degrees for t in trees])[vertices], 0.0)
+    return _Schedule(vertices, degrees, tuple(
+        (lo, hi, parents[lo:hi], d) for lo, hi, d in zip(bounds, bounds[1:], distinct)))
+
+
+def _eliminate(diag: np.ndarray, levels: Sequence[_Level], tiny: float) -> None:
+    """The pivots of the elimination along ``levels``, in place in ``diag``.
+
+    ``diag`` holds each slot's diagonal entry, then the sink's.  A slot's
+    pivot is final when its level is reached; below ``tiny`` in magnitude
+    it is clamped to ``-tiny`` (``tiny = 0`` clamps none), and its
+    reciprocal is subtracted from its parent's.  ``np.subtract.at`` takes
+    each parent's terms one at a time in slot order, bit for bit as one
+    vertex at a time; where a level's parents are distinct, fancy
+    indexing does the same arithmetic at a fraction of its cost.
+    """
+    for start, stop, parents, distinct in levels:
+        d = diag[start:stop]
+        if tiny:
+            d[np.abs(d) < tiny] = -tiny
+        if distinct:
+            diag[parents] -= 1.0 / d
+        else:
+            np.subtract.at(diag, parents, 1.0 / d)
 
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
-    """Trees side by side, with the schedule of their interior solve and their edges.
+    """Trees side by side, with the schedule of their elimination and their edges.
 
     Vertex ``v`` of the ``i``-th tree is ``vertex_stops[i] + v``, and its
-    boundary takes the rows ``[row_stops[i], row_stops[i + 1])`` of the
-    batch's boundary data, in ascending vertex id.  ``boundary`` and
-    ``interior`` list the vertices of each kind, tree by tree;
-    ``interior_starts`` is where each tree's interior begins in the
-    latter.  ``edge_u`` and ``edge_v`` are the trees' sorted edge lists,
-    one after another.  Holds no reference to its trees.
+    boundary, in ascending vertex id, takes the rows
+    ``[row_stops[i], row_stops[i + 1])`` of the batch's boundary data and
+    the same slots of its schedule.  ``boundary`` and ``interior`` list
+    the vertices of each kind, tree by tree; ``interior_starts`` is where
+    each tree's interior begins in the latter.  ``edge_u`` and ``edge_v``
+    are the trees' sorted edge lists, one after another.  ``inv_piv`` is
+    the column of the reciprocals of the interior solve's pivots, by
+    slot.  Holds no reference to its trees.
     """
 
     vertex_stops: list[int]
@@ -165,7 +237,8 @@ class _Batch:
     degrees: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
-    solver: _InteriorSolver
+    schedule: _Schedule
+    inv_piv: np.ndarray
 
     def stack(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
         """Each tree's ``(m_i, k_i)`` boundary block in its rows, zero-padded to the widest."""
@@ -178,80 +251,37 @@ class _Batch:
         return g
 
 
-def _interior_solver(trees: Sequence[BoundaryTree], vertex_stops: list[int],
-                     boundary: np.ndarray, degrees: np.ndarray) -> _InteriorSolver:
-    """The interiors' elimination from each tree's centre, with its pivots.
-
-    Each tree takes the layers of :func:`.graph_core._centre_layers`,
-    deepest first, aligned at the bottom: level ``j`` of the batch holds
-    every tree's ``j``-th layer, tree by tree, with the trees' centres
-    last.  Every vertex's children lie on lower levels, so a level's
-    pivots are final when it is reached, and subtracting their
-    reciprocals from their parents' in slot order gives each tree the
-    pivots of its own one-vertex-at-a-time elimination.
-    """
-    layers = [_centre_layers(t) for t in trees]
-    sizes = [len(lay.order) for lay in layers]
-    n_layers = [len(lay.stops) for lay in layers]
-    ends = np.cumsum(sizes)
-    verts = np.concatenate([lay.order + a for lay, a in zip(layers, vertex_stops)])
-    parent = np.concatenate([lay.parent + a for lay, a in zip(layers, vertex_stops)])
-    # each slot's layer within its tree, from the stops of all the layers
-    stops = np.concatenate([lay.stops for lay in layers]) + np.repeat(ends - sizes, n_layers)
-    layer = (np.searchsorted(stops, np.arange(ends[-1]), side="right")
-             - np.repeat(np.cumsum(n_layers) - n_layers, sizes))
-    # twice the layer, and one more at the centre: sorted stably, every
-    # centre comes last in its level
-    key = 2 * layer
-    centres = ends - 1
-    key[centres] += 1
-    by_level = np.argsort(key, kind="stable")
-    order = verts[by_level]
-    sink = len(order)
-    slot = np.full(vertex_stops[-1] + 1, sink, dtype=np.int64)
-    slot[order] = np.arange(sink)
-    parent[verts[centres]] = vertex_stops[-1]  # to the sink's slot
-    parents = slot[parent[order]]
-    level_stops = np.cumsum(np.bincount(layer)).tolist()
-    inners = np.array(level_stops) - np.bincount(layer[centres], minlength=len(level_stops))
-    levels = tuple((start, stop, inner, parents[start:inner]) for start, stop, inner in
-                   zip([0, *level_stops], level_stops, inners.tolist()))
-    piv = degrees[order].astype(np.float64)
-    inv_piv = np.empty((sink, 1))
-    for start, stop, inner, ps in levels:
-        d = piv[start:stop]
-        bad = np.flatnonzero(~(d > 0.0))  # a NaN pivot is bad too
-        if len(bad):
-            raise InvariantViolationError(f"interior pivot {float(d[bad[0]])} is not positive")
-        np.divide(1.0, d, out=inv_piv[start:stop, 0])
-        np.subtract.at(piv, ps, inv_piv[start:inner, 0])
-    return _InteriorSolver(
-        vertices=order,
-        inv_piv=inv_piv,
-        levels=levels,
-        rhs=slot[parent[boundary]],
-    )
-
-
 def _build_batch(trees: Sequence[BoundaryTree]) -> _Batch:
-    """Number ``trees`` one after another and schedule their interior solve."""
+    """Number ``trees`` one after another and schedule their interior solve.
+
+    Its pivots are the schedule swept from level 1.  The first
+    non-positive one in slot order is the first its tree alone meets,
+    with the same value: it depends only on the slots before it.
+    """
     vertex_stops = [0, *np.cumsum([t.n for t in trees]).tolist()]
     row_stops = [0, *np.cumsum([t.n_boundary for t in trees]).tolist()]
-    is_boundary = np.concatenate([t.boundary_pos >= 0 for t in trees])
     degrees = np.concatenate([t.degrees for t in trees])
-    boundary = np.flatnonzero(is_boundary)
     shift = np.repeat(vertex_stops[:-1], [len(t.edge_u) for t in trees])
-    interior = np.flatnonzero(~is_boundary)
+    interior = np.flatnonzero(np.concatenate([t.boundary_pos < 0 for t in trees]))
+    schedule = _schedule(trees)
+    n, m = vertex_stops[-1], row_stops[-1]
+    diag = schedule.degrees.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _eliminate(diag, schedule.levels[1:], 0.0)
+    bad = np.flatnonzero(~(diag[m:n] > 0.0))  # a NaN pivot is bad too
+    if len(bad):
+        raise InvariantViolationError(f"interior pivot {float(diag[m + bad[0]])} is not positive")
     return _Batch(
         vertex_stops=vertex_stops,
         row_stops=row_stops,
-        boundary=boundary,
+        boundary=schedule.vertices[:m],
         interior=interior,
         interior_starts=np.searchsorted(interior, vertex_stops[:-1]),
         degrees=degrees,
         edge_u=np.concatenate([t.edge_u for t in trees]) + shift,
         edge_v=np.concatenate([t.edge_v for t in trees]) + shift,
-        solver=_interior_solver(trees, vertex_stops, boundary, degrees),
+        schedule=schedule,
+        inv_piv=(1.0 / diag[:n])[:, None],
     )
 
 
@@ -282,24 +312,28 @@ def _extend(b: _Batch, g: np.ndarray) -> np.ndarray:
 
     ``g`` has one row per boundary vertex of the batch and one column per
     right-hand side; returns one row per vertex.  Works on one row per
-    interior slot, a few numpy steps per level: the rows hold the
+    slot, a few numpy steps per level: the boundary's rows hold ``g``,
+    which level 0 adds into its parents' rows; the interior's hold the
     right-hand side, then the forward-eliminated values, then the
-    solution, which is scattered back to vertex order.  Every entry is
-    the same float, bit for bit, as eliminating one vertex of one tree at
-    a time: each step does a row's scalar operations, in their order, on
-    each column.
+    solution (the centres' as soon as they are scaled), and all are
+    scattered back to vertex order.  Every entry is the same float, bit
+    for bit, as eliminating one vertex of one tree at a time: each step
+    does a row's scalar operations, in their order, on each column.
     """
-    sol = b.solver
-    w = np.zeros((len(sol.vertices), g.shape[1]))
-    _add_rows(w, sol.rhs, g)
-    for start, stop, inner, parents in sol.levels:
-        w[start:stop] *= sol.inv_piv[start:stop]
-        _add_rows(w, parents, w[start:inner])
-    for start, _, inner, parents in reversed(sol.levels):
-        w[start:inner] += sol.inv_piv[start:inner] * w[parents]
-    out = np.empty((b.vertex_stops[-1], g.shape[1]))
-    out[sol.vertices] = w
-    out[b.boundary] = g
+    s = b.schedule
+    inv = b.inv_piv
+    (_, m, parents, _), *levels, (lo, hi, _, _) = s.levels
+    w = np.zeros((len(s.vertices), g.shape[1]))
+    w[:m] = g
+    _add_rows(w, parents, g)
+    for start, stop, parents, _ in levels:
+        w[start:stop] *= inv[start:stop]
+        _add_rows(w, parents, w[start:stop].copy())
+    w[lo:hi] *= inv[lo:hi]  # the centres
+    for start, stop, parents, _ in reversed(levels):
+        w[start:stop] += inv[start:stop] * w[parents]
+    out = np.empty_like(w)
+    out[s.vertices] = w
     return out
 
 

@@ -28,12 +28,13 @@ certify the other:
   and Ren, *ETNA* 3 (1995)); the ``verify`` harness certifies the dense
   spectrum this way.
 
-Each count is one sweep from the boundary to the tree's centre over the
-layers of :func:`.graph_core._centre_layers`, which :mod:`.harmonic`
-solves along too: O(n) work in ``(L + 1) // 2 + 1`` numpy steps for
-diameter L, a few dozen for bushy trees even at n = 8000 and about n/2
-for path-like ones, the slow case.  Each parent takes its children's
-updates in slot order, bit for bit as one vertex at a time.
+Each count is one sweep from the boundary to the tree's centre: the
+pivot recurrence :func:`.harmonic._eliminate` over the tree's own
+:func:`.harmonic._schedule`, which the harmonic solve runs too.  That is
+O(n) work in ``(L + 1) // 2 + 1`` numpy steps for diameter L, a few
+dozen for bushy trees even at n = 8000 and about n/2 for path-like
+ones, the slow case.  Each parent takes its children's updates in slot
+order, bit for bit as one vertex at a time.  A count stores nothing.
 Counts are memoized per tree on their shift, the bisection's only memo:
 a repeated bisection walks its memoized probes again to the same float.
 
@@ -43,9 +44,9 @@ grows (the lemma at :func:`steklov_eigenvalue_bisect`), so a midpoint at
 or below a shift counted below ``k``, or at or above one counted at
 ``k`` or more, is decided without a count.  Laguerre steps on
 ``log|det(L - s B)|``, whose two derivatives one more pass over the same
-levels reads off a count's pivots, find such a bracket a few ``abs_tol``
-wide in a handful of counts; the replay of the loop then counts only the
-midpoints inside it.
+levels reads off a count's pivots (the bisection keeps those of its last
+two counts), find such a bracket a few ``abs_tol`` wide in a handful of
+counts; the replay of the loop then counts only the midpoints inside it.
 
 The Rayleigh tools check a trial family against ``lambda_k`` by the
 min-max principle: :func:`variational_upper_check` takes the exact
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +71,18 @@ from .errors import (
     NotSymmetricError,
     ZeroFunctionError,
 )
-from .graph_core import BoundaryTree, _centre_layers, per_tree_cache
-from .harmonic import DtnMatrix, VertexFunction, _batch, _extend, _laplacian, dtn_matrix
+from .graph_core import BoundaryTree, per_tree_cache
+from .harmonic import (
+    DtnMatrix,
+    VertexFunction,
+    _batch,
+    _eliminate,
+    _extend,
+    _laplacian,
+    _schedule,
+    _Schedule,
+    dtn_matrix,
+)
 
 # the ``spectrum`` command prints the whole dense spectrum up to this
 # boundary size and bisects the first few eigenvalues above it
@@ -129,91 +140,40 @@ _TINY = 1e-280
 _MAX_PROBES = 64
 
 
-# one level of the count's sweep: the slots [start, stop) of its vertices,
-# the slots of their parents, and whether those parents are all distinct
-_Level = tuple[int, int, np.ndarray, bool]
-
-
 @per_tree_cache
-def _pencil_levels(t: BoundaryTree) -> tuple[np.ndarray, tuple[_Level, ...]]:
-    """The whole tree's elimination levels, with degrees by slot.
-
-    The boundary fills slots ``[0, m)`` in ascending order (checked
-    against ``boundary_pos``), one level; then each interior layer of
-    :func:`.graph_core._centre_layers` is a level, the centre's parent
-    slot the sink ``n``.  A layer's parent slots never decrease (the
-    search lists children in their parents' order), so they are distinct
-    when they strictly increase: one ``reduceat`` flags every layer, and
-    the levels take a fixed number of numpy calls.
-    """
-    lay = _centre_layers(t)
-    n, m = t.n, t.n_boundary
-    by_slot = np.concatenate((t._boundary_ids, lay.order))
-    slot = np.append(t.boundary_pos, n)
-    slot[lay.order] = np.arange(m, n)
-    if not np.array_equal(slot[by_slot], np.arange(n)):
-        raise InvariantViolationError("the boundary does not fill the first slots in order")
-    parent_slot = slot[lay.parent[by_slot]]
-    bounds = [0, m, *(m + s for s in lay.stops)]
-    # a slot whose parent is the one before's, within its level
-    repeat = np.append(False, parent_slot[1:] == parent_slot[:-1])
-    repeat[bounds[:-1]] = False
-    distinct = (~np.logical_or.reduceat(repeat, bounds[:-1])).tolist()
-    distinct[0] = bool(np.bincount(parent_slot[:m]).max() == 1)  # the boundary's, unsorted
-    levels = tuple((a, b, parent_slot[a:b], d)
-                   for a, b, d in zip(bounds, bounds[1:], distinct))
-    return t.degrees[by_slot].astype(np.float64), levels
+def _pencil_schedule(t: BoundaryTree) -> tuple[_Schedule, np.ndarray]:
+    """The tree's :func:`.harmonic._schedule` alone, and each slot's boundary children."""
+    s = _schedule((t,))
+    return s, np.bincount(s.levels[0][2], minlength=t.n + 1).astype(np.float64)
 
 
 def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
-    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot."""
-    degrees, levels = _pencil_levels(t)
-    n = t.n
-    diag = np.empty(n + 1)  # slot n absorbs the root's (discarded) update
-    diag[:n] = degrees
+    """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot.
+
+    :func:`.harmonic._eliminate` on the tree's schedule alone, swept from
+    level 0 with the boundary's pivots ``1 - shift``.
+    """
+    s = _pencil_schedule(t)[0]
+    diag = s.degrees.copy()  # the sink, last, absorbs the centre's update
     diag[:t.n_boundary] = 1.0 - shift  # boundary vertices have degree 1
-    for start, stop, ps, distinct in levels:
-        # only children update a vertex, so its slot holds its pivot by now
-        d = diag[start:stop]
-        if clamp:
-            d[np.abs(d) < _TINY] = -_TINY
-        if distinct:
-            # one update per parent: fancy indexing does the same
-            # arithmetic as ufunc.at, at a fraction of its cost
-            diag[ps] -= 1.0 / d
-        else:
-            # ufunc.at applies repeated parents in order: each parent sees
-            # its children's updates in slot order, as a scalar sweep would
-            np.subtract.at(diag, ps, 1.0 / d)
-    return diag[:n]
-
-
-@dataclass(eq=False)
-class _Counts:
-    """Pencil counts of one tree by shift, and the pivots of its latest counts."""
-
-    by_shift: dict[float, int] = field(default_factory=dict)
-    pivots: dict[float, np.ndarray] = field(default_factory=dict)
+    _eliminate(diag, s.levels, _TINY if clamp else 0.0)
+    return diag[:t.n]
 
 
 @per_tree_cache
-def _counts(t: BoundaryTree) -> _Counts:
-    """The tree's count memo, the bisection's only memo.
-
-    Bisections for different ``k`` share their probes, and each shift is
-    counted once; a repeated bisection walks its memoized probes again to
-    the same float.
-    """
-    return _Counts()
+def _counts(t: BoundaryTree) -> dict[float, int]:
+    """The tree's pencil counts by shift, the bisection's only memo."""
+    return {}
 
 
-def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
+def _steklov_count_below(t: BoundaryTree, shift: float, *,
+                         keep: dict[float, np.ndarray] | None = None) -> int:
     """Number of Steklov eigenvalues below ``shift``.
 
     Counts negative pivots of the tree-ordered factorization of
     ``L - shift * B``; the positive-definite interior block contributes
     none, so the count equals the inertia of the boundary response
-    matrix shifted by ``shift``.  One sweep over :func:`_pencil_levels`:
+    matrix shifted by ``shift``.  One sweep of :func:`_pencil_pivots`:
     O(n) work in one numpy step per level.
 
     A pivot vanishes only at special shifts (within rounding of an
@@ -221,8 +181,8 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     1/2), so the sweep first runs without the clamp.  If some pivot came
     out below ``_TINY`` (every later value may then be inf or nan), it
     runs again with the clamp; otherwise the clamp would not have changed
-    a bit.  The pivots of the tree's last two counts stay in its memo for
-    :func:`_log_det_derivatives`.
+    a bit.  The count stores nothing; the pivots it counted go into
+    ``keep``, when given, under ``shift``.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pencil_pivots(t, shift, clamp=False)
@@ -232,18 +192,9 @@ def _steklov_count_below(t: BoundaryTree, shift: float) -> int:
     if np.count_nonzero(pivots < _TINY) != neg:
         pivots = _pencil_pivots(t, shift, clamp=True)
         neg = np.count_nonzero(pivots < 0.0)
-    recent = _counts(t).pivots
-    recent[shift] = pivots
-    if len(recent) > 2:
-        del recent[next(iter(recent))]
+    if keep is not None:
+        keep[shift] = pivots
     return int(neg)
-
-
-@per_tree_cache
-def _boundary_children(t: BoundaryTree) -> np.ndarray:
-    """How many boundary vertices hang from each slot (the sink included)."""
-    _, levels = _pencil_levels(t)
-    return np.bincount(levels[0][2], minlength=t.n + 1).astype(np.float64)
 
 
 def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, float]:
@@ -262,13 +213,13 @@ def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, fl
     rounding nor the order of their sums matters; they are non-finite
     near a vanished pivot.
     """
-    _, levels = _pencil_levels(t)
+    s, leaves = _pencil_schedule(t)
+    levels = s.levels
     n, m = t.n, t.n_boundary
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pivots
         inv2 = inv * inv
         r = float(inv[0])
-        leaves = _boundary_children(t)
         d1 = leaves * (-r * r)
         d2 = leaves * (-2.0 * r * r * r)
         for start, stop, ps, distinct in levels[1:]:
@@ -310,7 +261,7 @@ def _laguerre(
 
 def _narrow(
     t: BoundaryTree, k: int, abs_tol: float, count: Callable[[float], int],
-    a: float, ca: int, b: float, cb: int,
+    recent: dict[float, np.ndarray], a: float, ca: int, b: float, cb: int,
 ) -> tuple[float, float]:
     """Narrow a certified bracket ``a < lambda_k <= b`` by estimates.
 
@@ -330,7 +281,6 @@ def _narrow(
     dropped once past ``abs_tol``.  Stops at width ``2 abs_tol`` or after
     ``_MAX_PROBES`` counts: a poor estimate costs counts, never bits.
     """
-    recent = _counts(t).pivots
     x = None  # a converged estimate under certification
     delta = 0.125 * abs_tol
     stalled = False  # the last probe's count equalled its end's
@@ -441,13 +391,16 @@ def steklov_eigenvalue_bisect(
         raise BadIndexError(f"index {k} outside 1..{m}")
     if not 0.0 < abs_tol < math.inf:
         raise BadParamsError(f"abs_tol must be finite and positive, got {abs_tol}")
-    counts = _counts(t).by_shift
+    counts = _counts(t)
+    recent: dict[float, np.ndarray] = {}  # the pivots of the last two counts
 
     def count(shift: float) -> int:
         try:
             return counts[shift]
         except KeyError:
-            c = counts[shift] = _steklov_count_below(t, shift)
+            c = counts[shift] = _steklov_count_below(t, shift, keep=recent)
+            if len(recent) > 2:
+                del recent[next(iter(recent))]
             return c
 
     lo = -1e-9
@@ -462,7 +415,7 @@ def steklov_eigenvalue_bisect(
                 a, ca = s, c
         elif s < b:
             b, cb = s, c
-    a, b = _narrow(t, k, abs_tol, count, a, ca, b, cb)
+    a, b = _narrow(t, k, abs_tol, count, recent, a, ca, b, cb)
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

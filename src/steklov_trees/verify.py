@@ -63,6 +63,9 @@ from .spectra import (
     variational_upper_check,
 )
 
+# the "schema" of every JSON report the package prints
+SCHEMA = "steklov-trees/1"
+
 # the most padded entries in one batch of the dense route: its vertices
 # times its largest boundary (a tree larger than this is a batch alone)
 BATCH_ENTRIES = 1 << 15
@@ -126,7 +129,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "steklov-trees/1",
+            "schema": SCHEMA,
             "command": "verify",
             "config": self.config,
             "checks": {name: c.to_json_dict() for name, c in sorted(self.counters.items())},

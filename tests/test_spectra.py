@@ -316,9 +316,9 @@ def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
 @given(t=shapes)
 def test_peel_schedule_matches_the_whole_tree_peel(t):
     # the schedule from the centre, against one built a vertex at a time
-    degrees, levels = spectra._pencil_levels(t)
+    degrees, levels = spectra._pencil_schedule(t)[0][1:]
     want_degrees, want_boundary, want_levels = pencil_levels_oracle(t)
-    assert degrees.tobytes() == want_degrees.tobytes()
+    assert degrees.tobytes() == np.append(want_degrees, 0.0).tobytes()  # the sink's last
     # the boundary fills the first m slots, so the sweep needs no mask
     assert want_boundary.tobytes() == (np.arange(t.n) < t.n_boundary).tobytes()
     assert len(levels) == len(want_levels)
@@ -344,31 +344,39 @@ def test_pencil_pivot_bytes_match_the_whole_tree_peel(t, seed):
             assert got.tobytes() == want.tobytes()
 
 
-def _level_count_trees():
-    yield gen_path(2000)
-    yield generate_family({"family": "EXTREMAL_MIDDLE", "L": 2000, "variant": "B"})
-    yield gen_ball(3, 9)
-    yield generate_family({"family": "REFINED", "l": 8})
+_LEVEL_COUNT_TREES = [gen_path(2000),
+                      generate_family({"family": "EXTREMAL_MIDDLE", "L": 2000, "variant": "B"}),
+                      gen_ball(3, 9),
+                      generate_family({"family": "REFINED", "l": 8})]
 
 
-def _assert_centre_level_counts(t):
-    # from the centre, the whole tree takes the peel's (L + 1) // 2 + 1
-    # levels and the interior one fewer; from vertex 0 a path would take L + 1
-    half = (diameter(t).length + 1) // 2
-    assert len(spectra._pencil_levels(t)[1]) == half + 1
-    assert len(_centre_layers(t).stops) == half
-    assert len(_batch((t,)).solver.levels) == half
+def _assert_centre_level_counts(trees):
+    # from the centre, a tree takes the peel's (L + 1) // 2 + 1 levels, its
+    # boundary and its interior layers; from vertex 0 a path would take
+    # L + 1.  A batch, aligned at the top, takes its deepest tree's, and
+    # the last level holds every centre, tree by tree, under the sink
+    halves = [(diameter(t).length + 1) // 2 for t in trees]
+    for t, half in zip(trees, halves):
+        assert len(_centre_layers(t).sizes) == half + 1
+    s = _batch(trees).schedule
+    assert len(s.levels) == max(halves) + 1
+    start, stop, parents, _ = s.levels[-1]
+    offsets = np.cumsum([0] + [t.n for t in trees[:-1]])
+    centres = [_centre_layers(t).order[-1] + a for t, a in zip(trees, offsets)]
+    assert s.vertices[start:stop].tolist() == centres
+    assert parents.tolist() == [len(s.vertices)] * len(trees)
 
 
-@pytest.mark.parametrize("t", _level_count_trees(), ids=["path-2000", "extremal-B-2000",
-                                                          "ball-3-9", "refined-8"])
-def test_schedules_have_the_peel_level_count(t):
-    _assert_centre_level_counts(t)
+@pytest.mark.parametrize("trees", [*([t] for t in _LEVEL_COUNT_TREES), _LEVEL_COUNT_TREES],
+                         ids=["path-2000", "extremal-B-2000", "ball-3-9", "refined-8",
+                              "batch-of-the-four"])
+def test_schedules_have_the_peel_level_count(trees):
+    _assert_centre_level_counts(trees)
 
 
 @given(t=shapes)
 def test_shape_schedules_have_the_peel_level_count(t):
-    _assert_centre_level_counts(t)
+    _assert_centre_level_counts([t])
 
 
 # each decision the count makes on its unclamped pivots: whether a pivot
@@ -426,7 +434,7 @@ def test_bisect_memo_returns_identical_float(monkeypatch):
     passes = []
     count = spectra._steklov_count_below
     monkeypatch.setattr(spectra, "_steklov_count_below",
-                        lambda t, shift: passes.append(shift) or count(t, shift))
+                        lambda t, shift, **kw: passes.append(shift) or count(t, shift, **kw))
     first = steklov_eigenvalue_bisect(t, 2)
     n_first = len(passes)
     assert n_first > 0
@@ -458,7 +466,7 @@ def test_bisect_memo_dies_with_its_tree():
 
 def test_bisect_start_check_raises_without_assert(ball32, monkeypatch):
     # a real check, not an ``assert``: it also runs under ``python -O``
-    monkeypatch.setattr(spectra, "_steklov_count_below", lambda t, shift: 1)
+    monkeypatch.setattr(spectra, "_steklov_count_below", lambda t, shift, **kw: 1)
     with pytest.raises(InvariantViolationError):
         steklov_eigenvalue_bisect(ball32, 2)
 
@@ -570,7 +578,7 @@ def test_replay_counts_a_fraction_of_the_plain_loop(monkeypatch):
     passes = []
     count = spectra._steklov_count_below
     monkeypatch.setattr(spectra, "_steklov_count_below",
-                        lambda t, shift: passes.append(shift) or count(t, shift))
+                        lambda t, shift, **kw: passes.append(shift) or count(t, shift, **kw))
     for k in (2, 3, 5):
         bisect_oracle(t, k)
     plain = len(set(passes))

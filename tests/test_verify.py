@@ -318,6 +318,15 @@ def test_a_batch_of_family_shapes_is_bitwise_each_tree_alone():
     # alone, together, and between harness draws
     _assert_batch_is_alone(shapes)
     _assert_batch_is_alone([*_harness_trees(9, 4, 1), *shapes, *_harness_trees(10, 3, 1)])
+    # harness draws barely spread the layer counts; these trees' run from
+    # one (the star) to a hundred (the path), aligned at the top
+    mixed = [{"family": "PATH", "L": 200},
+             {"family": "BALL", "D": 3, "r": 3},
+             {"family": "BALL", "D": 6, "r": 1},
+             {"family": "REFINED", "l": 3},
+             {"family": "EXTREMAL_MIDDLE", "L": 40, "variant": "A"}]
+    first, last = _harness_trees(12, 2, 0)
+    _assert_batch_is_alone([first, *map(generate_family, mixed), last])
 
 
 def test_a_large_run_splits_into_capped_batches_each_bitwise_alone():
