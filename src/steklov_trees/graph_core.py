@@ -36,10 +36,8 @@ from the same BFS order and parents on first use, with no search of its
 own: the partition descents read their sides off it, and
 :func:`_spine_labels` gives every vertex its place along a diameter path
 from the preorder slices of the path's vertices, for the diameter
-witness and :func:`branch_components`.  The spectral count and the
-harmonic solver eliminate along one schedule, :func:`_centre_layers`:
-the boundary, then a search over the interior from the diameter path's
-centre, by layers, which :func:`.harmonic._schedule` numbers into slots.
+witness and :func:`branch_components`.  The solvers' elimination
+order, a search from the diameter path's centre, is :mod:`.harmonic`'s.
 """
 from __future__ import annotations
 
@@ -150,11 +148,18 @@ class _RootedIndex:
 
     ``order`` and ``parent`` are the breadth-first search that
     :func:`build_tree` runs to check connectivity (vertex 0 is its own
-    parent).
+    parent); :attr:`parent_ids` is ``parent`` as an index array.
     """
 
     order: list[int]
     parent: list[int]
+
+    @functools.cached_property
+    def parent_ids(self) -> np.ndarray:
+        """``parent`` as an index array, built on first read; vertex 0's is ``n``."""
+        parent = np.array(self.parent, dtype=np.intp)
+        parent[0] = len(parent)
+        return parent
 
 
 @per_tree_cache
@@ -489,74 +494,6 @@ def diameter(t: BoundaryTree) -> DiameterPath:
     return DiameterPath(L, tuple(path))
 
 
-class _Layers(NamedTuple):
-    """The tree in the levels of its elimination, from the boundary to the centre.
-
-    ``order`` holds the levels one after another: the boundary in
-    ``boundary`` order, then the interior in breadth-first layers from the
-    centre, deepest first, each in search order, the centre alone last;
-    ``sizes`` are the levels' lengths.  ``parent`` is every vertex's
-    neighbour toward the centre, and the centre's is ``n``.
-    """
-
-    order: np.ndarray
-    sizes: np.ndarray
-    parent: np.ndarray
-
-
-@per_tree_cache
-def _centre_layers(t: BoundaryTree) -> _Layers:
-    """The one elimination schedule of ``t``: its boundary, then its interior by layers.
-
-    The centre ``c = diameter(t).path[L // 2]`` is within ``(L + 1) // 2``
-    of every vertex, and the farthest are leaves, so the interior has
-    ``(L + 1) // 2`` layers; with the boundary below them, as many levels
-    as a leaf-first peel.  One search from ``c`` over the interior,
-    neighbours ascending, gives the layers and every vertex's parent.
-    Deepest first, each vertex follows its children: a perfect
-    elimination order of the tree (Jacobs and Trevisan).
-    :func:`.harmonic._schedule` numbers it into slots, alone or beside
-    other trees, for both the spectral count and the harmonic solve.
-
-    Raises:
-        InvariantViolationError: the search misses an interior vertex, or
-            the boundary, which takes the first slots, is out of step
-            with ``boundary_pos``.
-    """
-    path = diameter(t).path
-    c = path[(len(path) - 1) // 2]
-    inner = (t.boundary_pos < 0).tolist()
-    neighbors = t.neighbors
-    parent = [-1] * t.n
-    parent[c] = t.n
-    order = [c]
-    stops = []
-    lo = 0
-    while lo < len(order):
-        hi = len(order)
-        for x in order[lo:hi]:
-            for y in neighbors[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    if inner[y]:
-                        order.append(y)
-        stops.append(hi)
-        lo = hi
-    k = len(order)
-    if k != len(t.interior):
-        raise InvariantViolationError(
-            f"the search from the centre reached {k} of {len(t.interior)} interior vertices")
-    m = t.n_boundary
-    if not np.array_equal(t.boundary_pos[t._boundary_ids], np.arange(m)):
-        raise InvariantViolationError("the boundary does not fill the first slots in order")
-    # the layers deepest first, each keeping its order
-    sizes = np.diff(stops, prepend=0)[::-1]
-    ends = np.cumsum(sizes)
-    deep = np.array(order)[np.arange(k) + np.repeat(k + sizes - 2 * ends, sizes)]
-    return _Layers(np.concatenate((t._boundary_ids, deep)), np.append(m, sizes),
-                   np.array(parent, dtype=np.int64))
-
-
 @dataclass(frozen=True, eq=False)
 class SubtreeRef:
     """A connected induced subtree of a parent tree.
@@ -590,9 +527,15 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> Subtr
     return their parts or any iterable of ids (repeats allowed), are
     scattered into one vertex mask: its nonzero positions are the part's
     ascending ``ids``, and reading it at their parents (the rooted
-    index's) counts the members whose parent is a member.
+    index's) counts the members whose parent is a member.  An id that
+    :func:`build_tree` would refuse, a bool, a float or a string, raises
+    :class:`BadVertexError`, and so does a bool mask.
     """
     if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"):
+        vertices = list(vertices)
+        bad = [v for v in vertices if not _is_id_type(type(v))]
+        if bad:
+            raise BadVertexError(f"vertex {bad[0]!r} is not an integer id")
         # object dtype for an id past int64, which the range check rejects
         vertices = np.array([int(v) for v in vertices])
     if not len(vertices):
@@ -603,18 +546,10 @@ def make_subtree(t: BoundaryTree, vertices: Iterable[int] | np.ndarray) -> Subtr
     inside = np.zeros(t.n + 1, dtype=bool)  # slot n is no vertex's
     inside[vertices] = True
     ids = inside.nonzero()[0]  # ascending, each vertex once
-    if np.count_nonzero(inside[_parent_ids(t)[ids]]) != len(ids) - 1:
+    if np.count_nonzero(inside[_rooted_index(t).parent_ids[ids]]) != len(ids) - 1:
         raise NotATreeError("vertex set does not induce a connected subtree")
     ids.flags.writeable = False
     return SubtreeRef(t, ids, tuple(ids[t.boundary_pos[ids] >= 0].tolist()))
-
-
-@per_tree_cache
-def _parent_ids(t: BoundaryTree) -> np.ndarray:
-    """The rooted index's parents as an index array; vertex 0's is ``n``."""
-    parent = np.array(_rooted_index(t).parent, dtype=np.intp)
-    parent[0] = t.n
-    return parent
 
 
 def _spine_labels(t: BoundaryTree, path: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

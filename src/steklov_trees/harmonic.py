@@ -16,10 +16,12 @@ of a tree).  Each elimination touches one parent, all pivots stay
 positive (the interior block is diagonally dominant with at least one
 strict row per pendant subtree), so the solve is exact Gaussian
 elimination in a perfect order: O(n), no fill-in, no iteration.
-:func:`_schedule` numbers the levels of :func:`.graph_core._centre_layers`
-into slots, and :func:`_eliminate` is the one pivot recurrence along
-them: swept from level 1 it gives the solve's pivots, and from level 0,
-with the boundary's pivots ``1 - s``, :mod:`.spectra`'s pencil count.
+Only this module decides that order: :func:`_tree_schedule`, kept per
+tree, numbers its boundary, then the layers of one search from its
+centre, :func:`_schedule` merges a batch's, and :func:`_eliminate` is the
+one pivot recurrence along them: swept from level 1 it gives the
+solve's pivots, and from level 0, with the boundary's pivots ``1 - s``,
+:mod:`.spectra`'s pencil count.
 The solve is then replayed level by level: a layer is eliminated
 across every right-hand side by a scaling and one ordered scatter-add
 (``np.add.at``, which adds each entry's terms one at a time in index
@@ -46,16 +48,16 @@ widest boundary at ``verify.BATCH_ENTRIES``.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, HarmonicResidualError, InvariantViolationError
-from .graph_core import BoundaryTree, _centre_layers
+from .graph_core import BoundaryTree, diameter, per_tree_cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,62 +137,129 @@ def _add_rows(out: np.ndarray, dst: np.ndarray, blk: np.ndarray) -> None:
 _Level = tuple[int, int, np.ndarray, bool]
 
 
-class _Schedule(NamedTuple):
-    """The elimination of trees side by side: slots, and the levels that fill them.
+@dataclass(frozen=True, eq=False)
+class _Schedule:
+    """The elimination of one tree, or of trees side by side, by slots.
 
-    ``vertices[s]`` is the batch vertex in slot ``s`` and ``degrees[s]``
-    its degree, as a float.  ``levels[0]`` is the boundary, and the last
-    level holds the trees' centres, whose parent is the sink slot
-    ``len(vertices)``: the last of ``degrees``, 0.
+    Slot ``s`` holds ``vertices[s]``, of degree ``degrees[s]`` (a float),
+    under the slot ``parents[s]``.  Level ``i`` takes the next ``sizes[i]``
+    slots: level 0 is the boundary, the last the centres, under the sink
+    slot ``len(vertices)`` of degree 0.  :attr:`levels` and :attr:`leaves`
+    are built on first read.
     """
 
     vertices: np.ndarray
     degrees: np.ndarray
-    levels: tuple[_Level, ...]
+    parents: np.ndarray
+    sizes: np.ndarray
+
+    @functools.cached_property
+    def levels(self) -> tuple[_Level, ...]:
+        """The levels, each with its parents' slots and whether they are distinct.
+
+        An interior level's parent slots never decrease (the search meets
+        children in their parents' order), so one ``reduceat`` flags each
+        level but the boundary's, whose unsorted parents are counted.
+        """
+        parents = self.parents
+        bounds = [0, *np.cumsum(self.sizes).tolist()]
+        # a slot whose parent is the one before's, within its level
+        repeat = np.append(False, parents[1:] == parents[:-1])
+        repeat[bounds[:-1]] = False
+        distinct = (~np.logical_or.reduceat(repeat, bounds[:-1])).tolist()
+        distinct[0] = bool(np.bincount(parents[:bounds[1]]).max() == 1)
+        return tuple((lo, hi, parents[lo:hi], d)
+                     for lo, hi, d in zip(bounds, bounds[1:], distinct))
+
+    @functools.cached_property
+    def leaves(self) -> np.ndarray:
+        """Each slot's boundary children, and the sink's, as floats."""
+        return np.bincount(self.parents[:self.sizes[0]],
+                           minlength=len(self.degrees)).astype(np.float64)
+
+
+@per_tree_cache
+def _tree_schedule(t: BoundaryTree) -> _Schedule:
+    """The one elimination schedule of ``t``: its boundary, then its interior by layers.
+
+    The centre ``c = diameter(t).path[L // 2]`` is within ``(L + 1) // 2``
+    of every vertex, and the farthest are leaves, so a search from ``c``
+    over the interior, neighbours ascending, finds ``(L + 1) // 2``
+    layers and every vertex's parent.  The boundary takes the slots
+    ``[0, m)`` in ascending id, then the layers, deepest first, each in
+    search order, the centre last under the sink ``n``: a perfect
+    elimination order (Jacobs and Trevisan) in a leaf-first peel's levels.
+
+    Raises:
+        InvariantViolationError: the search misses an interior vertex, or
+            the boundary, which takes the first slots, is out of step
+            with ``boundary_pos``.
+    """
+    path = diameter(t).path
+    c = path[(len(path) - 1) // 2]
+    inner = (t.boundary_pos < 0).tolist()
+    neighbors = t.neighbors
+    n = t.n
+    parent = [-1] * n
+    parent[c] = n
+    order = [c]
+    stops = []
+    lo = 0
+    while lo < len(order):
+        hi = len(order)
+        for x in order[lo:hi]:
+            for y in neighbors[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    if inner[y]:
+                        order.append(y)
+        stops.append(hi)
+        lo = hi
+    k = len(order)
+    if k != len(t.interior):
+        raise InvariantViolationError(
+            f"the search from the centre reached {k} of {len(t.interior)} interior vertices")
+    m = t.n_boundary
+    if not np.array_equal(t.boundary_pos[t._boundary_ids], np.arange(m)):
+        raise InvariantViolationError("the boundary does not fill the first slots in order")
+    # the layers deepest first, each keeping its order
+    sizes = np.diff(stops, prepend=0)[::-1]
+    deep = np.array(order)[np.arange(k) + np.repeat(k + sizes - 2 * np.cumsum(sizes), sizes)]
+    vertices = np.concatenate((t._boundary_ids, deep))
+    slot = np.full(n + 1, n)  # the sink's is its own
+    slot[vertices] = np.arange(n)
+    return _Schedule(vertices, np.append(t.degrees[vertices], 0.0),
+                     slot[np.array(parent)[vertices]], np.append(m, sizes))
 
 
 def _schedule(trees: Sequence[BoundaryTree]) -> _Schedule:
-    """The one elimination schedule of ``trees``, numbered one tree after another.
+    """The elimination of ``trees`` side by side, numbered one tree after another.
 
-    Level 0 is the boundary, slots ``[0, m)``, tree by tree in ascending
-    id.  The interior layers of :func:`.graph_core._centre_layers`
-    follow, deepest first and aligned at the top, so the last level holds
-    every centre, with the sink ``n`` as its parent.  A level lists its
-    trees in turn, each layer in search order, so a vertex's interior
-    children sit one level below it, in the order its tree alone meets
-    them.  An interior level's parent slots never decrease (the search
-    meets children in their parents' order), so they are distinct where
-    they strictly increase: one ``reduceat`` flags every level but the
-    boundary's, whose unsorted parents are counted.
+    A tree alone is its :func:`_tree_schedule`.  A batch merges theirs,
+    the layers aligned at the top so the last level holds every centre,
+    each level taking each tree's block in turn, in the tree's slot order.
     """
-    layers = [_centre_layers(t) for t in trees]
-    sizes = [t.n for t in trees]
-    depths = [len(lay.sizes) for lay in layers]
-    n = sum(sizes)
-    shift = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
-    order = np.concatenate([lay.order for lay in layers]) + shift
-    parent = np.concatenate([lay.parent for lay in layers]) + shift
+    scheds = [_tree_schedule(t) for t in trees]
+    if len(scheds) == 1:
+        return scheds[0]
+    ns = [len(s.vertices) for s in scheds]
+    n = sum(ns)
+    depths = [len(s.sizes) for s in scheds]
     # each tree's levels in the batch: the boundary's 0, the others' at the top
-    size = np.concatenate([lay.sizes for lay in layers])
+    lengths = np.concatenate([s.sizes for s in scheds])
     tops = np.cumsum(depths)
-    level = np.arange(len(size)) + max(depths) - np.repeat(tops, depths)
+    level = np.arange(len(lengths)) + max(depths) - np.repeat(tops, depths)
     level[tops - depths] = 0
-    vertices = order[np.argsort(np.repeat(level, size), kind="stable")]
-    slot = np.empty(n + 1, dtype=np.int64)
-    slot[vertices] = np.arange(n)
-    slot[n] = n
-    parents = slot[parent[vertices]]
-    bounds = [0, *np.cumsum(np.bincount(level, size)).astype(np.int64).tolist()]
-    # the centres', ``t.n`` in their own tree: the sink
-    parents[bounds[-2]:] = n
-    # a slot whose parent is the one before's, within its level
-    repeat = np.append(False, parents[1:] == parents[:-1])
-    repeat[bounds[:-1]] = False
-    distinct = (~np.logical_or.reduceat(repeat, bounds[:-1])).tolist()
-    distinct[0] = bool(np.bincount(parents[:bounds[1]]).max() == 1)
+    perm = np.argsort(np.repeat(level, lengths), kind="stable")
+    shift = np.repeat(np.cumsum([0, *ns[:-1]]), ns)
+    vertices = (np.concatenate([s.vertices for s in scheds]) + shift)[perm]
+    slot = np.full(n + 1, n)
+    slot[perm] = np.arange(n)
+    parents = slot[(np.concatenate([s.parents for s in scheds]) + shift)[perm]]
+    sizes = np.bincount(level, lengths).astype(np.int64)
+    parents[n - sizes[-1]:] = n  # the centres', ``n_i`` in their own tree
     degrees = np.append(np.concatenate([t.degrees for t in trees])[vertices], 0.0)
-    return _Schedule(vertices, degrees, tuple(
-        (lo, hi, parents[lo:hi], d) for lo, hi, d in zip(bounds, bounds[1:], distinct)))
+    return _Schedule(vertices, degrees, parents, sizes)
 
 
 def _eliminate(diag: np.ndarray, levels: Sequence[_Level], tiny: float) -> None:

@@ -52,7 +52,6 @@ from .graph_core import (
     BoundaryTree,
     SubtreeRef,
     _is_edge,
-    _parent_ids,
     _preorder,
     _rooted_index,
     _spine_labels,
@@ -314,7 +313,7 @@ def partition_two_optimal(t: BoundaryTree) -> PartitionCertificate:
         below[parent[x]] += below[x]
     m = t.n_boundary
     eu, ev = t.edge_u, t.edge_v
-    child = np.where(_parent_ids(t)[ev] == eu, ev, eu)
+    child = np.where(idx.parent_ids[ev] == eu, ev, eu)
     held = np.array(below, dtype=np.int64)[child]
     small = np.minimum(held, m - held)
     j = int(small.argmax())  # the first edge of the largest smaller share

@@ -1,7 +1,11 @@
 """Steklov spectra: LAPACK primary route, tree-pencil certifier, Rayleigh tools.
 
-Two routes compute eigenvalues here, sharing no code so that each can
-certify the other:
+Two routes compute eigenvalues here, each certifying the other.  They
+share only :mod:`.harmonic`'s elimination order and pivot recurrence,
+pinned by the tests to scalar references (``count_below_brute``,
+``pencil_pivots_oracle``, ``interior_solver_oracle``); ``eigh`` stands
+against a sign count, and the residuals go through
+:func:`.harmonic._laplacian`, which reads the edge list, no schedule:
 
 * :func:`eigendecompose_symmetric` -- LAPACK ``eigh`` on the dense
   boundary response matrix (the primary route; also yields eigenvectors).
@@ -29,8 +33,8 @@ certify the other:
   spectrum this way.
 
 Each count is one sweep from the boundary to the tree's centre: the
-pivot recurrence :func:`.harmonic._eliminate` over the tree's own
-:func:`.harmonic._schedule`, which the harmonic solve runs too.  That is
+pivot recurrence :func:`.harmonic._eliminate` over the tree's cached
+:func:`.harmonic._tree_schedule`, which the harmonic solve runs too.  That is
 O(n) work in ``(L + 1) // 2 + 1`` numpy steps for diameter L, a few
 dozen for bushy trees even at n = 8000 and about n/2 for path-like
 ones, the slow case.  Each parent takes its children's updates in slot
@@ -79,8 +83,7 @@ from .harmonic import (
     _eliminate,
     _extend,
     _laplacian,
-    _schedule,
-    _Schedule,
+    _tree_schedule,
     dtn_matrix,
 )
 
@@ -140,20 +143,13 @@ _TINY = 1e-280
 _MAX_PROBES = 64
 
 
-@per_tree_cache
-def _pencil_schedule(t: BoundaryTree) -> tuple[_Schedule, np.ndarray]:
-    """The tree's :func:`.harmonic._schedule` alone, and each slot's boundary children."""
-    s = _schedule((t,))
-    return s, np.bincount(s.levels[0][2], minlength=t.n + 1).astype(np.float64)
-
-
 def _pencil_pivots(t: BoundaryTree, shift: float, clamp: bool) -> np.ndarray:
     """Pivots of the tree-ordered factorization of ``L - shift * B``, by slot.
 
-    :func:`.harmonic._eliminate` on the tree's schedule alone, swept from
-    level 0 with the boundary's pivots ``1 - shift``.
+    :func:`.harmonic._eliminate` on :func:`.harmonic._tree_schedule`,
+    swept from level 0 with the boundary's pivots ``1 - shift``.
     """
-    s = _pencil_schedule(t)[0]
+    s = _tree_schedule(t)
     diag = s.degrees.copy()  # the sink, last, absorbs the centre's update
     diag[:t.n_boundary] = 1.0 - shift  # boundary vertices have degree 1
     _eliminate(diag, s.levels, _TINY if clamp else 0.0)
@@ -213,16 +209,15 @@ def _log_det_derivatives(t: BoundaryTree, pivots: np.ndarray) -> tuple[float, fl
     rounding nor the order of their sums matters; they are non-finite
     near a vanished pivot.
     """
-    s, leaves = _pencil_schedule(t)
-    levels = s.levels
+    s = _tree_schedule(t)
     n, m = t.n, t.n_boundary
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pivots
         inv2 = inv * inv
         r = float(inv[0])
-        d1 = leaves * (-r * r)
-        d2 = leaves * (-2.0 * r * r * r)
-        for start, stop, ps, distinct in levels[1:]:
+        d1 = s.leaves * (-r * r)
+        d2 = s.leaves * (-2.0 * r * r * r)
+        for start, stop, ps, distinct in s.levels[1:]:
             c1 = d1[start:stop]
             c2 = d2[start:stop] - 2.0 * c1 * c1 * inv[start:stop]
             w = inv2[start:stop]

@@ -8,9 +8,10 @@ and every bound report.  The result is a deterministic report object:
 same config, same counters, byte for byte.
 
 On every ``oracle_stride``-th tree the dense spectrum is cross-checked
-against the tree-pencil certifier of :mod:`.spectra`, which shares no
-code with it: each audited ``lambda_k`` is certified by two inertia
-counts, ``count(lambda_k - delta) < k <= count(lambda_k + delta)`` with
+against the tree-pencil certifier of :mod:`.spectra`, which shares only
+the elimination order and the pivot recurrence with it: each audited
+``lambda_k`` is certified by two inertia counts,
+``count(lambda_k - delta) < k <= count(lambda_k + delta)`` with
 ``delta = oracle_agreement``, and ``lambda_2`` is bisected once so that
 the bisection route has an end-to-end check of its own.
 

@@ -525,6 +525,10 @@ def tree_from_text_oracle(text: str) -> BoundaryTree:
 
 def make_subtree_oracle(t, vertices) -> SubtreeRef:
     """``make_subtree`` by a boolean mask over all vertices and all edges."""
+    vertices = list(vertices)
+    for v in vertices:
+        if type(v) is bool or not isinstance(v, (int, np.integer)):
+            raise BadVertexError(f"vertex {v!r} is not an integer id")
     vs = frozenset(map(int, vertices))
     if not vs:
         raise BadVertexError("empty subtree")
@@ -685,6 +689,51 @@ def interior_solver_oracle(t: BoundaryTree) -> _InteriorSolverOracle:
         inv_piv=inv_piv,
         boundary_owner=boundary_owner,
     )
+
+
+def schedule_oracle(trees) -> tuple[np.ndarray, np.ndarray, tuple[_Level, ...]]:
+    """The elimination schedule of a batch of trees, numbered one tree after another.
+
+    The construction by one stable argsort of every slot on its batch
+    level, as the package built every batch before each tree kept its
+    own schedule, with each tree's levels from :func:`centre_order_oracle`:
+    the boundary ascending, then the interior layers deepest first, the
+    centre's parent the tree's sink ``n``.  Level 0 is every boundary;
+    the interior levels are aligned at the top, so the last holds every
+    centre, under the batch's sink.  Returns the vertices and the
+    degrees (the sink's 0 last) by slot, and ``(start, stop, parents,
+    distinct)`` per level, ``distinct`` counted as a set.
+    """
+    orders, parents, sizes = [], [], []
+    for t in trees:
+        order, parent = centre_order_oracle(t.n, t.edges)
+        depth = {}
+        for v in reversed(order):  # parents first
+            depth[v] = 0 if parent[v] < 0 else depth[parent[v]] + 1
+        orders.append(np.array(list(t.boundary) + order, dtype=np.int64))
+        parents.append(np.array([t.n if p < 0 else p for p in parent], dtype=np.int64))
+        sizes.append(np.append(t.n_boundary, np.bincount([depth[v] for v in order])[::-1]))
+    ns = [t.n for t in trees]
+    depths = [len(z) for z in sizes]
+    n = sum(ns)
+    shift = np.repeat(np.cumsum([0, *ns[:-1]]), ns)
+    order = np.concatenate(orders) + shift
+    parent = np.concatenate(parents) + shift
+    size = np.concatenate(sizes)
+    tops = np.cumsum(depths)
+    level = np.arange(len(size)) + max(depths) - np.repeat(tops, depths)
+    level[tops - depths] = 0
+    vertices = order[np.argsort(np.repeat(level, size), kind="stable")]
+    slot = np.empty(n + 1, dtype=np.int64)
+    slot[vertices] = np.arange(n)
+    slot[n] = n
+    ps = slot[parent[vertices]]
+    bounds = [0, *np.cumsum(np.bincount(level, size)).astype(np.int64).tolist()]
+    ps[bounds[-2]:] = n  # the centres'
+    degrees = np.append(np.concatenate([t.degrees for t in trees])[vertices], 0.0)
+    return vertices, degrees, tuple(
+        (lo, hi, ps[lo:hi], len(set(ps[lo:hi].tolist())) == hi - lo)
+        for lo, hi in zip(bounds, bounds[1:]))
 
 
 def extend_columns_oracle(t: BoundaryTree, g: np.ndarray) -> np.ndarray:

@@ -12,7 +12,14 @@ import pytest  # noqa: E402
 from hypothesis import HealthCheck, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from steklov_trees import BoundaryTree, build_tree, gen_ball, gen_path, gen_random_tree  # noqa: E402
+from steklov_trees import (  # noqa: E402
+    BoundaryTree,
+    build_tree,
+    gen_ball,
+    gen_path,
+    gen_random_tree,
+    generate_family,
+)
 
 settings.register_profile(
     "suite",
@@ -103,3 +110,10 @@ shapes = st.one_of(
     st.builds(_caterpillar, st.lists(st.integers(0, 30), min_size=3, max_size=12)),
     st.builds(_spider, st.lists(st.integers(1, 4), min_size=3, max_size=30)),
 )
+
+# trees whose levels from the centre run from a few to a thousand: a
+# path, a long extremal tree, a ball and a refined tree
+LEVEL_COUNT_TREES = [gen_path(2000),
+                     generate_family({"family": "EXTREMAL_MIDDLE", "L": 2000, "variant": "B"}),
+                     gen_ball(3, 9),
+                     generate_family({"family": "REFINED", "l": 8})]

@@ -21,6 +21,7 @@ from steklov_trees import (
     branch_components,
     build_tree,
     diameter,
+    gen_ball,
     gen_random_tree,
     make_subtree,
     tree_from_json,
@@ -514,6 +515,29 @@ def test_make_subtree_names_an_id_past_int64(ball32):
     for given_vs, bad in (([2, 2**70], 2**70), ([-2**70, 2], -2**70)):
         with pytest.raises(BadVertexError, match=f"^vertex {bad} outside 0..9$"):
             make_subtree(ball32, given_vs)
+
+
+@pytest.mark.parametrize("given_vs", [
+    np.array([False, True, True, False]),  # a mask, not the ids 0 and 1
+    [1.7, 0.2],
+    np.array([1.0, 2.0]),
+    [1, 2.0],
+    ["1", "2"],
+    [True, False],
+    [np.True_],
+], ids=["bool-mask", "floats", "float-array", "a-float-among-ints", "strings", "bools",
+        "numpy-bool"])
+def test_make_subtree_refuses_ids_that_build_tree_refuses(given_vs):
+    t = gen_ball(3, 2)
+    for build in (make_subtree, make_subtree_oracle):
+        with pytest.raises(BadVertexError, match="is not an integer id$"):
+            build(t, given_vs)
+
+
+def test_make_subtree_takes_integer_ids_of_any_kind(ball32):
+    for given_vs in ([7, 2, 6], [np.int64(7), np.uint8(2), 6], np.array([7, 2, 6], np.uint16),
+                     np.array([7, 2, 6], object), (v for v in (7, 2, 6))):
+        assert make_subtree(ball32, given_vs).ids.tolist() == [2, 6, 7]
 
 
 def test_subtree_ref_derives_its_vertices_from_its_ids(ball32):

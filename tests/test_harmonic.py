@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib
+import pkgutil
 import weakref
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import steklov_trees
 from steklov_trees import (
     BoundaryFunction,
     DimensionMismatchError,
@@ -24,6 +27,8 @@ from steklov_trees import (
     harmonic_extension,
     laplacian_apply,
     normal_derivative,
+    partition_two_optimal,
+    steklov_eigenvalue_bisect,
 )
 from steklov_trees import harmonic
 from steklov_trees.harmonic import DtnMatrix, _batch, _extend, laplacian_apply_matrix
@@ -337,13 +342,41 @@ def test_interior_height_order_check_raises_without_assert(ball32):
         dtn_matrix(forest)
 
 
-def test_interior_schedule_dies_with_its_tree():
+def _package_memos() -> dict[str, weakref.WeakKeyDictionary]:
+    """Every per-tree memo of the package: each ``.memo`` and each weakly keyed table."""
+    memos = {}
+    for info in pkgutil.iter_modules(steklov_trees.__path__):
+        module = importlib.import_module(f"steklov_trees.{info.name}")
+        for name, value in vars(module).items():
+            memo = getattr(value, "memo", value)
+            if isinstance(memo, weakref.WeakKeyDictionary):
+                home = info.name if memo is value else value.__module__.rpartition(".")[2]
+                memos[f"{home}.{name}"] = value, memo
+    return memos
+
+
+def test_every_per_tree_cache_lets_its_tree_go():
+    # a WeakKeyDictionary pins for good a tree that its cached value refers to
+    memos = _package_memos()
+    cached = {name: fn for name, (fn, memo) in memos.items() if fn is not memo}
+    assert {"graph_core._rooted_index", "harmonic._tree_schedule",
+            "spectra._counts"} <= set(cached)
+    gc.collect()
+    before = {name: len(memo) for name, (_, memo) in memos.items()}
     t, other = gen_ball(3, 4), gen_ball(3, 2)
+    for tree in (t, other):
+        for fn in cached.values():
+            fn(tree)
+        steklov_eigenvalue_bisect(tree, 2)  # counts, levels and leaves
+        dtn_matrix(tree)
+        partition_two_optimal(tree)
     b = _batch((t,))
-    assert _batch((t,)) is b
+    assert _batch((t,)) is b and b.schedule is harmonic._tree_schedule(t)
     pair = _batch((t, other))
     assert _batch((t, other)) is pair and _batch((other, t)) is not pair
-    refs = weakref.ref(t), weakref.ref(b), weakref.ref(pair)
-    del t, b, pair
+    assert all(len(memo) > before[name] for name, (_, memo) in memos.items())
+    refs = weakref.ref(t), weakref.ref(other), weakref.ref(b), weakref.ref(pair)
+    del t, other, tree, b, pair
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 4
+    assert {name: len(memo) for name, (_, memo) in memos.items()} == before

@@ -41,9 +41,8 @@ from steklov_trees import (
     variational_upper_check,
 )
 from steklov_trees import spectra
-from steklov_trees.generators import generate_family
-from steklov_trees.graph_core import _centre_layers, diameter
-from steklov_trees.harmonic import _batch, laplacian_apply_matrix
+from steklov_trees.graph_core import diameter
+from steklov_trees.harmonic import _batch, _tree_schedule, laplacian_apply_matrix
 
 from _oracle import (
     bisect_oracle,
@@ -57,6 +56,7 @@ from conftest import (
     BALL32_EDGES,
     CATERPILLAR_EDGES,
     K13_EDGES,
+    LEVEL_COUNT_TREES,
     PATH4_EDGES,
     STAR5_EDGES,
     shapes,
@@ -316,7 +316,8 @@ def test_count_matches_scalar_reference_at_eigenvalues(n, cap, seed):
 @given(t=shapes)
 def test_peel_schedule_matches_the_whole_tree_peel(t):
     # the schedule from the centre, against one built a vertex at a time
-    degrees, levels = spectra._pencil_schedule(t)[0][1:]
+    s = _tree_schedule(t)
+    degrees, levels = s.degrees, s.levels
     want_degrees, want_boundary, want_levels = pencil_levels_oracle(t)
     assert degrees.tobytes() == np.append(want_degrees, 0.0).tobytes()  # the sink's last
     # the boundary fills the first m slots, so the sweep needs no mask
@@ -344,12 +345,6 @@ def test_pencil_pivot_bytes_match_the_whole_tree_peel(t, seed):
             assert got.tobytes() == want.tobytes()
 
 
-_LEVEL_COUNT_TREES = [gen_path(2000),
-                      generate_family({"family": "EXTREMAL_MIDDLE", "L": 2000, "variant": "B"}),
-                      gen_ball(3, 9),
-                      generate_family({"family": "REFINED", "l": 8})]
-
-
 def _assert_centre_level_counts(trees):
     # from the centre, a tree takes the peel's (L + 1) // 2 + 1 levels, its
     # boundary and its interior layers; from vertex 0 a path would take
@@ -357,17 +352,17 @@ def _assert_centre_level_counts(trees):
     # the last level holds every centre, tree by tree, under the sink
     halves = [(diameter(t).length + 1) // 2 for t in trees]
     for t, half in zip(trees, halves):
-        assert len(_centre_layers(t).sizes) == half + 1
+        assert len(_tree_schedule(t).sizes) == half + 1
     s = _batch(trees).schedule
     assert len(s.levels) == max(halves) + 1
     start, stop, parents, _ = s.levels[-1]
     offsets = np.cumsum([0] + [t.n for t in trees[:-1]])
-    centres = [_centre_layers(t).order[-1] + a for t, a in zip(trees, offsets)]
+    centres = [_tree_schedule(t).vertices[-1] + a for t, a in zip(trees, offsets)]
     assert s.vertices[start:stop].tolist() == centres
     assert parents.tolist() == [len(s.vertices)] * len(trees)
 
 
-@pytest.mark.parametrize("trees", [*([t] for t in _LEVEL_COUNT_TREES), _LEVEL_COUNT_TREES],
+@pytest.mark.parametrize("trees", [*([t] for t in LEVEL_COUNT_TREES), LEVEL_COUNT_TREES],
                          ids=["path-2000", "extremal-B-2000", "ball-3-9", "refined-8",
                               "batch-of-the-four"])
 def test_schedules_have_the_peel_level_count(trees):

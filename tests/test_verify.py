@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -31,8 +32,8 @@ from steklov_trees import bounds, harmonic, spectra, verify
 from steklov_trees.cli import main
 from steklov_trees.config import DEFAULT_TOL
 
-from _oracle import oracle_agreement_bisect
-from conftest import shapes
+from _oracle import oracle_agreement_bisect, schedule_oracle
+from conftest import LEVEL_COUNT_TREES, shapes
 
 # sha256 of fixed-seed `verify` reports, recorded for the benchmark
 EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -318,15 +319,42 @@ def test_a_batch_of_family_shapes_is_bitwise_each_tree_alone():
     # alone, together, and between harness draws
     _assert_batch_is_alone(shapes)
     _assert_batch_is_alone([*_harness_trees(9, 4, 1), *shapes, *_harness_trees(10, 3, 1)])
-    # harness draws barely spread the layer counts; these trees' run from
-    # one (the star) to a hundred (the path), aligned at the top
+    _assert_batch_is_alone(_mixed_depths())
+
+
+def _mixed_depths() -> list:
+    """Family shapes whose layer counts run from one to a hundred, between two draws.
+
+    Harness draws barely spread the layer counts; these run from one (the
+    star) to a hundred (the path), aligned at the top in a batch.
+    """
     mixed = [{"family": "PATH", "L": 200},
              {"family": "BALL", "D": 3, "r": 3},
              {"family": "BALL", "D": 6, "r": 1},
              {"family": "REFINED", "l": 3},
              {"family": "EXTREMAL_MIDDLE", "L": 40, "variant": "A"}]
     first, last = _harness_trees(12, 2, 0)
-    _assert_batch_is_alone([first, *map(generate_family, mixed), last])
+    return [first, *map(generate_family, mixed), last]
+
+
+@pytest.mark.parametrize("make", [
+    *(functools.partial(_harness_trees, seed, 50, 15) for seed in (3, 7, 41)),
+    lambda: LEVEL_COUNT_TREES,
+    _mixed_depths,
+], ids=["harness-3", "harness-7", "harness-41", "level-count-trees", "mixed-depths"])
+def test_a_batch_schedule_matches_the_argsort_reference_field_by_field(make):
+    # a wrongly False distinct flag moves no byte (subtract.at takes the
+    # same terms in the same order, only slower), so only a comparison of
+    # the fields sees it
+    trees = list(make())
+    s = harmonic._batch(trees).schedule
+    want_vertices, want_degrees, want_levels = schedule_oracle(trees)
+    assert s.vertices.tobytes() == want_vertices.tobytes()
+    assert s.degrees.tobytes() == want_degrees.tobytes()
+    assert [(lo, hi, d) for lo, hi, _, d in s.levels] == [
+        (lo, hi, d) for lo, hi, _, d in want_levels]
+    for (_, _, ps, _), (_, _, want_ps, _) in zip(s.levels, want_levels):
+        assert ps.tobytes() == want_ps.tobytes()
 
 
 def test_a_large_run_splits_into_capped_batches_each_bitwise_alone():
